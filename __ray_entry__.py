@@ -1389,11 +1389,11 @@ def oracle_sql() -> dict[str, str]:
         "nation_revenue": """
             SELECT n.n_name, CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
                    count(*) AS n_orders,
-                   sum(rev.dmills) AS revenue_dmills
+                   CAST(sum(rev.dmills) AS BIGINT) AS revenue_dmills
             FROM (
               SELECT l_orderkey,
-                     sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS dmills
+                     CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
+                         AS BIGINT)) AS BIGINT) AS dmills
               FROM lineitem GROUP BY l_orderkey
             ) rev
             JOIN orders o ON o.o_orderkey = rev.l_orderkey
@@ -1404,11 +1404,11 @@ def oracle_sql() -> dict[str, str]:
         "region_revenue": """
             SELECT r.r_name, CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
                    count(*) AS n_orders,
-                   sum(rev.dmills) AS revenue_dmills
+                   CAST(sum(rev.dmills) AS BIGINT) AS revenue_dmills
             FROM (
               SELECT l_orderkey,
-                     sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS dmills
+                     CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
+                         AS BIGINT)) AS BIGINT) AS dmills
               FROM lineitem GROUP BY l_orderkey
             ) rev
             JOIN orders o ON o.o_orderkey = rev.l_orderkey
@@ -1420,8 +1420,8 @@ def oracle_sql() -> dict[str, str]:
         "part_revenue": """
             SELECT p.p_type,
                    count(*) AS n_lineitems,
-                   sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 10000)
-                       AS BIGINT)) AS revenue_dmills
+                   CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 10000)
+                       AS BIGINT)) AS BIGINT) AS revenue_dmills
             FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
             GROUP BY p.p_type
         """,
@@ -1492,7 +1492,8 @@ def oracle_sql() -> dict[str, str]:
                         (SELECT CAST(max(o_orderdate) AS DATE) FROM orders))
                      AS BIGINT) AS recency_days,
                    count(*) AS frequency,
-                   sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS monetary_cents
+                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
+                     AS monetary_cents
             FROM orders GROUP BY o_custkey
         """,
         # quantile_disc picks the element at sorted index ceil(q*n)-1

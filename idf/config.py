@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def threshold_to_radius(threshold: float) -> int:
@@ -97,12 +97,3 @@ class DedupConfig:
         """
         q = self.radius // self.n_segments
         return (q + 1) // 2
-
-
-@dataclass
-class RuntimeConfig:
-    """Per-run execution knobs (not part of the logical query)."""
-
-    run_dir: str = "/tmp/idf_run"
-    resume: bool = True
-    extra: dict = field(default_factory=dict)

@@ -9,13 +9,13 @@ Ray-Data shape (SURVEY §3, re-expressed):
     (+ caption MinHash-LSH groupby)                   [edges_caption]
     -> connected components over the int hash graph   [clusters]
     -> hash join w/ meta -> groupby(cluster).elect    [plan]
-    -> two semi-join writes                           [apply]
+    -> tag keep/quarantine -> one partitioned write   [apply]
 
 Every stage commits a partitioned Parquet directory through the run
 manifest (atomic rename + per-partition lineage + metrics); a rerun
 resumes after the last committed stage. The ``bytes`` column never
-crosses a shuffle: it is read only by the hash stage and the apply
-writes.
+crosses a shuffle below the apply broadcast guard: it is read only by
+the hash stage and the apply pass, which writes it once.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import pyarrow.dataset as pads
 import ray.data as rd
 
 from idf.config import DedupConfig
-from idf.stages.apply import apply_stage
+from idf.stages.apply import apply_plan
 from idf.stages.candidates import band_edges, caption_edges, distinct_hashes
 from idf.stages.cc import connected_components
-from idf.stages.hash_stage import read_images
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest
 
@@ -69,7 +68,7 @@ def run_dedup(
     # bytes column never transits the object store (the r1 hash stage
     # was flat 8->32 CPUs because ~15 GB of encoded bytes crossed
     # plasma between ReadParquet and the decode operator)
-    from idf.stages.hash_stage import fused_hash_stage
+    from idf.stages.hash_stage import fused_hash_stage, hash_schema
 
     def _build_hashes() -> rd.Dataset:
         delta = fused_hash_stage(images_path, cfg)
@@ -87,7 +86,7 @@ def run_dedup(
         # align column ORDER so the unioned stage writes one schema
         return _read(base_hashes_dir, columns=delta_names).union(delta)
 
-    hashes_dir = man.run_stage("hashes", _build_hashes)
+    hashes_dir = man.run_stage("hashes", _build_hashes, empty_schema=hash_schema(cfg))
     ok_filter = pads.field("status") == "ok"
 
     # skip/ok counters -> manifest metrics (the reference's stderr skips,
@@ -323,13 +322,10 @@ def run_dedup(
 
     man.run_stage("plan", _build_plan)
 
-    # 6. apply: keepers/quarantine partition of the input images
+    # 6. apply: keepers/quarantine partition of the input images, one
+    # tagging pass and one partitioned write committed as two stages
     if do_apply:
-        plan_ds = _read(man.stage_dir("plan"))
-        images = read_images(images_path)
-        kept, quarantined = apply_stage(images, plan_ds)
-        man.run_stage("apply_keep", lambda: kept)
-        man.run_stage("apply_quarantine", lambda: quarantined)
+        apply_plan(man, images_path)
     return man
 
 

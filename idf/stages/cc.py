@@ -34,36 +34,6 @@ CLUSTER_SCHEMA = pa.schema([("cluster_id", pa.string()), ("image_id", pa.string(
 CC_STATS: dict = {"labelprop_rounds": None, "converged": None}
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-        self.size: dict[str, int] = {}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            self.size[x] = 1
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:  # path compression
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def components_driver(edges: rd.Dataset) -> pa.Table:
     """Vectorized driver-side connected components -> (cluster_id, image_id).
 

@@ -38,6 +38,15 @@ HASH_SCHEMA = pa.schema(
 )
 
 
+
+def hash_schema(cfg: DedupConfig) -> pa.Schema:
+    """Columns of the hashes stage in ``cfg``'s (resolved) hash mode: the
+    precomputed-phash path adds its int8 ``verify`` outcome column."""
+    if cfg.use_precomputed_phash:
+        return HASH_SCHEMA.append(pa.field("verify", pa.int8()))
+    return HASH_SCHEMA
+
+
 class DecodeHasher:
     """Actor-pool UDF: kernel constants built once per actor (__init__),
     per-batch work in __call__."""

@@ -64,6 +64,7 @@ class RunManifest:
         build: Callable[[], rd.Dataset],
         metrics: dict | None = None,
         coalesce: int | None = None,
+        empty_schema: pa.Schema | None = None,
     ) -> str:
         """Execute ``build`` -> write parquet atomically -> commit; or skip
         if already committed and resume is on. Returns the stage output
@@ -71,7 +72,11 @@ class RunManifest:
 
         ``coalesce``: cap output partitions (small row-only outputs from
         a 512-bucket shuffle otherwise fragment into hundreds of tiny
-        files that tax every downstream read)."""
+        files that tax every downstream read).
+
+        ``empty_schema``: a zero-row output commits one zero-row file of
+        this schema instead of an empty directory, so readers of the
+        stage still find its columns (an empty input corpus)."""
         out = self.stage_dir(name)
         if self.resume and self.is_committed(name):
             return out
@@ -101,19 +106,14 @@ class RunManifest:
             # fully-unique corpus yields zero candidate edges) must
             # commit as an empty directory, not fail the pipeline
             os.makedirs(tmp, exist_ok=True)
+            if empty_schema is not None and not os.listdir(tmp):
+                pq.write_table(empty_schema.empty_table(), os.path.join(tmp, "part-0.parquet"))
         if os.path.exists(out):
             shutil.rmtree(out)
         os.replace(tmp, out)
-        parts = self._partition_lineage(out)
+        entry = self._committed_entry(out, time.time() - t0, metrics)
         with self._lock:
-            self.state["stages"][name] = {
-                "status": "committed",
-                "output": out,
-                "wall_sec": round(time.time() - t0, 3),
-                "rows": sum(p["rows"] for p in parts),
-                "partitions": parts,
-                "metrics": metrics or {},
-            }
+            self.state["stages"][name] = entry
             self._save()
         return out
 
@@ -125,6 +125,57 @@ class RunManifest:
             self.state["stages"].pop(name, None)
             self._save()
         return self.run_stage(name, build, **kw)
+
+    def run_split_stage(
+        self,
+        col: str,
+        outputs: dict[str, str],
+        build: Callable[[], rd.Dataset],
+        replace: bool = False,
+    ) -> list[str]:
+        """Write ``build()`` ONCE, hive-partitioned on ``col``, and commit
+        the rows of each value of ``col`` as its own stage (``outputs``:
+        value -> stage name; ``col`` itself is not written). The stages
+        commit together: the partition directories are renamed into
+        place and the manifest is saved once after the last rename, so a
+        crash anywhere leaves none of them committed, and resume skips
+        only when all of them are. A value with no rows commits as an
+        empty directory. ``replace=True`` recommits over committed
+        entries (the web apply after a plan edit). Returns the stage
+        output directories in ``outputs`` order."""
+        names = list(outputs.values())
+        dirs = [self.stage_dir(n) for n in names]
+        if self.resume and not replace and all(self.is_committed(n) for n in names):
+            return dirs
+        with self._lock:
+            # a stale entry (replace, or a partial older manifest) must
+            # not outlive the first rename below
+            dropped = [self.state["stages"].pop(n, None) for n in names]
+            if any(d is not None for d in dropped):
+                self._save()
+        t0 = time.time()
+        tmp = os.path.join(self.run_dir, "+".join(names) + ".tmp")
+        if os.path.exists(tmp):
+            shutil.rmtree(tmp)
+        build().write_parquet(tmp, partition_cols=[col])
+        os.makedirs(tmp, exist_ok=True)  # zero rows write no directory at all
+        parts = {f"{col}={v}": out for v, out in zip(outputs, dirs)}
+        unknown = sorted(set(os.listdir(tmp)) - set(parts))
+        if unknown:
+            raise RuntimeError(f"{col} values outside {list(outputs)}: {unknown}")
+        for part, out in parts.items():
+            src = os.path.join(tmp, part)
+            os.makedirs(src, exist_ok=True)
+            if os.path.exists(out):
+                shutil.rmtree(out)
+            os.replace(src, out)
+        os.rmdir(tmp)
+        wall = time.time() - t0
+        entries = {name: self._committed_entry(out, wall) for name, out in zip(names, dirs)}
+        with self._lock:
+            self.state["stages"].update(entries)
+            self._save()
+        return dirs
 
     def run_stages_concurrent(self, stages: list[tuple[str, Callable[[], rd.Dataset]]]) -> list[str]:
         """Run INDEPENDENT stages concurrently (each in a thread; Ray
@@ -144,6 +195,18 @@ class RunManifest:
             info = self.state["stages"].setdefault(name, {"status": "metrics-only"})
             info.setdefault("metrics", {}).update(extra)
             self._save()
+
+    @classmethod
+    def _committed_entry(cls, out: str, wall: float, metrics: dict | None = None) -> dict:
+        parts = cls._partition_lineage(out)
+        return {
+            "status": "committed",
+            "output": out,
+            "wall_sec": round(wall, 3),
+            "rows": sum(p["rows"] for p in parts),
+            "partitions": parts,
+            "metrics": metrics or {},
+        }
 
     @staticmethod
     def _partition_lineage(out_dir: str) -> list[dict]:

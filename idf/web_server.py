@@ -113,27 +113,19 @@ class DedupServer:
 
         def _run(job: _Job):
             try:
-                from idf.pipelines.dedup import read_stage
-                from idf.stages.apply import apply_stage
-                from idf.stages.hash_stage import read_images
+                from idf.stages.apply import apply_plan
                 from idf.state.manifest import RunManifest
 
                 job.progress = 5
-                job.message = "Preparing apply..."
+                job.message = "Applying plan..."
                 man = RunManifest(run_dir, resume=True)
-                kept, quarantined = apply_stage(
-                    read_images(table), read_stage(run_dir, "plan")
-                )
                 # replace (not resume-skip): the plan may have been
                 # edited via /api/plan/update since the last apply
-                man.replace_stage("apply_keep", lambda: kept)
-                job.progress = 60
-                job.message = "Applying plan (quarantine)..."
-                man.replace_stage("apply_quarantine", lambda: quarantined)
+                _, quarantine_dir = apply_plan(man, table, replace=True)
                 job.status = "completed"
                 job.progress = 100
                 job.message = "Complete"
-                job.result = man.stage_dir("apply_quarantine")
+                job.result = quarantine_dir
             except Exception as e:  # noqa: BLE001
                 job.status = "failed"
                 job.error = str(e)

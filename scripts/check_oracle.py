@@ -38,9 +38,14 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def value_hash(df: pd.DataFrame) -> str:
+    """Order-insensitive hash of the values AND the dtype kind of every
+    column: ``%.17g`` prints 5.0 as ``5``, so without the kinds an int64
+    result would match a float64 oracle that the correctness gate rejects."""
     import hashlib
 
-    payload = canon(df).to_csv(index=False, float_format="%.17g").encode()
+    df = canon(df)
+    kinds = ",".join(f"{c}:{df[c].dtype.kind}" for c in df.columns)
+    payload = kinds.encode() + b"\n" + df.to_csv(index=False, float_format="%.17g").encode()
     return hashlib.md5(payload).hexdigest()
 
 

@@ -55,3 +55,29 @@ def test_entry_module_never_calls_ray_init():
                 and f.value.id == "ray"
             ):
                 raise AssertionError(f"__ray_entry__ calls ray.{f.attr}() at line {node.lineno}")
+
+
+def test_gate_simulator_rejects_int_vs_float_column():
+    """scripts/check_oracle.py hashes dtype kinds: an exact int64 result
+    must not match a float64 oracle (DuckDB's HUGEINT sums arrive as
+    float64, which the correctness gate rejects), even though ``%.17g``
+    prints both as the same digits."""
+    import importlib.util
+
+    import pandas as pd
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "check_oracle.py"
+    )
+    spec = importlib.util.spec_from_file_location("check_oracle", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+
+    ints = pd.DataFrame({"k": ["a", "b"], "v": pd.array([5, 7], dtype="int64")})
+    floats = ints.astype({"v": "float64"})
+    # the values alone cannot tell them apart
+    csv = lambda df: df.to_csv(index=False, float_format="%.17g")  # noqa: E731
+    assert csv(ints) == csv(floats)
+    assert mod.value_hash(ints) != mod.value_hash(floats)
+    assert mod.value_hash(ints) == mod.value_hash(ints.iloc[::-1])  # order-insensitive
+    assert mod.value_hash(floats) == mod.value_hash(floats.copy())

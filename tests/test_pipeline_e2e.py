@@ -1,6 +1,7 @@
 """End-to-end engine-vs-oracle conformance (FIXTURES.md §5)."""
 
 import collections
+import os
 
 import pyarrow.parquet as pq
 import pytest
@@ -537,3 +538,189 @@ def test_zero_edge_corpus_completes(ray_session, tmp_path):
     run_dedup(src, run_dir, DedupConfig(), resume=False, do_apply=True)
     assert len(read_stage(run_dir, "clusters").to_pandas()) == 0
     assert len(read_stage(run_dir, "plan").to_pandas()) == 0
+
+
+APPLY_STAGES = ("apply_keep", "apply_quarantine")
+
+
+def _edge_corpus(kind: str):
+    """all_unique: one base image per family (no near-dup anywhere);
+    all_identical: one image's bytes under five ids; empty: no rows."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from idf.synth import generate_images_table
+
+    t = generate_images_table(n_families=8, seed=7)
+    base = t.filter(pc.match_substring(t["image_id"], "-base"))
+    if kind == "all_unique":
+        return base
+    if kind == "all_identical":
+        ids = pa.array([f"same-{i}" for i in range(5)])
+        same = pa.concat_tables([base.slice(0, 1)] * 5)
+        return same.set_column(same.schema.get_field_index("image_id"), "image_id", ids)
+    return t.slice(0, 0)
+
+
+def _apply_rows(run_dir: str, names: list[str]) -> dict[str, list[tuple]]:
+    """Rows of both apply outputs, sorted; every written file must carry
+    exactly the input's columns (the partition tag never leaks)."""
+    import glob
+
+    import pyarrow as pa
+
+    out = {}
+    for stage in APPLY_STAGES:
+        files = sorted(glob.glob(os.path.join(run_dir, stage, "*.parquet")))
+        for f in files:
+            assert pq.read_schema(f).names == names, f
+        t = pa.concat_tables([pq.read_table(f) for f in files]) if files else None
+        out[stage] = sorted(tuple(r.values()) for r in t.to_pylist()) if t else []
+    return out
+
+
+def _committed_apply(run_dir: str) -> list[str]:
+    """Apply outputs committed in the manifest ON DISK."""
+    import json
+
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        stages = json.load(f)["stages"]
+    return [s for s in APPLY_STAGES if stages.get(s, {}).get("status") == "committed"]
+
+
+def _assert_apply_matches_plan(imgs: str, run_dir: str) -> None:
+    table = pq.read_table(imgs)
+    plan = read_stage(run_dir, "plan").to_pandas()
+    deletes = set(plan[plan["action"] == "DELETE"]["image_id"])
+    rows = sorted(tuple(r.values()) for r in table.to_pylist())
+    got = _apply_rows(run_dir, table.schema.names)
+    assert got["apply_quarantine"] == [r for r in rows if r[0] in deletes]
+    assert got["apply_keep"] == [r for r in rows if r[0] not in deletes]
+
+
+@pytest.mark.parametrize("kind", ["all_unique", "all_identical", "empty"])
+def test_apply_edge_corpora(ray_session, tmp_path, kind):
+    """The one-pass apply partitions degenerate corpora exactly, on both
+    routes: no DELETE (quarantine commits empty), one keeper among
+    identical copies, and no rows at all."""
+    from idf.stages.apply import apply_plan
+
+    table = _edge_corpus(kind)
+    imgs = str(tmp_path / "images.parquet")
+    pq.write_table(table, imgs)
+    run_dir = str(tmp_path / "run")
+    man = run_dedup(imgs, run_dir, DedupConfig(), resume=False, do_apply=True)
+    assert all(man.is_committed(s) for s in APPLY_STAGES)
+    ids = table["image_id"].to_pylist()
+    broadcast = _apply_rows(run_dir, table.schema.names)
+    keep = {r[0] for r in broadcast["apply_keep"]}
+    quar = {r[0] for r in broadcast["apply_quarantine"]}
+    assert keep | quar == set(ids) and not keep & quar
+    assert len(broadcast["apply_keep"]) + len(broadcast["apply_quarantine"]) == len(ids)
+    assert man.state["stages"]["apply_quarantine"]["rows"] == len(quar)
+    want_quar = {"all_unique": 0, "all_identical": len(ids) - 1, "empty": 0}[kind]
+    assert len(quar) == want_quar
+    # broadcast_max_ids=0 forces the hash_join route over the same plan
+    apply_plan(man, imgs, replace=True, broadcast_max_ids=0)
+    assert _apply_rows(run_dir, table.schema.names) == broadcast
+
+
+def test_apply_resume_after_failure_inside_pass(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """A failure inside the single tagging+write pass commits neither
+    output; resume recomputes only the apply step."""
+    import pyarrow.compute as pc
+
+    import idf.stages.apply as apply_mod
+
+    run_dir = str(tmp_path / "run")
+    man = run_dedup(small_images_table, run_dir, DedupConfig(), resume=False, do_apply=False)
+    tag_images = apply_mod.tag_images
+
+    def failing_tag_images(images, plan_dir, broadcast_max_ids=apply_mod.BROADCAST_MAX_IDS):
+        def boom(t):
+            if pc.any(pc.equal(t[apply_mod.TAG], "quarantine")).as_py():
+                raise RuntimeError("induced failure inside the apply pass")
+            return t
+
+        tagged = tag_images(images, plan_dir, broadcast_max_ids)
+        return tagged.map_batches(boom, batch_format="pyarrow")
+
+    monkeypatch.setattr(apply_mod, "tag_images", failing_tag_images)
+    with pytest.raises(Exception, match="induced failure"):
+        run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=True)
+    assert _committed_apply(run_dir) == []
+    monkeypatch.undo()
+
+    man2 = run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=True)
+    assert _committed_apply(run_dir) == list(APPLY_STAGES)
+    assert man2.summary()["plan"]["wall_sec"] == man.summary()["plan"]["wall_sec"]
+    _assert_apply_matches_plan(small_images_table, run_dir)
+
+
+def test_apply_resume_after_failure_between_renames(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """A crash after ``apply_keep`` is renamed into place but before
+    ``apply_quarantine`` is: the manifest shows neither committed (the
+    recommit dropped the stale entries first), and resume rebuilds both."""
+    from idf.stages.apply import apply_plan
+
+    run_dir = str(tmp_path / "run")
+    man = run_dedup(small_images_table, run_dir, DedupConfig(), resume=False, do_apply=True)
+    assert _committed_apply(run_dir) == list(APPLY_STAGES)
+    real_replace = os.replace
+    quarantine_dir = man.stage_dir("apply_quarantine")
+
+    def crash_on_second_rename(src, dst):
+        if dst == quarantine_dir:
+            assert os.path.isdir(man.stage_dir("apply_keep"))  # first rename done
+            raise OSError("induced crash between the apply renames")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_second_rename)
+    with pytest.raises(OSError, match="between the apply renames"):
+        apply_plan(man, small_images_table, replace=True)
+    monkeypatch.undo()
+    assert _committed_apply(run_dir) == []
+
+    run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=True)
+    assert _committed_apply(run_dir) == list(APPLY_STAGES)
+    _assert_apply_matches_plan(small_images_table, run_dir)
+
+
+@pytest.mark.parametrize("failing", ["band_edges", "caption_edges"])
+def test_resume_with_one_edge_stage_committed(
+    ray_session, small_images_table, tmp_path, monkeypatch, failing
+):
+    """The two concurrent edge stages commit independently: when one
+    fails, the other still commits, and resume rebuilds only the missing
+    one and reaches the oracle's clusters."""
+    import idf.pipelines.dedup as dedup_mod
+
+    def boom(*a, **kw):
+        raise RuntimeError(f"induced failure in {failing}")
+
+    cfg = DedupConfig(use_precomputed_phash=False)
+    run_dir = str(tmp_path / "run")
+    monkeypatch.setattr(dedup_mod, failing, boom)
+    with pytest.raises(RuntimeError, match="induced failure"):
+        run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
+    monkeypatch.undo()
+    man = dedup_mod.RunManifest(run_dir, resume=True)
+    lost = {"band_edges": "edges_band", "caption_edges": "edges_caption"}[failing]
+    survivor = ({"edges_band", "edges_caption"} - {lost}).pop()
+    assert man.is_committed(survivor) and not man.is_committed(lost)
+    survivor_wall = man.summary()[survivor]["wall_sec"]
+
+    man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=True)
+    assert man2.is_committed(lost)
+    assert man2.summary()[survivor]["wall_sec"] == survivor_wall
+    _, comps, plan = oracle_end_to_end(pq.read_table(small_images_table), radius=10)
+    got = sorted(
+        (r["cluster_id"], r["action"], r["image_id"], r["reason"])
+        for r in read_stage(run_dir, "plan").to_pandas().to_dict("records")
+    )
+    assert got == plan
+    _assert_apply_matches_plan(small_images_table, run_dir)

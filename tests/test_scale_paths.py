@@ -23,8 +23,11 @@ def test_set_membership_join(ray_session, rng):
     assert sorted(semi.columns) == ["k", "v"]
 
 
-def test_apply_stage_distributed_path(ray_session):
-    from idf.stages.apply import apply_stage
+def test_apply_stage_distributed_path(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
+    from idf.stages.apply import apply_plan
+    from idf.state.manifest import RunManifest
 
     images = pa.table(
         {
@@ -38,10 +41,14 @@ def test_apply_stage_distributed_path(ray_session):
             "action": ["DELETE" if i % 3 == 0 else "KEEP" for i in range(40)],
         }
     )
-    # broadcast_max_ids=0 forces the set_membership_join path
-    kept, quar = apply_stage(rd.from_arrow(images), rd.from_arrow(plan), broadcast_max_ids=0)
-    kept_ids = set(kept.to_pandas()["image_id"])
-    quar_ids = set(quar.to_pandas()["image_id"])
+    images_path = str(tmp_path / "images.parquet")
+    pq.write_table(images, images_path)
+    man = RunManifest(str(tmp_path / "run"), resume=False)
+    man.run_stage("plan", lambda: plan)
+    # broadcast_max_ids=0 forces the hash_join path
+    keep_dir, quar_dir = apply_plan(man, images_path, broadcast_max_ids=0)
+    kept_ids = set(pq.read_table(keep_dir)["image_id"].to_pylist())
+    quar_ids = set(pq.read_table(quar_dir)["image_id"].to_pylist())
     want_del = {f"i{i}" for i in range(40) if i % 3 == 0}
     assert quar_ids == want_del
     assert kept_ids == {f"i{i}" for i in range(40)} - want_del
