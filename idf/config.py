@@ -38,11 +38,11 @@ class DedupConfig:
     # skew control: buckets larger than this are processed in chunked
     # pair-emit passes (exact, never truncated) and reported in metrics
     bucket_cap: int = 4096
-    # connected components: 'driver' union-find | 'labelprop' | 'auto'.
-    # The driver path holds ~10 int64 arrays of len(edges) (~1.6 GB at
-    # 20M edges) — cheap for any head node; labelprop is for edge lists
+    # connected components: driver min-label propagation while the edge
+    # count is <= this, distributed label propagation above it. The
+    # driver path holds ~10 int64 arrays of len(edges) (~1.6 GB at 20M
+    # edges) — cheap for any head node; labelprop is for edge lists
     # that genuinely exceed one machine.
-    cc_mode: str = "auto"
     cc_driver_max_edges: int = 50_000_000
     # edge dedup (J3): the same pair surfaces from ~37 band keys, so a
     # pair-keyed dedup shuffle shrinks CC's input ~25x — but it is pure
@@ -72,10 +72,8 @@ class DedupConfig:
     use_precomputed_phash: bool | str = "auto"
     phash_verify_fraction: float = 0.01
     phash_verify_max_mismatch: int = 0
-    # decode stage execution (see stages/hash_stage.py: tasks by default)
+    # decode stage execution (see stages/hash_stage.py: stateless tasks)
     decode_batch_size: int = 512
-    decode_concurrency: int | None = None  # None -> size from cluster CPUs
-    decode_actor_pool: bool = False
     seed: int = 42
 
     def band_rows(self) -> int:

@@ -10,18 +10,20 @@ reduce to components-over-pairs followed by a corpus-wide map join.
 
 Scale shape: the pair graph is the corpus minority by construction
 (pairs only exist between near-dups), so components run on the driver
-below ``driver_max_edges`` — the same auto-guard the image CC uses
-(idf/stages/cc.py) — and via distributed min-label propagation above
-it. Either way the canon map reaches the corpus as a broadcast (small
-case) or a bucketed int-exact co-group join (scale case); the id table
-itself streams and is never materialized.
+while the edge count is <= ``driver_max_edges`` — the same guard as the
+image CC's ``cc_driver_max_edges`` (idf/stages/cc.py) — and via
+distributed min-label propagation above it. Both routes use the image
+CC's kernels: ``_factorize_sorted`` + ``_cc_labels`` on the driver,
+``components_labelprop`` + ``join_labels`` at scale. Either way the canon
+map reaches the corpus as a broadcast (small case) or a bucketed
+int-exact co-group join (scale case); the id table itself streams and is
+never materialized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data as rd
 
 
@@ -40,7 +42,7 @@ def canonical_map(
     import ray
 
     from idf.ops import get_broadcast
-    from idf.stages.cc import _cc_labels, _factorize_sorted, components_labelprop
+    from idf.stages.cc import _cc_labels, _factorize_sorted, components_labelprop, join_labels
 
     col_a, col_b = f"{id_col}_a", f"{id_col}_b"
     edges = edges.map_batches(
@@ -55,14 +57,13 @@ def canonical_map(
 
     if n_edges <= driver_max_edges:
         ep = edges.to_pandas()
-        codes, uniq = _factorize_sorted(pd.concat([ep[col_a], ep[col_b]], ignore_index=True))
-        labels = _cc_labels(codes[: len(ep)], codes[len(ep) :], len(uniq))
+        a = ep[col_a].to_numpy(dtype=np.int64)
+        codes, nodes = _factorize_sorted(np.concatenate([a, ep[col_b].to_numpy(dtype=np.int64)]))
+        labels = _cc_labels(codes[: len(a)], codes[len(a) :], len(nodes))
         # sorted (node_id, canon_id) int arrays, broadcast once; batch
         # lookup is a searchsorted — int64-exact end to end (a dict
         # .map would round NaN-misses through float64)
-        nodes = np.asarray(uniq, dtype=np.int64)
-        canon_of = nodes[labels]
-        ref = ray.put((nodes, canon_of))
+        ref = ray.put((nodes, nodes[labels]))
 
         def _map(df: pd.DataFrame) -> pd.DataFrame:
             k, v = get_broadcast(ref)
@@ -76,53 +77,5 @@ def canonical_map(
 
         return ids_only.map_batches(_map, batch_format="pandas")
 
-    # scale path: distributed CC, then an int-safe bucketed co-group
-    # (searchsorted, NOT a pandas left-merge — a merge promotes misses
-    # to float64 and would corrupt 64-bit ids above 2^53)
-    id_edges = edges.map_batches(
-        lambda t: pa.table({"id_a": t[col_a], "id_b": t[col_b]}),
-        batch_format="pyarrow",
-    )
-    labels = components_labelprop(id_edges).map_batches(
-        lambda t: pa.table(
-            {
-                id_col: t["image_id"],
-                "canon": t["cluster_id"],
-                "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    tagged_ids = ids_only.map_batches(
-        lambda t: pa.table(
-            {
-                id_col: t[id_col],
-                "canon": pa.nulls(len(t), pa.int64()),
-                "__side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    def _join(t: pa.Table) -> pa.Table:
-        # ARROW in (arrow_fn=True): 'canon' is null-padded on side 0 —
-        # a whole-partition pandas conversion would promote it to
-        # float64 and round canon ids above 2^53 (r2 ADVICE, high).
-        # Per-side Arrow filter first, then exact int64 searchsorted.
-        import pyarrow.compute as pc
-
-        lt = t.filter(pc.equal(t["__side"], 0))
-        rt = t.filter(pc.equal(t["__side"], 1)).sort_by(id_col)
-        x = lt[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        canon = x.copy()
-        rp = rt[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(rp):
-            rl = rt["canon"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.clip(np.searchsorted(rp, x), 0, len(rp) - 1)
-            hit = rp[pos] == x
-            canon[hit] = rl[pos[hit]]
-        return pa.table({id_col: pa.array(x), "canon_id": pa.array(canon)})
-
-    from idf.ops import bucketed_apply
-
-    return bucketed_apply(tagged_ids.union(labels), id_col, _join, arrow_fn=True)
+    # scale path: distributed CC, then the int-exact bucketed co-group
+    return join_labels(ids_only, id_col, components_labelprop(edges), "canon_id")

@@ -191,8 +191,8 @@ def ngram_jaccard_pairs(
     # LARGE-PARTIAL path: per-doc sizes attach either via broadcast
     # (below ``broadcast_max_docs``) or two bucketed hash_joins (the
     # driver dict would OOM at billions of docs — r1 verdict fix,
-    # auto-switched like cc_mode="auto"). The gate uses docs.count()
-    # (parquet metadata, no compute).
+    # auto-switched like canonical_map's driver_max_edges guard). The
+    # gate uses docs.count() (parquet metadata, no compute).
     if docs.count() <= broadcast_max_docs:
         import ray
 
@@ -746,7 +746,7 @@ def substring_dup_positions(
         if n_cand <= _DRIVER_VERIFY_MAX:
             # the candidate windows are driver-small: one pandas pass
             # replaces the win-keyed exchange job entirely (same
-            # auto-guard discipline as cc_mode / the spans merge)
+            # auto-guard discipline as driver_max_edges / the spans merge)
             SUBSTRING_STATS["win_verify"] = "driver"
             df = rewins.to_pandas()
             if df.empty:
@@ -846,7 +846,7 @@ def substring_dup_spans(
     vectorized driver pass (a doc_id-keyed shuffle for a few-MB result
     costs ~3s of fixed groupby overhead at 32 CPUs); past the guard —
     boilerplate-heavy corpora at scale — it switches to the bucketed
-    doc_id shuffle, same auto-guard pattern as cc_mode/apply."""
+    doc_id shuffle, same auto-guard pattern as driver_max_edges/apply."""
     from idf.kernels.suffix import merge_window_spans
     from idf.ops import bucketed_group_apply
 

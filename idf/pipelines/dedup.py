@@ -197,7 +197,7 @@ def run_dedup(
     # by the CC stage's hashes join. Driver fast path below the guard
     # (one pyarrow column scan + pc.unique, ~0.1s where the Ray job
     # costs ~1s of fixed overhead); the distributed combiner+distinct
-    # past it — same auto-guard pattern as cc_mode/plan.
+    # past it — the same cc_driver_max_edges guard as the CC stage.
     def _build_distinct():
         files = [p["file"] for p in man.state["stages"]["hashes"]["partitions"]]
         n_rows = sum(p["rows"] for p in man.state["stages"]["hashes"]["partitions"])
@@ -282,7 +282,7 @@ def run_dedup(
     raw_edge_dirs = [man.stage_dir("edges_band")] + (
         [man.stage_dir("edges_caption")] if cfg.caption_lsh else []
     )
-    if count_edge_rows([(d, None) for d in raw_edge_dirs]) > cfg.edge_dedup_min_rows:
+    if count_edge_rows(raw_edge_dirs) > cfg.edge_dedup_min_rows:
         dedup_stages = [
             (f"{os.path.basename(d)}_dedup", lambda d=d: dedup_edges(_read(d), int_pairs=True))
             for d in raw_edge_dirs
@@ -299,12 +299,7 @@ def run_dedup(
     #    singletons drop (Commands.java:149-151 analog).
     clusters_dir = man.run_stage(
         "clusters",
-        lambda: connected_components(
-            None,
-            cfg,
-            phash_edge_dirs=list(edge_dirs),
-            hashes_dir=hashes_dir,
-        ),
+        lambda: connected_components(cfg, list(edge_dirs), hashes_dir),
     )
 
     # 5. keeper election (driver fast path below 10M members, else the

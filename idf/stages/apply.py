@@ -10,8 +10,9 @@ partition directories together as ``apply_keep`` and
 ``bytes`` column is read and written exactly once. Filename-uniquing
 (`safeMove` _N suffixes) is N/A — image_ids are unique keys.
 
-Size-adaptive (like ``cc_mode="auto"``): the DELETE ids are counted
-from the committed plan files in the driver with pyarrow (no Ray job).
+Size-adaptive (like CC's ``cc_driver_max_edges`` guard): the DELETE
+ids are counted from the committed plan files in the driver with
+pyarrow (no Ray job).
 When the set is small it is read the same way and broadcast once via
 ``ray.put`` (A6's keeper-map broadcast analog) and the images stream
 unshuffled; past ``broadcast_max_ids`` the ids stay distributed and the

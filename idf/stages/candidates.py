@@ -40,15 +40,7 @@ from idf.config import DedupConfig
 from idf.kernels.hamming import popcount64
 from idf.kernels.minhash import MinHasher, band_keys, shingle_hashes
 
-EDGE_SCHEMA = pa.schema(
-    [
-        ("id_a", pa.string()),
-        ("id_b", pa.string()),
-        ("dist", pa.int32()),
-        ("phash_a", pa.int64()),
-        ("phash_b", pa.int64()),
-    ]
-)
+
 # ---------------------------------------------------------------------------
 # 1. exact-hash collapse
 

@@ -1,4 +1,4 @@
-"""Connected components over the verified candidate-edge list.
+"""Connected components over the verified int phash edge graph.
 
 Reference analog X4 (cluster/Clusterer.java:6-30): BFS flood fill over
 ``hamming <= radius`` neighborhoods == connected components of the edge
@@ -6,16 +6,22 @@ graph; discovery order only affects the reference's UUID draw, never the
 partition (SURVEY §2.6). Cluster ids here are deterministic: the min
 member ``image_id``.
 
-Two implementations (SURVEY §7 step 5):
+Images with equal phash are one node, so components run over int64
+phash ids and membership expands through the hash-stage output after.
+``connected_components`` picks one of two routes by edge count
+(SURVEY §7 step 5):
 
-- driver union-find: streams edge batches to the driver
-  (``iter_batches``, never ``take_all`` of wide rows) and unions in
-  O(alpha) per edge. Memory is O(#nodes that appear in edges) — the
-  near-dup minority, not the corpus. Default below
-  ``cfg.cc_driver_max_edges``.
-- label propagation: fully distributed min-label fixpoint
-  (groupby-min per round) for edge lists too big for one machine;
-  rounds = graph diameter (near-dup components are tiny, so 2-4).
+- ``components_phash_driver`` (edges <= ``cfg.cc_driver_max_edges``):
+  reads the edge parquet on the driver and runs ``_cc_labels``,
+  whole-array min-label propagation with pointer jumping. Memory is
+  O(#edges) — the near-dup minority, not the corpus.
+- ``components_phash_labelprop`` (above it): ``components_labelprop``,
+  the fully distributed min-label fixpoint (rounds = graph diameter;
+  near-dup components are tiny, so 2-4), then ``join_labels`` attaches
+  every image to its phash's component.
+
+``idf/functions/canon.py`` runs the same two kernels and the same join
+over its int id graphs.
 """
 
 from __future__ import annotations
@@ -25,38 +31,11 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-CLUSTER_SCHEMA = pa.schema([("cluster_id", pa.string()), ("image_id", pa.string())])
-
 # Observability for the distributed CC path (mirrors SESSIONIZE_STATS /
 # EXCHANGE_STATS): how many propagation rounds the last labelprop run
 # took and whether it hit the fixpoint before max_iters. Read by
 # scripts/bench_labelprop_guard.py and asserted in tests.
 CC_STATS: dict = {"labelprop_rounds": None, "converged": None}
-
-
-def components_driver(edges: rd.Dataset) -> pa.Table:
-    """Vectorized driver-side connected components -> (cluster_id, image_id).
-
-    Streams edge batches to the driver, factorizes node ids to ints,
-    then runs min-label propagation with pointer jumping — every step a
-    whole-array numpy op, O(E * diameter) with tiny diameters for
-    near-dup graphs. Handles tens of millions of edges in seconds;
-    beyond driver memory, ``components_labelprop`` is the distributed
-    path (cfg.cc_mode)."""
-    import pandas as pd
-
-    parts_a, parts_b = [], []
-    for batch in edges.iter_batches(batch_size=262144, batch_format="pyarrow"):
-        parts_a.append(batch["id_a"].to_pandas())
-        parts_b.append(batch["id_b"].to_pandas())
-    if not parts_a:
-        return pa.table(
-            {"cluster_id": pa.array([], pa.string()), "image_id": pa.array([], pa.string())}
-        )
-    a = pd.concat(parts_a, ignore_index=True)
-    b = pd.concat(parts_b, ignore_index=True)
-    codes, uniques = _factorize_sorted(pd.concat([a, b], ignore_index=True))
-    return _cc_from_codes(codes, uniques, len(a))
 
 
 def _labelprop_route_msgs(t: pa.Table) -> pa.Table:
@@ -131,7 +110,8 @@ def _labelprop_min_reduce(t: pa.Table) -> pa.Table:
 
 
 def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
-    """Distributed min-label propagation to fixpoint.
+    """Distributed min-label propagation to fixpoint: ``edges`` (two
+    int64 endpoint columns, by position) -> ``(node, label)``.
 
     labels(node) starts at min(node, neighbors); each round every edge
     sends its source's label to its destination and each node takes the
@@ -147,28 +127,21 @@ def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
     """
     from idf.ops import exchange_apply
 
-    # symmetrize + pad in one lazy chain, materialized ONCE: the padded
-    # edge table is the only pinned copy (init reads its src/dst and
-    # ignores the padding; every round's union reuses the same blocks)
-    edge_side = edges.map_batches(
-        lambda t: pa.table(
+    def _edge_side(t: pa.Table) -> pa.Table:
+        a, b = t.column(0).combine_chunks(), t.column(1).combine_chunks()
+        return pa.table(
             {
-                "src": pa.concat_arrays([t["id_a"].combine_chunks(), t["id_b"].combine_chunks()]),
-                "dst": pa.concat_arrays([t["id_b"].combine_chunks(), t["id_a"].combine_chunks()]),
+                "src": pa.concat_arrays([a, b]),
+                "dst": pa.concat_arrays([b, a]),
+                "label": pa.nulls(2 * len(t), pa.int64()),
+                "__side": pa.array(np.zeros(2 * len(t), dtype=np.int8)),
             }
-        ),
-        batch_format="pyarrow",
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "src": t["src"].combine_chunks(),
-                "dst": t["dst"].combine_chunks(),
-                "label": pa.nulls(len(t), pa.int64()),
-                "__side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+        )
+
+    # symmetrize + pad in one map, materialized ONCE: the padded edge
+    # table is the only pinned copy (init reads its src/dst and ignores
+    # the padding; every round's union reuses the same blocks)
+    edge_side = edges.map_batches(_edge_side, batch_format="pyarrow").materialize()
 
     def _init_labels(t: pa.Table) -> pa.Table:
         src = t["src"].to_numpy(zero_copy_only=False)
@@ -211,68 +184,83 @@ def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
         if not changed:
             CC_STATS["converged"] = True
             break
-    return labels.map_batches(
-        lambda t: pa.table({"cluster_id": t["label"], "image_id": t["node"]}),
+    return labels
+
+
+def join_labels(
+    rows: rd.Dataset,
+    key: str,
+    labels: rd.Dataset,
+    out: str,
+    carry: dict[str, pa.DataType] | None = None,
+) -> rd.Dataset:
+    """``rows`` + column ``out``: the component label of each row's
+    int64 ``key``, from ``labels`` = ``components_labelprop`` output; a
+    key absent from the graph keeps itself as its label. ``carry`` names
+    and types the payload columns of ``rows`` besides ``key``.
+
+    One co-grouping bucketed_apply over the side-tagged union. The join
+    is NUMPY searchsorted inside the bucket, not a pandas left-merge:
+    the union null-pads the label column on the rows side, and a
+    whole-partition pandas conversion would promote it to float64 and
+    round 64-bit labels above 2^53 — distinct components whose rounded
+    labels collide would silently merge (r2 ADVICE, high). Each side is
+    filtered in Arrow FIRST so every slice converts with true dtypes."""
+    import pyarrow.compute as pc
+
+    from idf.ops import bucketed_apply
+
+    carry = carry or {}
+    cols = [*carry, key]
+    left = rows.map_batches(
+        lambda t: t.select(cols)
+        .append_column("__label", pa.nulls(len(t), pa.int64()))
+        .append_column("__side", pa.array(np.zeros(len(t), dtype=np.int8))),
+        batch_format="pyarrow",
+    )
+    right = labels.map_batches(
+        lambda t: pa.table(
+            {
+                **{c: pa.nulls(len(t), typ) for c, typ in carry.items()},
+                key: t["node"],
+                "__label": t["label"],
+                "__side": pa.array(np.ones(len(t), dtype=np.int8)),
+            }
+        ),
         batch_format="pyarrow",
     )
 
+    def _join(t: pa.Table) -> pa.Table:
+        lt = t.filter(pc.equal(t["__side"], 0))
+        rt = t.filter(pc.equal(t["__side"], 1)).sort_by(key)
+        x = lt[key].to_numpy(zero_copy_only=False).astype(np.int64)
+        lab = x.copy()
+        rk = rt[key].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(rk):
+            rl = rt["__label"].to_numpy(zero_copy_only=False).astype(np.int64)
+            pos = np.clip(np.searchsorted(rk, x), 0, len(rk) - 1)
+            hit = rk[pos] == x
+            lab[hit] = rl[pos[hit]]
+        return (
+            lt.select(list(carry))
+            .append_column(key, pa.array(x))
+            .append_column(out, pa.array(lab))
+        )
+
+    return bucketed_apply(left.union(right), key, _join, arrow_fn=True)
 
 
-def _factorize_sorted_arrow(id_a, id_b) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize the concatenated endpoint columns entirely in Arrow
-    C++ (dictionary_encode + sort_indices) — no python string objects.
-
-    At 10M endpoints, pandas factorize materializes millions of python
-    strings; on a hypervisor that throttles fresh allocations that cost
-    dominated the whole clusters stage. Returns (codes int64, uniques
-    object array) with uniques lexicographically sorted."""
-    import pyarrow.compute as pc
-
-    combined = pa.chunked_array(
-        [c for col in (id_a, id_b) for c in (col.chunks if isinstance(col, pa.ChunkedArray) else [col])]
-    ).combine_chunks()
-    enc = pc.dictionary_encode(combined)
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dictionary = enc.dictionary
-    order_u = pc.array_sort_indices(dictionary).to_numpy(zero_copy_only=False).astype(np.int64)
-    ranks = np.empty(len(dictionary), dtype=np.int64)
-    ranks[order_u] = np.arange(len(dictionary), dtype=np.int64)
-    uniques = np.asarray(dictionary.take(pa.array(order_u)).to_pylist(), dtype=object)
-    return ranks[codes], uniques
-
-
-def _factorize_sorted(series: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-    """factorize + lexicographic relabel. pd.factorize(sort=True) remaps
-    through a full-width sort (~8x slower at 10M rows); hashing unsorted
-    then rank-remapping the (small) unique table is equivalent."""
-    codes, uniques = pd.factorize(series, sort=False)
+def _factorize_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 endpoints -> (codes, sorted distinct values). Hash-based
+    factorize + rank remap of the (small) unique table: pd.factorize
+    (sort=True) and np.unique's return_inverse both sort the full-width
+    array (~8x slower at 10M rows, heavy memory traffic). Sorted
+    uniques make each component's min code its min node id."""
+    codes, uniques = pd.factorize(values, sort=False)
     order_u = np.argsort(uniques)
     ranks = np.empty(len(uniques), dtype=np.int64)
     ranks[order_u] = np.arange(len(uniques), dtype=np.int64)
-    return ranks[codes], np.asarray(uniques, dtype=object)[order_u]
-
-
-def _cc_from_codes(codes: np.ndarray, uniques, n_edges: int) -> pa.Table:
-    """Min-label propagation + pointer jumping over factorized edges.
-
-    ``uniques`` MUST be lexicographically sorted (factorize(sort=True)):
-    the min LABEL per component is then automatically the min image_id,
-    so no per-component string min is needed at the end.
-
-    The scatter-min uses a once-sorted incidence list +
-    ``np.minimum.reduceat`` — ``np.minimum.at`` (the obvious spelling)
-    is an order of magnitude slower (measured 27s vs ~2s on a 5M-edge
-    graph with a 10k-node component)."""
-    n = len(uniques)
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
-    labels = _cc_labels(codes[:n_edges], codes[n_edges:], n)
-    ids = np.asarray(uniques, dtype=object)  # already in image_id order
-    return pa.table(
-        {
-            "cluster_id": pa.array(ids[labels], pa.string()),
-            "image_id": pa.array(ids, pa.string()),
-        }
-    )
+    return ranks[codes], uniques[order_u]
 
 
 def _cc_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
@@ -324,75 +312,29 @@ def components_phash_labelprop(
 
     1. min-label propagation over (phash_a, phash_b) int edges
     2. every ok image joins its phash's component (one co-grouping
-       shuffle); a phash absent from the graph keys its own group (the
-       unedged exact-duplicate case)
-    3. per component: drop singletons, cluster_id = min image_id
-
-    The membership join is NUMPY searchsorted inside the bucket, not a
-    pandas left-merge: a merge would promote the int64 label column to
-    float64 on misses and corrupt hashes above 2^53."""
+       shuffle, ``join_labels``); a phash absent from the graph keys its
+       own group (the unedged exact-duplicate case)
+    3. per component: drop singletons, cluster_id = min image_id"""
     import pyarrow.dataset as pads
+
+    from idf.ops import bucketed_group_apply
 
     edges = None
     for d in phash_edge_dirs:
         part = rd.read_parquet(d, columns=["phash_a", "phash_b"])
         edges = part if edges is None else edges.union(part)
-    id_edges = edges.map_batches(
-        lambda t: pa.table({"id_a": t["phash_a"], "id_b": t["phash_b"]}),
-        batch_format="pyarrow",
-    )
-    labels = components_labelprop(id_edges, max_iters=max_iters).map_batches(
-        lambda t: pa.table(
-            {
-                "image_id": pa.nulls(len(t), pa.string()),
-                "phash": t["image_id"],
-                "label": t["cluster_id"],
-                "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
     hashes = rd.read_parquet(
         hashes_dir,
         columns=["image_id", "phash"],
         filter=pads.field("status") == "ok",
-    ).map_batches(
-        lambda t: pa.table(
-            {
-                "image_id": t["image_id"],
-                "phash": t["phash"],
-                "label": pa.nulls(len(t), pa.int64()),
-                "__side": pa.array(np.zeros(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
     )
-
-    def _member_key(t: pa.Table) -> pa.Table:
-        # ARROW in (arrow_fn=True): the tagged union carries per-side
-        # null padding ('label' null on side 0, 'image_id' on side 1);
-        # a whole-partition pandas conversion would promote the int64
-        # label column to float64 and round full-64-bit phash-valued
-        # labels above 2^53 — distinct components whose rounded labels
-        # collide would silently merge (r2 ADVICE, high). Filter each
-        # side in Arrow FIRST so every slice converts with true dtypes.
-        import pyarrow.compute as pc
-
-        lt = t.filter(pc.equal(t["__side"], 0))
-        rt = t.filter(pc.equal(t["__side"], 1)).sort_by("phash")
-        x = lt["phash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        key = x.copy()
-        rp = rt["phash"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(rp):
-            rl = rt["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.clip(np.searchsorted(rp, x), 0, len(rp) - 1)
-            hit = rp[pos] == x
-            key[hit] = rl[pos[hit]]
-        return pa.table({"image_id": lt["image_id"], "__key": pa.array(key)})
-
-    from idf.ops import bucketed_apply, bucketed_group_apply
-
-    keyed = bucketed_apply(hashes.union(labels), "phash", _member_key, arrow_fn=True)
+    keyed = join_labels(
+        hashes,
+        "phash",
+        components_labelprop(edges, max_iters=max_iters),
+        "__key",
+        carry={"image_id": pa.string()},
+    )
 
     def _emit(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
@@ -415,11 +357,11 @@ def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.T
     with no candidate edges still forms a cluster when >= 2 ok images
     share it (the exact-duplicate case); singleton groups drop
     (Commands.java:149-151 analog). cluster_id = min member image_id,
-    identical to the id-level CC output."""
+    identical to ``components_phash_labelprop``'s output."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    files = [f for files, _ in _source_files([(d, None) for d in phash_edge_dirs]) for f in files]
+    files = _parquet_files(phash_edge_dirs)
     if files:
         te = pads.dataset(files).to_table(columns=["phash_a", "phash_b"])
         # the raw edge list repeats each pair ~once per band key it
@@ -440,20 +382,12 @@ def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.T
         hb = dist["b"].to_numpy(zero_copy_only=False)
     else:
         ha = hb = np.array([], dtype=np.int64)
-    endpoints = np.concatenate([ha, hb])
-    # hash-based factorize + small-table rank remap: np.unique's
-    # return_inverse argsorts the full 2E array (heavy memory traffic)
-    inv, nodes_u = pd.factorize(endpoints)
-    order_u = np.argsort(nodes_u)
-    ranks = np.empty(len(nodes_u), dtype=np.int64)
-    ranks[order_u] = np.arange(len(nodes_u), dtype=np.int64)
-    inv = ranks[inv]
-    nodes = nodes_u[order_u]
-    labels = _cc_labels(inv[: len(ha)], inv[len(ha) :], len(nodes))
+    codes, nodes = _factorize_sorted(np.concatenate([ha, hb]))
+    labels = _cc_labels(codes[: len(ha)], codes[len(ha) :], len(nodes))
 
-    mt = pads.dataset(
-        [f for files, _ in _source_files([(hashes_dir, None)]) for f in files]
-    ).to_table(columns=["image_id", "phash"], filter=pads.field("status") == "ok")
+    mt = pads.dataset(_parquet_files([hashes_dir])).to_table(
+        columns=["image_id", "phash"], filter=pads.field("status") == "ok"
+    )
     iph = mt["phash"].to_numpy(zero_copy_only=False)
     m = len(iph)
     if len(nodes):
@@ -495,112 +429,35 @@ def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.T
     )
 
 
-# An edge source: (stage directory, optional `kind` value to filter on).
-# The image pipeline uses plain phash-pair dirs (kind=None); the kind
-# filter remains for generic callers whose stages mix row kinds.
-EdgeSource = tuple[str, int | None]
-
-
-def _source_files(sources: list[EdgeSource]) -> list[tuple[list[str], int | None]]:
+def _parquet_files(dirs: list[str]) -> list[str]:
     import glob
     import os
 
-    return [
-        (sorted(glob.glob(os.path.join(d, "*.parquet"))), kind) for d, kind in sources
-    ]
+    return [f for d in dirs for f in sorted(glob.glob(os.path.join(d, "*.parquet")))]
 
 
-def count_edge_rows(sources: list[EdgeSource]) -> int:
-    """Exact edge count without a Ray job: parquet footers for
-    unfiltered sources, a kind-column-only local scan for filtered ones
-    (footer num_rows would overcount collapse dirs by their DISTINCT
-    rows — that overcount once tipped auto mode into labelprop)."""
-    import pyarrow.dataset as pads
+def count_edge_rows(dirs: list[str]) -> int:
+    """Exact edge count from the parquet footers — no Ray job."""
     import pyarrow.parquet as pq
 
-    total = 0
-    for files, kind in _source_files(sources):
-        if not files:
-            continue
-        if kind is None:
-            total += sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        else:
-            total += pads.dataset(files).count_rows(filter=pads.field("kind") == kind)
-    return total
-
-
-def _sources_dataset(sources: list[EdgeSource]) -> rd.Dataset:
-    import pyarrow.dataset as pads
-
-    ds = None
-    for d, kind in sources:
-        flt = (pads.field("kind") == kind) if kind is not None else None
-        part = rd.read_parquet(d, columns=["id_a", "id_b"], filter=flt)
-        ds = part if ds is None else ds.union(part)
-    return ds
-
-
-def components_driver_files(sources: list[EdgeSource]) -> pa.Table:
-    """Driver CC straight off local stage parquet.
-
-    ``pyarrow.dataset.to_table`` reads the two id columns ~2.8x faster
-    end-to-end than streaming them through a Ray ``iter_batches`` job
-    (measured 7s vs 20s on 4.5M edges) — for a DRIVER-side algorithm
-    the distributed read machinery is pure overhead."""
-    import pyarrow.dataset as pads
-
-    parts = []
-    for files, kind in _source_files(sources):
-        if not files:
-            continue
-        flt = (pads.field("kind") == kind) if kind is not None else None
-        parts.append(pads.dataset(files).to_table(columns=["id_a", "id_b"], filter=flt))
-    if not parts:
-        return pa.table(
-            {"cluster_id": pa.array([], pa.string()), "image_id": pa.array([], pa.string())}
-        )
-    t = pa.concat_tables(parts)
-    codes, uniques = _factorize_sorted_arrow(t["id_a"], t["id_b"])
-    return _cc_from_codes(codes, uniques, len(t))
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(dirs))
 
 
 def connected_components(
-    edges: rd.Dataset | None,
-    cfg=None,
-    parquet_sources: list[EdgeSource] | None = None,
-    phash_edge_dirs: list[str] | None = None,
-    hashes_dir: str | None = None,
+    cfg, phash_edge_dirs: list[str], hashes_dir: str
 ) -> rd.Dataset | pa.Table:
-    """Dispatch per cfg.cc_mode ('driver' | 'labelprop' | 'auto').
+    """Clusters over the int phash graph, by edge count: the driver
+    route while ``count_edge_rows <= cfg.cc_driver_max_edges`` (``<=``
+    keeps a zero-edge graph on the driver even at a limit of 0),
+    distributed labelprop above it.
 
-    Driver paths return a local ``pa.Table`` (the manifest writes it
-    with pyarrow directly — no Ray job); labelprop returns a Dataset.
-
-    ``parquet_sources``: when the edges already live in local stage
-    parquet (the manifest pipeline), pass (dir, kind-filter) pairs —
-    the driver path then skips the Ray read entirely and the auto-mode
-    edge count comes from parquet footers instead of a count job.
-    ``phash_edge_dirs`` + ``hashes_dir``: enables the int-graph driver
-    path (components_phash_driver) — preferred when the edge count fits
-    the driver."""
-    mode = getattr(cfg, "cc_mode", "auto") if cfg is not None else "auto"
-    limit = getattr(cfg, "cc_driver_max_edges", 5_000_000) if cfg is not None else 5_000_000
-    if phash_edge_dirs is not None and hashes_dir is not None:
-        if mode == "labelprop":
-            return components_phash_labelprop(phash_edge_dirs, hashes_dir)
-        n_edges = count_edge_rows([(d, None) for d in phash_edge_dirs])
-        if mode == "driver" or n_edges <= limit:
-            return components_phash_driver(phash_edge_dirs, hashes_dir)
-        return components_phash_labelprop(phash_edge_dirs, hashes_dir)
-    if parquet_sources is not None:
-        if mode == "labelprop" or (mode == "auto" and count_edge_rows(parquet_sources) > limit):
-            return components_labelprop(_sources_dataset(parquet_sources))
-        return components_driver_files(parquet_sources)
-    if mode == "labelprop":
-        return components_labelprop(edges)
-    if mode == "auto" and edges.count() > limit:
-        return components_labelprop(edges)
-    return components_driver(edges)
+    The driver route returns a local ``pa.Table`` (the manifest writes
+    it with pyarrow directly — no Ray job); labelprop returns a Dataset.
+    Both routes are looked up by module attribute at call time, so a
+    wrapper installed on the module (perfbench/trace.py) sees the call."""
+    if count_edge_rows(phash_edge_dirs) <= cfg.cc_driver_max_edges:
+        return components_phash_driver(phash_edge_dirs, hashes_dir)
+    return components_phash_labelprop(phash_edge_dirs, hashes_dir)
 
 
 def cluster_size_histogram(clusters: rd.Dataset, n_buckets: int = 64) -> "pd.DataFrame":

@@ -371,16 +371,15 @@ def _make_hasher(cfg: DedupConfig):
 
 
 def hash_stage(images: rd.Dataset, cfg: DedupConfig) -> rd.Dataset:
-    """Decode+hash as STATELESS TASKS by default.
+    """Decode+hash as STATELESS TASKS.
 
     Measured on this Ray build (2.49 local mode): task-based execution
     saturates all cores (59,853 images in 32.6s at 32 CPUs), while an
     autoscaling actor pool ran 3.5x slower and a fixed-size pool
     stalled behind its own constructor-arg pinning. The per-actor state
     here (DCT matrix, popcount LUT) is module-level and therefore
-    amortized per WORKER PROCESS either way — tasks lose nothing. For a
-    genuinely heavy-setup stage (model weights), set
-    ``cfg.decode_actor_pool=True`` to get the classic pool.
+    amortized per WORKER PROCESS either way — tasks lose nothing, so
+    tasks are the only decode path.
     """
     if cfg.use_precomputed_phash == "auto":
         # Dataset-input callers (lance route, tests): resolve against the
@@ -393,20 +392,6 @@ def hash_stage(images: rd.Dataset, cfg: DedupConfig) -> rd.Dataset:
             names = []
         use = cfg.algo == "phash" and all(c in names for c in PRECOMPUTED_COLUMNS)
         cfg = dataclasses.replace(cfg, use_precomputed_phash=use)
-    if getattr(cfg, "decode_actor_pool", False) and not cfg.use_precomputed_phash:
-        conc = cfg.decode_concurrency or available_cpus()
-        return images.map_batches(
-            DecodeHasher,
-            fn_constructor_kwargs={
-                "algo": cfg.algo,
-                "exif_from_bytes": cfg.exif_from_bytes,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.decode_batch_size,
-            zero_copy_batch=True,
-            concurrency=(1, conc),
-            num_cpus=1,
-        )
     return images.map_batches(
         _make_hasher(cfg),
         batch_format="pyarrow",

@@ -19,17 +19,6 @@ import ray.data as rd
 
 from idf.ops import hash_join
 
-PLAN_SCHEMA = pa.schema(
-    [
-        ("cluster_id", pa.string()),
-        ("action", pa.string()),
-        ("image_id", pa.string()),
-        ("reason", pa.string()),
-        ("pixels", pa.int64()),
-        ("size", pa.int64()),
-    ]
-)
-
 
 def elect_keeper_bucket(g: pd.DataFrame) -> pd.DataFrame:
     """Vectorized keeper election over a WHOLE shuffle bucket of
@@ -84,11 +73,6 @@ def elect_keeper_bucket(g: pd.DataFrame) -> pd.DataFrame:
             "size": g["size"].to_numpy(),
         }
     )
-
-
-def elect_keeper_group(g: pd.DataFrame) -> pd.DataFrame:
-    """Single-cluster form (kept for tests/oracle parity checks)."""
-    return elect_keeper_bucket(g)
 
 
 def plan_from_tables(cl: pa.Table, meta: pa.Table) -> pa.Table:
@@ -200,10 +184,10 @@ def plan_stage(
     """clusters (cluster_id, image_id) x meta (image_id, pixels, size)
     -> plan rows; election is one vectorized pass per shuffle bucket.
 
-    Size-adaptive join (auto, like cc_mode): cluster members are the
-    near-dup MINORITY of the corpus, so below ``broadcast_max_rows``
-    the (pixels, size) metadata they need is shipped once via
-    ``ray.put`` and attached map-side — the whole stage then costs ONE
+    Size-adaptive join (like CC's cc_driver_max_edges guard): cluster
+    members are the near-dup MINORITY of the corpus, so below
+    ``broadcast_max_rows`` the (pixels, size) metadata they need is
+    shipped once via ``ray.put`` and attached map-side — the whole stage then costs ONE
     shuffle (the election) instead of two. Past the threshold it falls
     back to the distributed hash_join."""
     from idf.ops import bucketed_apply

@@ -1,21 +1,22 @@
 """Above-guard CC evidence (r4 verdict #7).
 
 Every BENCH number so far ran the clusters stage on the driver
-union-find fast path (edge counts at sf0.1 sit far below
+fast path (edge counts at sf0.1 sit far below
 ``cfg.cc_driver_max_edges``). This script exercises the distributed
-path the guard would dispatch to at 100-TB edge volumes — forcing
-``cc_mode='labelprop'`` takes the *same* branch in
-``connected_components`` (idf/stages/cc.py) that ``auto`` takes when
+path the guard would dispatch to at 100-TB edge volumes — running with
+``cc_driver_max_edges=0`` takes the *same* branch in
+``connected_components`` (idf/stages/cc.py) as any graph with
 ``count_edge_rows > cc_driver_max_edges``, so it is the honest
 single-box stand-in for an above-guard run.
 
 Records, as one JSON line:
-  - full-pipeline wall + clusters-stage wall for both cc modes
+  - full-pipeline wall + clusters-stage wall for both CC routes
   - labelprop propagation rounds + convergence (CC_STATS)
   - whether the two cluster partitions are byte-identical after
     canonical (cluster_id, image_id) sort — the correctness claim.
 
 Run:  python scripts/bench_labelprop_guard.py [sf_dir]
+(RAY_GRAFT_CPUS sets the Ray CPU count; default: all of this host's.)
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import os
 import shutil
 import sys
 import time
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def clusters_digest(run_dir: str) -> tuple[str, int]:
@@ -50,7 +53,7 @@ def stage_wall(run_dir: str, name: str) -> float | None:
 
 def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 
     import ray
 
@@ -73,14 +76,19 @@ def main() -> None:
     images = ensure_images_cache(sf_dir)
     out: dict = {"metric": "cc_above_guard", "sf_dir": sf_dir, "num_cpus": num_cpus}
     digests: dict[str, str] = {}
-    for mode in ("driver", "labelprop"):
+    # the default guard keeps these graphs on the driver; 0 puts any
+    # non-empty edge list above it
+    for mode, cfg in (
+        ("driver", DedupConfig(use_precomputed_phash=False)),
+        ("labelprop", DedupConfig(use_precomputed_phash=False, cc_driver_max_edges=0)),
+    ):
         run_dir = f"/tmp/idf_bench/ccguard_{mode}"
         shutil.rmtree(run_dir, ignore_errors=True)
         t0 = time.time()
         run_dedup(
             images,
             run_dir,
-            DedupConfig(use_precomputed_phash=False, cc_mode=mode),
+            cfg,
             resume=False,
             do_apply=False,
         )

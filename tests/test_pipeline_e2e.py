@@ -149,7 +149,7 @@ def test_resume_mid_pipeline(ray_session, small_images_table, tmp_path_factory):
 
 def test_labelprop_equals_driver_cc(ray_session, small_images_table, tmp_path_factory):
     run_dir = str(tmp_path_factory.mktemp("lp"))
-    cfg = DedupConfig(cc_mode="labelprop")
+    cfg = DedupConfig(cc_driver_max_edges=0)  # any non-empty edge list is above the guard
     man = run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
     got = _partition(
         (r["cluster_id"], r["image_id"])

@@ -4,6 +4,7 @@ zeroed thresholds (r1 verdict #8: the auto-switches need tests)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from idf.ops import set_membership_join
@@ -153,12 +154,24 @@ def test_arrow_fn_int64_above_2pow53(ray_session):
         assert got["label"].dtype == np.int64
 
 
-def test_labelprop_distinct_huge_labels_stay_distinct(ray_session, tmp_path):
+@pytest.mark.parametrize(
+    "limit,with_edges",
+    [(None, True), (0, True), (0, False)],
+    ids=["driver", "labelprop", "labelprop-guard-no-edges"],
+)
+def test_labelprop_distinct_huge_labels_stay_distinct(ray_session, tmp_path, limit, with_edges):
     """Two components whose min-phash labels differ only below float64
-    precision must NOT merge in the labelprop scale path (r2 ADVICE)."""
+    precision must NOT merge (r2 ADVICE) — on both routes of
+    connected_components, which must give identical rows: the driver
+    kernel (default limit) and labelprop (limit 0). The fixture also
+    holds an unedged exact-duplicate group, a singleton and an error
+    row sharing the exact-dup phash. With an empty edge dir the ``<=``
+    guard keeps limit 0 on the driver and only the exact-dup cluster
+    remains."""
     import pyarrow.parquet as pq
 
-    from idf.stages.cc import components_phash_labelprop
+    from idf.config import DedupConfig
+    from idf.stages.cc import connected_components
 
     base = 1 << 60
     # component A: phashes {base+1, base+2561}; B: {base+2, base+5121}
@@ -166,30 +179,40 @@ def test_labelprop_distinct_huge_labels_stay_distinct(ray_session, tmp_path):
     hashes_dir = tmp_path / "hashes"
     edges_dir.mkdir()
     hashes_dir.mkdir()
+    if with_edges:
+        pq.write_table(
+            pa.table(
+                {
+                    "phash_a": pa.array([base + 1, base + 2], pa.int64()),
+                    "phash_b": pa.array([base + 2561, base + 5121], pa.int64()),
+                }
+            ),
+            edges_dir / "e.parquet",
+        )
     pq.write_table(
         pa.table(
             {
-                "phash_a": pa.array([base + 1, base + 2], pa.int64()),
-                "phash_b": pa.array([base + 2561, base + 5121], pa.int64()),
-            }
-        ),
-        edges_dir / "e.parquet",
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": ["a", "b", "c", "d"],
-                "phash": pa.array([base + 1, base + 2561, base + 2, base + 5121], pa.int64()),
-                "status": ["ok"] * 4,
+                # e, f: exact duplicates with no edge; g: singleton;
+                # h: a decode failure on e/f's phash, never a member
+                "image_id": ["a", "b", "c", "d", "e", "f", "g", "h"],
+                "phash": pa.array(
+                    [base + 1, base + 2561, base + 2, base + 5121]
+                    + [base + 7, base + 7, base + 9, base + 7],
+                    pa.int64(),
+                ),
+                "status": ["ok"] * 7 + ["error"],
             }
         ),
         hashes_dir / "h.parquet",
     )
-    got = components_phash_labelprop([str(edges_dir)], str(hashes_dir)).to_pandas()
-    clusters = {}
-    for r in got.itertuples(index=False):
-        clusters.setdefault(r.cluster_id, set()).add(r.image_id)
-    assert sorted(map(sorted, clusters.values())) == [["a", "b"], ["c", "d"]]
+    cfg = DedupConfig() if limit is None else DedupConfig(cc_driver_max_edges=limit)
+    got = connected_components(cfg, [str(edges_dir)], str(hashes_dir))
+    got = got if isinstance(got, pa.Table) else pa.Table.from_pandas(got.to_pandas())
+    rows = sorted(zip(got["cluster_id"].to_pylist(), got["image_id"].to_pylist()))
+    want = [("e", "e"), ("e", "f")]
+    if with_edges:
+        want = [("a", "a"), ("a", "b"), ("c", "c"), ("c", "d")] + want
+    assert rows == want
 
 
 def test_exchange_size_gate_falls_back_to_sort(ray_session, monkeypatch):
