@@ -36,8 +36,11 @@ def set_graph_polars_sort(ds: rd.Dataset, polars_sort: bool) -> None:
     root constructions — a leaked ``True`` made ``ivf_pairs`` panic
     (pyo3 Utf8Error) shuffling its embedding column.
 
-    polars-backed sort blocks measured 2.7x faster shuffle reduce for
-    the edge-dedup groupby and ~25% on the banding stage at sf0.1 —
+    Only the sort engine reads the flag, so it matters only above the
+    exchange byte gate (``bucketed_apply``). There, polars-backed sort
+    blocks measured 2.7x faster shuffle reduce for the edge-dedup
+    groupby and ~25% on the banding stage at sf0.1 (both of which run
+    on the raw-task exchange below the gate) —
     but polars' ``from_arrow`` PANICS (pyo3 Utf8Error) on Ray's
     pickled object-extension columns (e.g. numpy-object embedding
     lists), so callers may only pass True when every shuffled column
@@ -101,6 +104,118 @@ def _estimate_rows(ds: rd.Dataset):
         return None
 
 
+def exchange_width(size_bytes: int, ncpu: int) -> int:
+    """Partition count of a raw-task exchange over ``size_bytes`` of
+    shuffle input on ``ncpu`` CPUs.
+
+    Two partitions per CPU, so every core gets reduce work. Below 64 MiB
+    that width is capped at 8, because each split task returns one
+    object per partition: 64-way partitioning of a 5 MB input drowns in
+    per-object overhead (measured r4: every sf0.1 doc-family query ~2x
+    SLOWER at 32 CPUs than at 8 purely from this; BENCH/family_r4.json).
+    ~4 MB per partition keeps small shuffles wide enough; from 64 MiB on
+    one partition stays under ~256 MB of worker heap (the bound Ray
+    Data's map_groups imposes on a sorted group run too)."""
+    if size_bytes < (64 << 20):
+        return max(min(8, 2 * ncpu), size_bytes // (4 << 20) + 1)
+    return max(2 * ncpu, size_bytes // (256 << 20) + 1)
+
+
+def _to_block(out) -> pa.Table:
+    """A bucket fn's output as an Arrow block without schema metadata:
+    a pandas-converted schema carries a ``pandas`` dict that makes it
+    UNHASHABLE, which defeats Ray's schema-dedup fast path downstream
+    (and spams 'Failed to hash the schemas' warnings)."""
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return out.replace_schema_metadata(None)
+
+
+@ray.remote
+def _exchange_split(tbl: pa.Table, keys: list[str], n_parts: int, pre_map):
+    """Map side: one input block -> ``n_parts`` key-hashed slices."""
+    # Ray emits zero-row blocks with a BLANK schema between some
+    # operators; they carry nothing to route. With a pre_map, typed
+    # empties must carry the POST-map schema so the reduce concat sees
+    # one consistent schema (blank 0-column empties are filtered there
+    # either way).
+    if pre_map is not None and tbl.num_columns:
+        tbl = pre_map(tbl)
+    if tbl.num_rows == 0:
+        parts = [tbl.slice(0, 0)] * n_parts
+    else:
+        kdf = tbl.select(keys).to_pandas()
+        part = (pd.util.hash_pandas_object(kdf, index=False).to_numpy() % n_parts).astype(np.int64)
+        order = np.argsort(part, kind="stable")
+        t2 = tbl.replace_schema_metadata(None).take(pa.array(order))
+        bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
+        parts = [t2.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(n_parts)]
+    return tuple(parts) if n_parts > 1 else parts[0]
+
+
+@ray.remote
+def _exchange_reduce(bucket_fn, *parts: pa.Table) -> pa.Table:
+    """Reduce side: one partition's slices -> ``bucket_fn`` output."""
+    live = [p for p in parts if p.num_rows]
+    if live:
+        return _to_block(bucket_fn(pa.concat_tables(live, promote_options="default")))
+    t = max(parts, key=lambda p: p.num_columns)
+    if t.num_columns == 0:
+        return t  # every input block was schema-less empty
+    # EMPTY partition (n_parts > occupied partitions — a tiny stage on a
+    # big cluster): every bucket_fn here is a filter/grouper/joiner for
+    # which empty-in -> empty-out is the correct answer, but not all fns
+    # tolerate an empty frame (schema probes like g.iloc[0] raise). Give
+    # the fn a chance to emit its typed empty schema; fall back to a
+    # zero-column empty block, which Ray drops on concat.
+    try:
+        return _to_block(bucket_fn(t))
+    except (IndexError, KeyError, ValueError):
+        # the expected empty-input probe failures (g.iloc[0],
+        # max-of-empty, missing side column)
+        return t.select([])
+    except Exception:
+        # anything else is likely a real bucket_fn defect on typed-empty
+        # input — keep the empty-out contract but make the swallow
+        # observable instead of silent
+        import logging
+        import traceback
+
+        logging.getLogger(__name__).warning(
+            "exchange: bucket_fn raised on typed-empty partition "
+            "(returning empty block):\n%s",
+            traceback.format_exc(),
+        )
+        return t.select([])
+
+
+def exchange_refs(
+    refs: list,
+    keys: str | list[str],
+    bucket_fn,
+    n_parts: int,
+    pre_map: "callable | None" = None,
+) -> list:
+    """The raw-task hash exchange over Arrow block refs: every block
+    splits into ``n_parts`` content-keyed slices (siphash of ``keys``,
+    so outputs are invariant to block layout), and one reduce task per
+    partition concats its slices and runs the Arrow-in ``bucket_fn``
+    (Arrow or pandas out). Returns the ``n_parts`` output block refs
+    without waiting on them, so callers chain exchanges with no Ray
+    Data job in between. ``pre_map`` (Arrow -> Arrow) runs inside the
+    split tasks. No input refs -> no output refs."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n_parts = int(n_parts)
+    EXCHANGE_STATS["exchange"] += 1
+    if not refs:
+        return []
+    split = _exchange_split.options(num_returns=n_parts)
+    splits = [split.remote(r, keys, n_parts, pre_map) for r in refs]
+    if n_parts == 1:
+        splits = [[s] for s in splits]
+    return [_exchange_reduce.remote(bucket_fn, *[s[p] for s in splits]) for p in range(n_parts)]
+
+
 def exchange_apply(
     ds: rd.Dataset,
     key: str | list[str],
@@ -115,23 +230,27 @@ def exchange_apply(
 
     Same co-location contract as ``bucketed_apply`` (all rows with equal
     ``key`` reach the same ``bucket_fn`` call) but built from plain Ray
-    tasks instead of Ray Data's sort-based groupby: each materialized
-    input block splits into ``n_parts`` key-hashed sub-tables
-    (``num_returns`` fan-out), and one reduce task per partition concats
-    its sub-tables and runs ``bucket_fn``. No sample/sort coordination —
-    measured ~2x faster than the sort path on the sf0.1 banding shuffle
-    (2.6s vs 5.1s at 32 CPUs) with identical key co-location.
+    tasks instead of Ray Data's sort-based groupby: the input is
+    materialized and its block refs go through ``exchange_refs``. No
+    sample/sort coordination — measured ~2x faster than the sort path on
+    the sf0.1 banding shuffle (2.6s vs 5.1s at 32 CPUs) with identical
+    key co-location.
 
     This is the documented "raw Ray as last resort" case from the task
     brief: Ray Data's only keyed exchange is its sort, whose fixed
     coordination (~2-3s/job on this box) dominates small-to-mid
-    shuffles. Partitioning is CONTENT-keyed (siphash of the key
-    columns), so outputs are invariant to block layout. When ``n_parts``
-    is not given it is sized from the MATERIALIZED input bytes so one
-    partition stays under ~256 MB of worker heap (the bound Ray Data's
-    map_groups imposes on a sorted group run too), with a floor of two
-    partitions per CPU. Skewed keys cost one oversized partition,
-    exactly like one oversized bucket.
+    shuffles. When ``n_parts`` is not given it is ``exchange_width`` of
+    the MATERIALIZED input bytes and the cluster's CPUs: two partitions
+    per CPU, at most 8 below 64 MiB (so a 10 KB exchange on 1 CPU runs
+    2 reduce tasks, not 8), and at most ~256 MB per partition above.
+    Skewed keys cost one oversized partition, exactly like one
+    oversized bucket.
+
+    ``arrow_fn``: hand ``bucket_fn`` the Arrow partition instead of a
+    pandas frame. REQUIRED when any column holds per-side null padding
+    (a whole-partition pandas conversion would promote null-bearing
+    int64 to float64, corrupting 64-bit keys; the fn filters in Arrow
+    first).
 
     ``max_bytes``: post-materialize size guard — if the input turns out
     larger, the call degrades to the streaming sort engine over the
@@ -157,107 +276,13 @@ def exchange_apply(
         return _sorted_bucketed_apply(
             mat, keys, bucket_fn, N_BUCKETS_DEFAULT, False, arrow_fn
         )
-    EXCHANGE_STATS["exchange"] += 1
-    if n_parts is None:
-        target_partition_bytes = 256 << 20
-        size = est_bytes if est_bytes is not None else (mat.size_bytes() or 0)
-        if size < (64 << 20):
-            # tiny exchange: don't fan out to 2x CPUs — each _split task
-            # returns n_parts objects, so 64-way partitioning of a 5 MB
-            # input drowns in per-object overhead (measured r4: every
-            # sf0.1 doc-family query ~2x SLOWER at 32 CPUs than at 8
-            # purely from this; BENCH/family_r4.json). ~4 MB/partition
-            # keeps small shuffles wide enough while capping object
-            # count; inputs >= 64 MB keep the width-scaled sizing.
-            n_parts = max(8, int(size // (4 << 20)) + 1)
-        else:
-            n_parts = max(
-                available_cpus() * 2,
-                int(size // target_partition_bytes) + 1,
-            )
-    n_parts = int(n_parts)
-
-    @ray.remote
-    def _split(tbl: pa.Table):
-        if tbl.num_rows == 0:
-            # Ray emits zero-row blocks with a BLANK schema between some
-            # operators; they carry nothing to route. With a pre_map,
-            # typed empties must carry the POST-map schema so the reduce
-            # concat sees one consistent schema (blank 0-column empties
-            # are filtered there either way).
-            if pre_map is not None and tbl.num_columns:
-                tbl = pre_map(tbl)
-            e = tbl.slice(0, 0)
-            return tuple(e for _ in range(n_parts))
-        if pre_map is not None:
-            tbl = pre_map(tbl)
-            if tbl.num_rows == 0:
-                e = tbl.slice(0, 0)
-                return tuple(e for _ in range(n_parts))
-        kdf = tbl.select(keys).to_pandas()
-        part = (
-            pd.util.hash_pandas_object(kdf, index=False).to_numpy() % n_parts
-        ).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        t2 = tbl.replace_schema_metadata(None).take(pa.array(order))
-        ps = part[order]
-        bounds = np.searchsorted(ps, np.arange(n_parts + 1))
-        return tuple(
-            t2.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(n_parts)
-        )
-
-    @ray.remote
-    def _reduce(*parts: pa.Table) -> pa.Table:
-        live = [p for p in parts if p.num_rows]
-        if live:
-            t = pa.concat_tables(live, promote_options="default")
-        else:
-            t = max(parts, key=lambda p: p.num_columns)
-            if t.num_columns == 0:
-                return t  # every input block was schema-less empty
-            # EMPTY partition (n_parts > occupied partitions — a tiny
-            # stage on a big cluster): every bucket_fn here is a
-            # filter/grouper/joiner for which empty-in -> empty-out is
-            # the correct answer, but not all fns tolerate an empty
-            # frame (schema probes like g.iloc[0] raise). Give the fn a
-            # chance to emit its typed empty schema; fall back to a
-            # zero-column empty block, which Ray drops on concat.
-            try:
-                out = bucket_fn(t if arrow_fn else t.to_pandas())
-            except (IndexError, KeyError, ValueError):
-                # the expected empty-input probe failures (g.iloc[0],
-                # max-of-empty, missing side column)
-                return t.select([])
-            except Exception:
-                # anything else is likely a real bucket_fn defect on
-                # typed-empty input — keep the empty-out contract but
-                # make the swallow observable instead of silent
-                import logging
-                import traceback
-
-                logging.getLogger(__name__).warning(
-                    "exchange_apply: bucket_fn raised on typed-empty "
-                    "partition (returning empty block):\n%s",
-                    traceback.format_exc(),
-                )
-                return t.select([])
-            if isinstance(out, pa.Table):
-                return out
-            return pa.Table.from_pandas(out, preserve_index=False)
-        # arrow_fn: hand bucket_fn the Arrow table — REQUIRED when any
-        # column holds per-side null padding (a whole-partition pandas
-        # conversion would promote null-bearing int64 to float64,
-        # corrupting 64-bit keys; the fn filters in Arrow first)
-        out = bucket_fn(t if arrow_fn else t.to_pandas())
-        if isinstance(out, pa.Table):
-            return out
-        return pa.Table.from_pandas(out, preserve_index=False)
-
+    fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
     refs = mat.to_arrow_refs()
     if not refs:
         # no blocks at all: hand the fn a typed empty input so its
         # output schema survives (arrow_fn callers index columns like
         # t["__side"] — a schema-less pa.table({}) would KeyError)
+        EXCHANGE_STATS["exchange"] += 1
         schema = mat.schema()
         if schema is None:
             return rd.from_arrow(pa.table({}))
@@ -266,13 +291,11 @@ def exchange_apply(
         )
         if pre_map is not None:
             empty_in = pre_map(empty_in)
-        out = bucket_fn(empty_in if arrow_fn else empty_in.to_pandas())
-        if isinstance(out, pa.Table):
-            return rd.from_arrow(out)
-        return rd.from_pandas(out) if len(out.columns) else rd.from_arrow(pa.table({}))
-    splits = [_split.options(num_returns=n_parts).remote(r) for r in refs]
-    reduces = [_reduce.remote(*[s[p] for s in splits]) for p in range(n_parts)]
-    return rd.from_arrow_refs(reduces)
+        return rd.from_arrow(_to_block(fn(empty_in)))
+    if n_parts is None:
+        size = est_bytes if est_bytes is not None else (mat.size_bytes() or 0)
+        n_parts = exchange_width(size, available_cpus())
+    return rd.from_arrow_refs(exchange_refs(refs, keys, fn, n_parts, pre_map))
 
 
 def _sorted_bucketed_apply(
@@ -771,7 +794,7 @@ def bucketed_aggregate(
     aggs: dict[str, tuple[str, str]],
     n_buckets: int = N_BUCKETS_DEFAULT,
     polars_sort: bool = False,
-    exchange: bool = False,
+    exchange: bool | None = None,
 ) -> rd.Dataset:
     """Grouped aggregate for HIGH-CARDINALITY keys (millions of groups).
 
@@ -779,7 +802,9 @@ def bucketed_aggregate(
     dominates when groups are tiny and numerous (e.g. per-PAIR counts).
     This runs one vectorized ``pandas.groupby.agg`` per hash bucket.
     ``aggs``: out_col -> (in_col, fn) with fn in {'sum','min','max',
-    'count','first'}.
+    'count','first'}. Engine: ``bucketed_apply``'s default byte gate
+    (raw-task exchange below ``IDF_EXCHANGE_MAX_BYTES``, streaming sort
+    above it); ``polars_sort`` applies to the sort engine only.
     """
     keys = [key] if isinstance(key, str) else list(key)
 

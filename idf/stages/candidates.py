@@ -474,9 +474,13 @@ def dedup_edges(
     (~37x duplication measured at sf0.1), so deduping inside the edge
     stages shrinks their outputs ~25x and keeps the serial CC input
     tiny — one extra parallel shuffle buys a much smaller sequential
-    stage. ``with_phash`` carries the endpoint hashes through (a pair's
-    phashes are constant, so 'first' is exact). ``int_pairs``: the pair
-    key is (phash_a, phash_b) — the image pipeline's int-edge schema."""
+    stage. The shuffle is ``bucketed_aggregate``'s default engine: the
+    raw-task exchange (one split + one reduce task per partition, no
+    sort coordination) below ``IDF_EXCHANGE_MAX_BYTES``, Ray Data's
+    streaming sort with polars blocks above it. ``with_phash`` carries
+    the endpoint hashes through (a pair's phashes are constant, so
+    'first' is exact). ``int_pairs``: the pair key is (phash_a,
+    phash_b) — the image pipeline's int-edge schema."""
     from idf.ops import bucketed_aggregate
 
     if int_pairs:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 # Observability for the distributed CC path (mirrors SESSIONIZE_STATS /
@@ -46,8 +48,6 @@ def _labelprop_route_msgs(t: pa.Table) -> pa.Table:
     sorted searchsorted lookup — no pandas merge, no null-padded int64
     round-trips through float64.
     """
-    import pyarrow.compute as pc
-
     is_lab = pc.equal(t["__side"], 1)
     lab_t = t.filter(is_lab)
     edge_t = t.filter(pc.invert(is_lab))
@@ -109,6 +109,54 @@ def _labelprop_min_reduce(t: pa.Table) -> pa.Table:
     return pa.table({"node": unodes, "label": new_lab, "old": old})
 
 
+def _edge_side(t: pa.Table) -> pa.Table:
+    """Symmetrize + pad an edge block: (a, b) -> side-0 rows (a->b, b->a)."""
+    a, b = t.column(0).combine_chunks(), t.column(1).combine_chunks()
+    return pa.table(
+        {
+            "src": pa.concat_arrays([a, b]),
+            "dst": pa.concat_arrays([b, a]),
+            "label": pa.nulls(2 * len(t), pa.int64()),
+            "__side": pa.array(np.zeros(2 * len(t), dtype=np.int8)),
+        }
+    )
+
+
+def _label_side(t: pa.Table) -> pa.Table:
+    """Exchange-1 pre_map: a label block (``node``, ``label`` [, ``old``])
+    -> side-1 rows keyed on ``src``; edge-side blocks pass through."""
+    if "__side" in t.column_names:
+        return t
+    return pa.table(
+        {
+            "src": t["node"].combine_chunks(),
+            "dst": pa.nulls(len(t), pa.int64()),
+            "label": t["label"].combine_chunks(),
+            "__side": pa.array(np.ones(len(t), dtype=np.int8)),
+        }
+    )
+
+
+def _init_labels(t: pa.Table) -> pa.Table:
+    """labels(node) = min(node, neighbors) over the symmetric edge side."""
+    src = t["src"].to_numpy(zero_copy_only=False)
+    dst = t["dst"].to_numpy(zero_copy_only=False)
+    order = np.argsort(src, kind="stable")
+    s_s, d_s = src[order], dst[order]
+    bounds = np.flatnonzero(np.r_[True, s_s[1:] != s_s[:-1]]) if len(s_s) else np.empty(0, dtype=np.int64)
+    unodes = s_s[bounds]
+    min_nb = np.minimum.reduceat(d_s, bounds) if len(bounds) else d_s[:0]
+    return pa.table({"node": unodes, "label": np.minimum(unodes, min_nb)})
+
+
+@ray.remote
+def _changed_rows(t: pa.Table) -> int:
+    """Per-partition convergence count: nodes whose label moved."""
+    if t.num_rows == 0:
+        return 0
+    return int(pc.sum(pc.not_equal(t["label"], t["old"])).as_py() or 0)
+
+
 def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
     """Distributed min-label propagation to fixpoint: ``edges`` (two
     int64 endpoint columns, by position) -> ``(node, label)``.
@@ -118,73 +166,40 @@ def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
     min over incoming messages and its own label; converged when no
     label changed. Deterministic output: label == min member id.
 
-    Each round is exactly TWO content-keyed exchanges (the structural
-    minimum for edge-wise propagation) with the convergence check fused
-    into the second one's output — the earlier hash_join+groupby+join
-    formulation cost ~4 shuffle jobs per round, and per-job fixed
-    coordination dominated it at small edge counts (578 s → this at
-    sf0.1; see scripts/bench_labelprop_guard.py).
+    The symmetrized edge side is materialized ONCE (one Ray Data job);
+    from there the loop runs on object refs with no Ray Data job inside
+    it. Each round is exactly TWO ``exchange_refs`` (the structural
+    minimum for edge-wise propagation): edge refs ∪ label refs keyed on
+    ``src`` (label blocks turn into side-1 rows inside the split tasks),
+    then messages keyed on ``node``, whose reduce also emits each node's
+    previous label. Convergence is one tiny count task per partition,
+    summed on the driver; only the final labels become a Dataset. Per
+    round that is no Ray Data planning or sort coordination at all —
+    at small edge counts that fixed per-job cost was most of the wall.
     """
-    from idf.ops import exchange_apply
+    from idf.ops import available_cpus, exchange_refs, exchange_width
 
-    def _edge_side(t: pa.Table) -> pa.Table:
-        a, b = t.column(0).combine_chunks(), t.column(1).combine_chunks()
-        return pa.table(
-            {
-                "src": pa.concat_arrays([a, b]),
-                "dst": pa.concat_arrays([b, a]),
-                "label": pa.nulls(2 * len(t), pa.int64()),
-                "__side": pa.array(np.zeros(2 * len(t), dtype=np.int8)),
-            }
-        )
-
-    # symmetrize + pad in one map, materialized ONCE: the padded edge
-    # table is the only pinned copy (init reads its src/dst and ignores
-    # the padding; every round's union reuses the same blocks)
-    edge_side = edges.map_batches(_edge_side, batch_format="pyarrow").materialize()
-
-    def _init_labels(t: pa.Table) -> pa.Table:
-        src = t["src"].to_numpy(zero_copy_only=False)
-        dst = t["dst"].to_numpy(zero_copy_only=False)
-        order = np.argsort(src, kind="stable")
-        s_s, d_s = src[order], dst[order]
-        bounds = np.flatnonzero(np.r_[True, s_s[1:] != s_s[:-1]]) if len(s_s) else np.empty(0, dtype=np.int64)
-        unodes = s_s[bounds]
-        min_nb = np.minimum.reduceat(d_s, bounds) if len(bounds) else d_s[:0]
-        return pa.table({"node": unodes, "label": np.minimum(unodes, min_nb)})
-
-    labels = exchange_apply(edge_side, "src", _init_labels, arrow_fn=True)
+    edge_ds = edges.map_batches(_edge_side, batch_format="pyarrow").materialize()
+    if edge_ds.count() == 0:
+        CC_STATS.update(labelprop_rounds=0, converged=True)
+        empty = pa.array([], pa.int64())
+        return rd.from_arrow(pa.table({"node": empty, "label": empty}))
+    edge_refs = edge_ds.to_arrow_refs()
+    n_parts = exchange_width(edge_ds.size_bytes() or 0, available_cpus())
+    labels = exchange_refs(edge_refs, "src", _init_labels, n_parts)
 
     CC_STATS["labelprop_rounds"] = 0
     CC_STATS["converged"] = False
     for _ in range(max_iters):
-        lab_side = labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "src": t["node"].combine_chunks(),
-                    "dst": pa.nulls(len(t), pa.int64()),
-                    "label": t["label"].combine_chunks(),
-                    "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
+        msgs = exchange_refs(
+            edge_refs + labels, "src", _labelprop_route_msgs, n_parts, pre_map=_label_side
         )
-        msgs = exchange_apply(
-            edge_side.union(lab_side), "src", _labelprop_route_msgs, arrow_fn=True
-        )
-        agg = exchange_apply(msgs, "node", _labelprop_min_reduce, arrow_fn=True)
-        changed = agg.map_batches(
-            lambda t: pa.table(
-                {"c": pa.compute.cast(pa.compute.not_equal(t["label"], t["old"]), pa.int64())}
-            ),
-            batch_format="pyarrow",
-        ).sum("c")
-        labels = agg.select_columns(["node", "label"])
+        labels = exchange_refs(msgs, "node", _labelprop_min_reduce, n_parts)
         CC_STATS["labelprop_rounds"] += 1
-        if not changed:
+        if not sum(ray.get([_changed_rows.remote(r) for r in labels])):
             CC_STATS["converged"] = True
             break
-    return labels
+    return rd.from_arrow_refs(labels).select_columns(["node", "label"])
 
 
 def join_labels(
@@ -206,8 +221,6 @@ def join_labels(
     round 64-bit labels above 2^53 — distinct components whose rounded
     labels collide would silently merge (r2 ADVICE, high). Each side is
     filtered in Arrow FIRST so every slice converts with true dtypes."""
-    import pyarrow.compute as pc
-
     from idf.ops import bucketed_apply
 
     carry = carry or {}
@@ -358,7 +371,6 @@ def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.T
     share it (the exact-duplicate case); singleton groups drop
     (Commands.java:149-151 analog). cluster_id = min member image_id,
     identical to ``components_phash_labelprop``'s output."""
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     files = _parquet_files(phash_edge_dirs)

@@ -271,6 +271,42 @@ def test_exchange_apply_hot_key_skew(ray_session, rng):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+@pytest.mark.parametrize(
+    "size_bytes,ncpu,want",
+    [
+        (10_000, 1, 2),
+        (10_000, 4, 8),
+        (10_000, 32, 8),
+        (40 << 20, 1, 11),
+        (64 << 20, 1, 2),
+        (64 << 20, 4, 8),
+        (64 << 20, 32, 64),
+        (1 << 30, 1, 5),
+        (10 << 30, 4, 41),
+    ],
+)
+def test_exchange_width(size_bytes, ncpu, want):
+    """Two partitions per CPU, capped at 8 below 64 MiB with ~4 MiB per
+    partition; from 64 MiB on, at most ~256 MiB per partition."""
+    from idf.ops import exchange_width
+
+    assert exchange_width(size_bytes, ncpu) == want
+
+
+def test_exchange_apply_pandas_output_has_no_schema_metadata(ray_session, rng):
+    """A pandas bucket_fn's output blocks carry no ``pandas`` schema
+    metadata (it makes schemas unhashable for Ray's schema dedup)."""
+    from idf.ops import exchange_apply
+
+    df = pd.DataFrame({"k": rng.integers(0, 50, 500), "v": np.ones(500, dtype=np.int64)})
+    out = exchange_apply(
+        rd.from_pandas(df), "k", lambda g: g.groupby("k", sort=False)["v"].sum().reset_index()
+    )
+    blocks = ray.get(out.to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == df["k"].nunique()
+    assert all(b.schema.metadata is None for b in blocks)
+
+
 def test_cluster_size_histogram(ray_session):
     import pandas as pd
     import ray.data as rd
