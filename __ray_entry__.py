@@ -198,9 +198,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import glob
 
         run = _img_run(sf)
-        files = sorted(
-            glob.glob(os.path.join(run, "edges_band", "*.parquet"))
-        ) + sorted(glob.glob(os.path.join(run, "edges_caption", "*.parquet")))
+        files = sorted(glob.glob(os.path.join(run, "edges_band", "*.parquet")))
         ed = rd.read_parquet(files, columns=["phash_a", "phash_b"])
         return pair_distance_histogram(ed)
 
@@ -800,9 +798,7 @@ def img_oracle_sql(sf: str) -> dict[str, str]:
 
     run = f"/tmp/idf_cache/run_{CACHE_TAG}_sf{sf}"
     imgs = f"/tmp/idf_cache/images_{CACHE_TAG}_sf{sf}"
-    band_files = ", ".join(
-        f"'{run}/{d}/*.parquet'" for d in ("edges_band", "edges_caption")
-    )
+    band_files = f"'{run}/edges_band/*.parquet'"
     # The engine's edge stages emit INT phash pairs (id <-> phash is 1:1
     # after the exact collapse); clustering = CC over the hash graph,
     # then every ok image joins its phash's component. A phash outside

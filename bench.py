@@ -1,7 +1,7 @@
 """Benchmark harness (driver contract: prints ONE JSON line).
 
 Headline: wall time of the full image near-dup pipeline
-(decode -> pHash -> exact-collapse -> banding + caption-LSH -> verify ->
+(decode -> pHash -> exact-collapse -> banding -> verify ->
 connected components -> plan) over the deterministic synthetic images
 table for $GRAFT_SF_DIR (default sf0.1, ~10k images), at
 num_cpus=$RAY_GRAFT_CPUS (default 32). Corpus generation is one-time

@@ -24,17 +24,15 @@ class DedupConfig:
     Defaults mirror the reference CLI: algo phash (app/Commands.java:49),
     radius 10 (Commands.java:121 default), web threshold 0.95 == radius 3
     via ``radius = round((1 - threshold) * 64)`` (Commands.java:406-409).
+    Candidate edges come from pigeonhole banding alone: it is exact
+    (recall 1.0 within ``radius``), so every other source verified by
+    the same ``hamming <= radius`` predicate would add no edge.
     """
 
     algo: str = "phash"  # ahash | dhash | phash
     radius: int = 10  # inclusive Hamming radius (BKTreeIndex.java:43)
     # pigeonhole banding: m segments of 64/m bits (SURVEY §2.5 J1)
     n_segments: int = 4
-    # caption MinHash-LSH (axis B, SURVEY §2.5 J2)
-    caption_lsh: bool = True
-    minhash_k: int = 64
-    minhash_bands: int = 16  # 16 bands x 4 rows
-    shingle_k: int = 3  # word shingles per caption
     # skew control: buckets larger than this are processed in chunked
     # pair-emit passes (exact, never truncated) and reported in metrics
     bucket_cap: int = 4096
@@ -74,11 +72,8 @@ class DedupConfig:
     phash_verify_max_mismatch: int = 0
     # decode stage execution (see stages/hash_stage.py: stateless tasks)
     decode_batch_size: int = 512
+    # keys the deterministic verify sample (hash_stage)
     seed: int = 42
-
-    def band_rows(self) -> int:
-        assert self.minhash_k % self.minhash_bands == 0
-        return self.minhash_k // self.minhash_bands
 
     def segment_bits(self) -> int:
         assert 64 % self.n_segments == 0

@@ -1,7 +1,7 @@
-"""MinHash signatures + LSH band keys over caption shingles (axis B).
+"""MinHash signatures + LSH band keys over text shingles.
 
-Candidate source J2 (SURVEY §2.5): word-k-shingles -> k MinHash values
--> b bands -> band-key groupby. Two deterministic,
+Word-k-shingles -> k MinHash values -> b bands -> band-key groupby
+(the text-dedup queries in idf.functions.text_dedup). Two deterministic,
 PYTHONHASHSEED-independent token/shingle hash FAMILIES (r2 verdict #3):
 
 - ``mode="fast"`` (the default, ``IDF_TEXT_HASH`` overridable): one
@@ -13,14 +13,9 @@ PYTHONHASHSEED-independent token/shingle hash FAMILIES (r2 verdict #3):
   the MinHash-LSH pipeline oracle-checkable end to end.
 
 The families only change CANDIDATE generation; every consumer verifies
-candidates exactly (Jaccard over shingle sets / phash Hamming), so
-pair outputs are family-invariant up to LSH recall on threshold-edge
-pairs (tests/test_text_functions.py pins mode parity on pairs output).
-
-Every caption-LSH candidate pair is still verified with the primary
-edge predicate hamming(phash) <= radius, so cluster semantics match the
-reference exactly; this source only adds robustness (and is the same
-machinery exposed for text dedup in idf.functions).
+candidates exactly (Jaccard over shingle sets), so pair outputs are
+family-invariant up to LSH recall on threshold-edge pairs
+(tests/test_text_functions.py pins mode parity on pairs output).
 """
 
 from __future__ import annotations
@@ -145,8 +140,8 @@ def shingle_hashes(
     """Word k-shingles of ``text`` -> sorted unique uint64 hashes.
 
     ``short`` controls docs with fewer than k tokens: ``"self"`` (default)
-    emits one whole-text shingle so every doc has a non-empty set (the
-    caption-LSH behavior); ``"drop"`` emits NO shingles — matching the
+    emits one whole-text shingle so every doc has a non-empty set;
+    ``"drop"`` emits NO shingles — matching the
     SQL trigram oracle, which produces zero shingles for <k-token docs
     (ADVICE r1: the two policies diverge exactly there).
 
@@ -189,7 +184,7 @@ class MinHasher:
         return vals.min(axis=1)
 
     def signatures(self, texts: list[str], k: int = 3, mode: str = "md5") -> np.ndarray:
-        """Batch of captions -> (n, num_perm) uint64.
+        """Batch of texts -> (n, num_perm) uint64.
 
         Vectorized across the batch: shingle-hash arrays are
         concatenated once (``shingle_hash_concat``), then each

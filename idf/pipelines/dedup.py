@@ -6,7 +6,7 @@ Ray-Data shape (SURVEY §3, re-expressed):
     -> map_batches(fused read+decode+hash)            [hashes]
     -> per-batch unique + global distinct over phash  [distinct_hashes]
     -> flat key expansion -> groupby(segment key)     [edges_band]
-    (+ caption MinHash-LSH groupby)                   [edges_caption]
+    (-> pair dedup, above edge_dedup_min_rows)        [edges_band_dedup]
     -> connected components over the int hash graph   [clusters]
     -> hash join w/ meta -> groupby(cluster).elect    [plan]
     -> tag keep/quarantine -> one partitioned write   [apply]
@@ -27,7 +27,7 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.stages.apply import apply_plan
-from idf.stages.candidates import band_edges, caption_edges, distinct_hashes
+from idf.stages.candidates import band_edges, dedup_edges, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest
@@ -216,24 +216,16 @@ def run_dedup(
 
     distinct_dir = man.run_stage("distinct_hashes", _build_distinct)
 
-    # 3. candidate edges. The same pair surfaces from many band keys,
-    # so a global pair-dedup shuffle (parallel) keeps each edge output —
-    # and the serial CC input — small. Banding and caption-LSH are
-    # INDEPENDENT (both read committed upstream stages), so they run
-    # concurrently: their barriers overlap and cores stay busy.
-    # (Measured r2, sf0.1/32cpu: fusing both keyed-row sources into ONE
-    # union + single sort ran 20.9s vs 9.3s for the two concurrent
-    # sorts — Ray's sort all-to-all does not parallelize internally as
-    # well as two overlapping jobs. Keep them separate.)
-    from idf.stages.candidates import dedup_edges
-
-    # Both stages run in INT-PAIR mode: post-collapse, id <-> phash is
-    # 1:1, so only (key, phash) crosses the banding shuffles and the
-    # outputs are (phash_a, phash_b, dist) int pairs — ~2.6x fewer
-    # shuffle bytes and no per-bucket string factorize (measured 1.7x
-    # at sf0.1/32cpu). CC runs on the hash graph; image membership
-    # joins back through the hashes table inside the CC stage.
-    # the distinct stage's driver fast path writes ONE small file, so a
+    # 3. candidate edges: pigeonhole banding is exact (recall 1.0
+    # within the radius), so it is the one edge source. It runs in
+    # INT-PAIR mode: post-collapse, id <-> phash is 1:1, so only
+    # (key, phash) crosses the banding shuffle and the output is
+    # (phash_a, phash_b, dist) int pairs — ~2.6x fewer shuffle bytes
+    # and no per-bucket string factorize (measured 1.7x at
+    # sf0.1/32cpu). CC runs on the hash graph; image membership joins
+    # back through the hashes table inside the CC stage.
+    #
+    # The distinct stage's driver fast path writes ONE small file, so a
     # plain read gives band_edges ONE input block and the key expansion
     # (68 output rows per hash — the pipeline's widest map) runs as a
     # single serial task: measured 3.5 s of the 32-CPU edge wall, pure
@@ -245,32 +237,12 @@ def run_dedup(
     from idf.stages.hash_stage import auto_num_blocks
 
     distinct_blocks = auto_num_blocks(distinct_dir, available_cpus())
-    edge_stages = [
-        (
-            "edges_band",
-            lambda: band_edges(
-                _read(distinct_dir, override_num_blocks=distinct_blocks),
-                cfg,
-                int_pairs=True,
-            ),
-        )
-    ]
-    if cfg.caption_lsh:
-        edge_stages.append(
-            (
-                "edges_caption",
-                lambda: caption_edges(
-                    _read(
-                        hashes_dir,
-                        columns=["phash", "caption", "status"],
-                        filter=ok_filter,
-                    ).drop_columns(["status"]),
-                    cfg,
-                    int_pairs=True,
-                ),
-            )
-        )
-    man.run_stages_concurrent(edge_stages)
+    raw_edges_dir = man.run_stage(
+        "edges_band",
+        lambda: band_edges(
+            _read(distinct_dir, override_num_blocks=distinct_blocks), cfg, int_pairs=True
+        ),
+    )
 
     # 3b. pair-dedup of the raw edges — only when the raw list is big
     # enough that shrinking it (~25x at sf0.1) pays for its own shuffle.
@@ -279,18 +251,11 @@ def run_dedup(
     # deterministically on resume (parquet footer row counts).
     from idf.stages.cc import count_edge_rows
 
-    raw_edge_dirs = [man.stage_dir("edges_band")] + (
-        [man.stage_dir("edges_caption")] if cfg.caption_lsh else []
-    )
-    if count_edge_rows(raw_edge_dirs) > cfg.edge_dedup_min_rows:
-        dedup_stages = [
-            (f"{os.path.basename(d)}_dedup", lambda d=d: dedup_edges(_read(d), int_pairs=True))
-            for d in raw_edge_dirs
-        ]
-        man.run_stages_concurrent(dedup_stages)
-        edge_dirs = [man.stage_dir(f"{os.path.basename(d)}_dedup") for d in raw_edge_dirs]
-    else:
-        edge_dirs = raw_edge_dirs
+    edges_dir = raw_edges_dir
+    if count_edge_rows([raw_edges_dir]) > cfg.edge_dedup_min_rows:
+        edges_dir = man.run_stage(
+            "edges_band_dedup", lambda: dedup_edges(_read(raw_edges_dir), int_pairs=True)
+        )
 
     # 4. connected components over the INT phash graph -> clusters.
     #    Exact-dup (dist-0) membership needs no edges at all: every ok
@@ -299,7 +264,7 @@ def run_dedup(
     #    singletons drop (Commands.java:149-151 analog).
     clusters_dir = man.run_stage(
         "clusters",
-        lambda: connected_components(cfg, list(edge_dirs), hashes_dir),
+        lambda: connected_components(cfg, [edges_dir], hashes_dir),
     )
 
     # 5. keeper election (driver fast path below 10M members, else the

@@ -1,8 +1,8 @@
 """Candidate-edge generation — the wide step that replaces the
 reference's all-pairs BK-tree scan (X1/X2, index/BKTreeIndex.java) with
-shuffle-based generation (SURVEY §2.5 J1/J2).
+shuffle-based generation (SURVEY §2.5 J1).
 
-Three streaming sub-pipelines. The image pipeline runs them in
+Two streaming sub-pipelines. The image pipeline runs them in
 INT-PAIR mode (``(phash_a, phash_b, dist)`` rows, ``phash_a <
 phash_b``); the generic mode emits ``(id_a, id_b, dist)`` id pairs
 for callers without a 1:1 id<->hash map (simhash_pairs). The verify
@@ -21,9 +21,9 @@ predicate is always ``hamming(phash_a, phash_b) <= radius`` exact
    16-bit segment, every segment key within ``e = ceil(floor(r/m)/2)``
    bit flips; two hashes within Hamming r share >= 1 key (proof in
    DedupConfig.expansion_radius). groupby(key) buckets then pair-emit
-   with exact verification. Recall 1.0 by construction.
-3. caption MinHash-LSH (axis B): band-key buckets over caption
-   shingles; pairs verified with the same phash predicate.
+   with exact verification. Recall 1.0 by construction, so banding is
+   the only candidate source: any other source gated by the same
+   verify predicate can only re-find pairs banding already emits.
 
 Oversized buckets are processed in bounded chunks (exact, never
 truncated).
@@ -38,7 +38,6 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.kernels.hamming import popcount64
-from idf.kernels.minhash import MinHasher, band_keys, shingle_hashes
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,7 @@ def band_edges(
     )
     # exchange=None (size-gated auto): at 32 CPUs the exchange is a
     # WASH in-pipeline vs the streaming sort (r2 best-of-3: 16.54s vs
-    # 16.66s — the two concurrent edge stages overlap the sort's
+    # 16.66s, with a second edge stage then overlapping the sort's
     # coordination), but at 4-16 CPUs the sort's fixed coordination
     # dominates the stage wall and the exchange wins outright
     # (r3 measured: edges 5.1/4.3s -> 3.9/3.4s at 16 CPUs; pipeline
@@ -389,115 +388,23 @@ def band_edges(
     )
 
 
-# ---------------------------------------------------------------------------
-# 3. caption MinHash-LSH
-
-
-class CaptionBander:
-    def __init__(self, cfg: DedupConfig, with_ids: bool = True):
-        self.hasher = MinHasher(cfg.minhash_k, cfg.seed)
-        self.bands = cfg.minhash_bands
-        self.shingle_k = cfg.shingle_k
-        self.with_ids = with_ids
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        caps = ["" if c is None else c for c in t["caption"].to_pylist()]
-        # mode="fast": caption-LSH only GENERATES candidates — every
-        # pair is verified with the phash Hamming predicate, so the
-        # cluster partition is hash-family-invariant and the vectorized
-        # family is always safe here (r2 verdict #3)
-        sigs = self.hasher.signatures(caps, self.shingle_k, mode="fast")
-        keys = band_keys(sigs, self.bands)
-        n, b = keys.shape
-        cols = {"key": pa.array(keys.reshape(-1))}
-        if self.with_ids:
-            ids = t["image_id"].to_pylist()
-            cols["image_id"] = pa.array(
-                np.repeat(np.asarray(ids, dtype=object), b), pa.string()
-            )
-        cols["phash"] = pa.array(np.repeat(t["phash"].to_numpy(zero_copy_only=False), b))
-        return pa.table(cols)
-
-
-def caption_edges(
-    hashes_ok: rd.Dataset, cfg: DedupConfig, int_pairs: bool = False
-) -> rd.Dataset:
-    """Caption-LSH candidates, verified with the phash predicate so the
-    cluster partition is unchanged vs the reference semantics (J2).
-
-    ``int_pairs=True``: ship (band_key, phash) only and emit int hash
-    pairs — two images with equal phash are one node for clustering, so
-    one representative per (key, phash) suffices (the in-bucket dedup),
-    and the verify predicate is on phashes alone."""
-    # stateless tasks: the MinHasher's permutation arrays are tiny and
-    # ship in the task closure; no actor fleet spin-up per stage
-    bander = CaptionBander(cfg, with_ids=not int_pairs)
-
-    # identical phash under the same band key dedupes inside the bucket
-    # fn (the collapse stage already links those at dist 0)
-    from idf.ops import bucketed_apply
-
-    fn = (
-        make_bucket_pairs_int_fn(cfg.radius, cfg.bucket_cap)
-        if int_pairs
-        else make_bucket_pairs_fn(cfg.radius, cfg.bucket_cap)
-    )
-    # exchange=None (size-gated auto): same rationale as band_edges —
-    # exchange below the byte gate (wins at low CPU counts, wash at 32),
-    # spill-managed streaming sort above it (the 100-TB shape). Size
-    # hint: bands x 16B (key, phash) per input row; caption strings are
-    # dropped before the shuffle, so x4 over the pruned input parquet
-    # bytes is a conservative ceiling.
-    from idf.ops import _estimate_bytes
-
-    in_bytes = _estimate_bytes(hashes_ok)
-    # same pre_map fusion as band_edges: the MinHash+banding map runs
-    # inside the exchange's split tasks, so the banded rows never
-    # materialize as a whole table
-    return bucketed_apply(
-        hashes_ok,
-        "key",
-        fn,
-        polars_sort=True,
-        est_bytes=None if in_bytes is None else in_bytes * 4,
-        pre_map=bander,
-    )
-
-
-def dedup_edges(
-    edges: rd.Dataset, with_phash: bool = False, int_pairs: bool = False
-) -> rd.Dataset:
+def dedup_edges(edges: rd.Dataset, int_pairs: bool = False) -> rd.Dataset:
     """J3: distinct (id_a, id_b), keeping min dist — bucketed grouped
     aggregate (pair keys are high-cardinality).
 
     In the image pipeline the same pair surfaces from MANY band keys
-    (~37x duplication measured at sf0.1), so deduping inside the edge
-    stages shrinks their outputs ~25x and keeps the serial CC input
+    (~37x duplication measured at sf0.1), so deduping the edge stage's
+    output shrinks it ~25x and keeps the serial CC input
     tiny — one extra parallel shuffle buys a much smaller sequential
     stage. The shuffle is ``bucketed_aggregate``'s default engine: the
     raw-task exchange (one split + one reduce task per partition, no
     sort coordination) below ``IDF_EXCHANGE_MAX_BYTES``, Ray Data's
-    streaming sort with polars blocks above it. ``with_phash`` carries
-    the endpoint hashes through (a pair's phashes are constant, so
-    'first' is exact). ``int_pairs``: the pair key is (phash_a,
-    phash_b) — the image pipeline's int-edge schema."""
+    streaming sort with polars blocks above it. ``int_pairs``: the pair
+    key is (phash_a, phash_b) — the image pipeline's int-edge schema."""
     from idf.ops import bucketed_aggregate
 
-    if int_pairs:
-        return bucketed_aggregate(
-            edges, ["phash_a", "phash_b"], {"dist": ("dist", "min")}, polars_sort=True
-        )
-    aggs = {"dist": ("dist", "min")}
-    if with_phash:
-        aggs["phash_a"] = ("phash_a", "first")
-        aggs["phash_b"] = ("phash_b", "first")
-    return bucketed_aggregate(edges, ["id_a", "id_b"], aggs, polars_sort=True)
-
-
-def _cpus() -> int:
-    from idf.ops import available_cpus
-
-    return available_cpus()
+    keys = ["phash_a", "phash_b"] if int_pairs else ["id_a", "id_b"]
+    return bucketed_aggregate(edges, keys, {"dist": ("dist", "min")}, polars_sort=True)
 
 
 def pair_distance_histogram(edges: rd.Dataset, n_buckets: int = 64) -> pd.DataFrame:

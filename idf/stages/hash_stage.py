@@ -480,13 +480,15 @@ def read_images(
 def plan_read_tasks(
     path: str, ncpu: int, target_block_bytes: int = TARGET_BLOCK_BYTES
 ) -> list[dict]:
-    """Plan the fused read+hash fan-out: pack parquet row-groups into
+    """Plan the fused read+hash fan-out: pack whole parquet files into
     task units of ~min(target, total/(4*ncpu)) encoded bytes.
 
     Planning touches only file sizes (no parquet footers) on the
-    driver; row-group-level splitting happens inside the task the
-    first time a single file exceeds 2x the target. At 100 TB this is
-    a listing of the Lance/parquet fragment manifest — O(#fragments)
+    driver. The unit is the file: one file is never split, so a file
+    larger than the target is one task, and a corpus stored as a
+    single file decodes on one core (ROADMAP "Read units smaller than
+    a file" plans row-group units instead). At 100 TB this is a
+    listing of the Lance/parquet fragment manifest — O(#fragments)
     driver memory, no data movement.
     """
     import pyarrow.dataset as pads
@@ -545,8 +547,8 @@ def read_images_dir(root: str) -> rd.Dataset:
     fmt filter). Emits the engine's standard row shape with
     ``image_id`` = path relative to ``root`` (doubling as the
     deterministic keeper tiebreak, like the reference's paths) and an
-    empty caption (loose files carry none; caption-LSH finds nothing —
-    banding alone drives clustering, matching the reference exactly).
+    empty caption (loose files carry none; clustering reads only the
+    hashes, matching the reference exactly).
 
     Scale shape: ``read_binary_files`` is fragment-parallel over the
     file listing; each task reads only its own files. Format detection

@@ -36,7 +36,7 @@ def test_radius_variants_match_oracle(ray_session, small_images_table, tmp_path,
 @pytest.mark.parametrize("algo", ["ahash", "dhash"])
 def test_algo_variants_match_oracle(ray_session, small_images_table, tmp_path, algo):
     run_dir = str(tmp_path / algo)
-    cfg = DedupConfig(algo=algo, radius=5, caption_lsh=False)
+    cfg = DedupConfig(algo=algo, radius=5)
     run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
     got = _partition(
         (r["cluster_id"], r["image_id"])

@@ -111,6 +111,11 @@ def test_manifest_metrics(run):
     assert s["hashes"]["status"] == "committed"
     assert s["hashes"]["metrics"]["status_counts"].get("ok", 0) > 0
     assert all("wall_sec" in v for v in s.values() if v.get("status") == "committed")
+    # one edge stage, and no edge dedup below edge_dedup_min_rows
+    assert {k for k, v in s.items() if v.get("status") == "committed"} == {
+        "hashes", "distinct_hashes", "edges_band", "clusters", "plan",
+        "apply_keep", "apply_quarantine",
+    }
     # per-partition lineage recorded
     assert man.state["stages"]["hashes"]["partitions"]
 
@@ -690,33 +695,41 @@ def test_apply_resume_after_failure_between_renames(
     _assert_apply_matches_plan(small_images_table, run_dir)
 
 
-@pytest.mark.parametrize("failing", ["band_edges", "caption_edges"])
-def test_resume_with_one_edge_stage_committed(
-    ray_session, small_images_table, tmp_path, monkeypatch, failing
+@pytest.mark.parametrize(
+    "failing,lost,done",
+    [
+        ("band_edges", "edges_band", ["hashes", "distinct_hashes"]),
+        ("dedup_edges", "edges_band_dedup", ["hashes", "distinct_hashes", "edges_band"]),
+    ],
+    ids=["band_edges", "dedup_edges"],
+)
+def test_resume_after_edge_stage_failure(
+    ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done
 ):
-    """The two concurrent edge stages commit independently: when one
-    fails, the other still commits, and resume rebuilds only the missing
-    one and reaches the oracle's clusters."""
+    """A failure inside an edge stage leaves every earlier stage
+    committed and the failed one uncommitted; resume reuses the earlier
+    stages as they are (same recorded wall), rebuilds from the failed
+    stage on, and reaches the oracle's plan. ``edge_dedup_min_rows=0``
+    puts the dedup stage on the path."""
     import idf.pipelines.dedup as dedup_mod
 
     def boom(*a, **kw):
         raise RuntimeError(f"induced failure in {failing}")
 
-    cfg = DedupConfig(use_precomputed_phash=False)
+    cfg = DedupConfig(use_precomputed_phash=False, edge_dedup_min_rows=0)
     run_dir = str(tmp_path / "run")
     monkeypatch.setattr(dedup_mod, failing, boom)
     with pytest.raises(RuntimeError, match="induced failure"):
         run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
     monkeypatch.undo()
     man = dedup_mod.RunManifest(run_dir, resume=True)
-    lost = {"band_edges": "edges_band", "caption_edges": "edges_caption"}[failing]
-    survivor = ({"edges_band", "edges_caption"} - {lost}).pop()
-    assert man.is_committed(survivor) and not man.is_committed(lost)
-    survivor_wall = man.summary()[survivor]["wall_sec"]
+    assert all(man.is_committed(s) for s in done)
+    assert not man.is_committed(lost)
+    walls = {s: man.summary()[s]["wall_sec"] for s in done}
 
     man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=True)
-    assert man2.is_committed(lost)
-    assert man2.summary()[survivor]["wall_sec"] == survivor_wall
+    assert man2.is_committed(lost) and man2.is_committed("edges_band_dedup")
+    assert {s: man2.summary()[s]["wall_sec"] for s in done} == walls
     _, comps, plan = oracle_end_to_end(pq.read_table(small_images_table), radius=10)
     got = sorted(
         (r["cluster_id"], r["action"], r["image_id"], r["reason"])

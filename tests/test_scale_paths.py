@@ -350,3 +350,51 @@ def test_band_edges_size_hint_gates_pre_execution(
     assert after["sort"] > before["sort"]
     assert after["sort_fallback"] == before["sort_fallback"]
     assert after["exchange"] == before["exchange"]
+
+
+def _hashes_at_every_distance(radius: int, n_segments: int, n_base: int = 50) -> np.ndarray:
+    """Distinct uint64 hashes: ``n_base`` random bases, and per base and
+    per distance d in 1..radius+1 one variant with d random bit flips and
+    one with the d flips dealt round-robin over the segments (the
+    pigeonhole worst case: every segment differs by floor or ceil of
+    d/m)."""
+    rng = np.random.default_rng(radius * 100 + n_segments)
+    seg_bits = 64 // n_segments
+    spread = [s * seg_bits + b for b in range(seg_bits) for s in range(n_segments)]
+    out = []
+    for base in rng.integers(0, 2**63, n_base, dtype=np.int64).view(np.uint64):
+        out.append(base)
+        for d in range(1, radius + 2):
+            for bits in (rng.choice(64, d, replace=False), spread[:d]):
+                flips = np.bitwise_or.reduce(np.uint64(1) << np.asarray(bits, dtype=np.uint64))
+                out.append(base ^ flips)
+    return np.unique(np.asarray(out, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "radius,n_segments", [(1, 4), (3, 4), (10, 4), (19, 4), (10, 8), (19, 8)]
+)
+def test_banding_emits_exactly_the_brute_force_pair_set(radius, n_segments):
+    """Banding recall is 1.0 by construction (DedupConfig.expansion_radius):
+    the verified pairs of the expanded key buckets are exactly the
+    brute-force ``popcount(a ^ b) <= radius`` pairs over the distinct
+    hashes. Banding is the image pipeline's only candidate-edge source
+    because of this; the cases span e = 0, 1, 2 and m = 4, 8."""
+    from idf.config import DedupConfig
+    from idf.kernels.hamming import popcount64
+    from idf.stages.candidates import BandExpander, make_bucket_pairs_int_fn
+
+    h = _hashes_at_every_distance(radius, n_segments)
+    cfg = DedupConfig(radius=radius, n_segments=n_segments)
+    ii, jj = np.triu_indices(len(h), k=1)
+    dist = popcount64(h[ii] ^ h[jj])
+    near = dist <= radius
+    a, b = h[ii[near]].view(np.int64), h[jj[near]].view(np.int64)
+    want = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), dist[near].tolist()))
+    assert len(want) >= 50  # at least one near pair per base
+
+    keyed = BandExpander(cfg, with_ids=False)(pa.table({"phash": h.view(np.int64)})).to_pandas()
+    got = make_bucket_pairs_int_fn(radius, cfg.bucket_cap)(keyed)
+    assert (got["phash_a"] < got["phash_b"]).all()
+    assert set(zip(got["phash_a"].tolist(), got["phash_b"].tolist(), got["dist"].tolist())) == want
+    assert len(got) == len(want)  # no pair emitted twice
