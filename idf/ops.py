@@ -216,6 +216,60 @@ def exchange_refs(
     return [_exchange_reduce.remote(bucket_fn, *[s[p] for s in splits]) for p in range(n_parts)]
 
 
+@ray.remote
+def _read_block(path: str, columns, filter, n_slices: int):
+    """One committed parquet file -> ``n_slices`` row slices."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=columns, filters=filter).replace_schema_metadata(None)
+    if n_slices == 1:
+        return t
+    step = -(-t.num_rows // n_slices)
+    return tuple(t.slice(i * step, step) for i in range(n_slices))
+
+
+def read_refs(files: list[str], columns=None, filter=None, min_blocks: int = 1) -> list:
+    """Arrow block refs of committed parquet files: one read task per
+    file (``filter`` is a ``pyarrow.dataset`` expression, its columns
+    need not be read; schema metadata is dropped). With fewer files
+    than ``min_blocks`` each task returns that many row slices, so a
+    row-expanding exchange over a one-file stage still fans out. No
+    Ray Data job: the refs feed ``exchange_refs`` directly."""
+    if not files:
+        return []
+    n = -(-min_blocks // len(files))
+    task = _read_block.options(num_returns=n)
+    refs = [task.remote(f, columns, filter, n) for f in files]
+    return refs if n == 1 else [r for rs in refs for r in rs]
+
+
+@ray.remote
+def _write_block(tbl: pa.Table, path: str) -> None:
+    if tbl.num_rows:
+        import pyarrow.parquet as pq
+
+        pq.write_table(tbl, path)
+
+
+def write_refs(refs: list, out_dir: str) -> None:
+    """One write task per block ref into ``out_dir``; a zero-row block
+    writes no file."""
+    import os
+
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, f"part-{i:05d}.parquet") for i in range(len(refs))]
+    ray.get([_write_block.remote(r, p) for r, p in zip(refs, paths)])
+
+
+def exchange_fits(est_bytes: int) -> bool:
+    """True when a shuffle of ``est_bytes`` runs on the raw-task
+    exchange (``IDF_EXCHANGE_MAX_BYTES``, ``IDF_NO_EXCHANGE``): the gate
+    a stage checks before reading its input as block refs."""
+    import os
+
+    return est_bytes <= _exchange_max_bytes() and not os.environ.get("IDF_NO_EXCHANGE")
+
+
 def exchange_apply(
     ds: rd.Dataset,
     key: str | list[str],
@@ -230,11 +284,14 @@ def exchange_apply(
 
     Same co-location contract as ``bucketed_apply`` (all rows with equal
     ``key`` reach the same ``bucket_fn`` call) but built from plain Ray
-    tasks instead of Ray Data's sort-based groupby: the input is
-    materialized and its block refs go through ``exchange_refs``. No
-    sample/sort coordination — measured ~2x faster than the sort path on
-    the sf0.1 banding shuffle (2.6s vs 5.1s at 32 CPUs) with identical
-    key co-location.
+    tasks instead of Ray Data's sort-based groupby. This is the Dataset
+    form of the exchange: the input is materialized (one Ray Data job),
+    its block refs go through ``exchange_refs``, and the output refs
+    become a Dataset again. Callers that already hold block refs
+    (``read_refs``, the image pipeline's shuffle stages) skip both ends
+    through ``bucketed_apply``'s refs form. No sample/sort coordination
+    — measured ~2x faster than the sort path on the sf0.1 banding
+    shuffle (2.6s vs 5.1s at 32 CPUs) with identical key co-location.
 
     This is the documented "raw Ray as last resort" case from the task
     brief: Ray Data's only keyed exchange is its sort, whose fixed
@@ -373,10 +430,22 @@ def bucketed_apply(
     to the streaming sort — the exchange materializes its whole shuffle
     input at once, which is the wrong shape for a 100-TB stage.
     IDF_NO_EXCHANGE=1 forces the sort engine globally.
+
+    ``ds`` may also be a list of Arrow block refs (``read_refs``, or an
+    earlier exchange's output): the exchange then runs on them directly
+    and returns refs, with ``est_bytes`` sizing its width. Callers pick
+    that form only after ``exchange_fits``.
     """
     import os
 
     keys = [key] if isinstance(key, str) else list(key)
+    if isinstance(ds, list):
+        # block refs (a stage read with read_refs after its
+        # exchange_fits check): the exchange runs on them directly and
+        # returns refs, with no Ray Data job; est_bytes sizes the width
+        fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
+        n_parts = exchange_width(est_bytes or 0, available_cpus())
+        return exchange_refs(ds, keys, fn, n_parts, pre_map)
     max_bytes = _exchange_max_bytes()
     post_guard = None
     if exchange is None:

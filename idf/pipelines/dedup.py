@@ -1,15 +1,24 @@
 """End-to-end near-duplicate pipeline (the flagship).
 
-Ray-Data shape (SURVEY §3, re-expressed):
+Shape (SURVEY §3, re-expressed); [Ray Data] marks the only Ray Data
+jobs below the exchange gate, every other shuffle runs on object refs:
 
   read_parquet(images, pruned columns)
-    -> map_batches(fused read+decode+hash)            [hashes]
-    -> per-batch unique + global distinct over phash  [distinct_hashes]
-    -> flat key expansion -> groupby(segment key)     [edges_band]
-    (-> pair dedup, above edge_dedup_min_rows)        [edges_band_dedup]
-    -> connected components over the int hash graph   [clusters]
-    -> hash join w/ meta -> groupby(cluster).elect    [plan]
-    -> tag keep/quarantine -> one partitioned write   [apply]
+    -> fused read+decode+hash tasks   [Ray Data]      [hashes]
+    -> per-block unique -> exchange(phash) unique     [distinct_hashes]
+    -> key expansion in the split -> exchange(key)    [edges_band]
+    (-> exchange(pair) min dist, above edge_dedup_min_rows)
+                                                      [edges_band_dedup]
+    -> labelprop rounds + label join + emit exchanges [clusters]
+    -> driver keeper election (distributed above 10M) [plan]
+    -> tag keep/quarantine -> one partitioned write [Ray Data]
+                                                      [apply]
+
+Every refs stage reads its committed input with one task per file
+(``ops.read_refs``), chains ``ops.exchange_refs``, and hands its output
+block refs to the run manifest, which writes one file per non-empty
+block. Above ``IDF_EXCHANGE_MAX_BYTES`` a stage reads its input with
+Ray Data instead and takes the spill-safe streaming sort.
 
 Every stage commits a partitioned Parquet directory through the run
 manifest (atomic rename + per-partition lineage + metrics); a rerun
@@ -27,7 +36,7 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.stages.apply import apply_plan
-from idf.stages.candidates import band_edges, dedup_edges, distinct_hashes
+from idf.stages.candidates import band_edges, band_shuffle_factor, dedup_edges, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest
@@ -192,6 +201,22 @@ def run_dedup(
                 "use_precomputed_phash=False"
             )
 
+    # The shuffle stages below read a committed stage either as block
+    # refs (one read task per file) or, when its lineage bytes times the
+    # stage's expansion factor exceed the exchange gate, as a Ray Data
+    # read that takes the spill-safe streaming sort. Below the gate they
+    # run on refs from read to write: no Ray Data job between the hashes
+    # and apply stages.
+    from idf.ops import available_cpus, exchange_fits, read_refs
+
+    def _stage_input(name, columns, filter=None, factor=1, min_blocks=1):
+        parts = man.state["stages"][name]["partitions"]
+        in_bytes = sum(p["bytes"] for p in parts)
+        if exchange_fits(in_bytes * factor):
+            files = [os.path.join(man.stage_dir(name), p["file"]) for p in parts]
+            return read_refs(files, columns, filter, min_blocks), in_bytes
+        return _read(man.stage_dir(name), columns=columns, filter=filter), in_bytes
+
     # 2. exact-hash collapse over the int64 phash column only — id
     # strings stay out of the shuffle; dist-0 membership is recovered
     # by the CC stage's hashes join. Driver fast path below the guard
@@ -206,11 +231,8 @@ def run_dedup(
                 columns=["phash"], filter=ok_filter
             )
             return pa.table({"phash": pc.unique(tbl["phash"].combine_chunks())})
-        return distinct_hashes(
-            _read(hashes_dir, columns=["phash", "status"], filter=ok_filter).drop_columns(
-                ["status"]
-            )
-        )
+        src, in_bytes = _stage_input("hashes", ["phash"], filter=ok_filter)
+        return distinct_hashes(src, est_bytes=in_bytes)
 
     import pyarrow as pa
 
@@ -225,24 +247,23 @@ def run_dedup(
     # sf0.1/32cpu). CC runs on the hash graph; image membership joins
     # back through the hashes table inside the CC stage.
     #
-    # The distinct stage's driver fast path writes ONE small file, so a
-    # plain read gives band_edges ONE input block and the key expansion
-    # (68 output rows per hash — the pipeline's widest map) runs as a
-    # single serial task: measured 3.5 s of the 32-CPU edge wall, pure
-    # first-touch allocation on one core (r4 verdict #3's "~2 s/job
-    # width-independent cost" was mostly THIS, not sort coordination).
-    # Splitting the read lets the expansion fan out: 6.8 s -> 3.4 s
-    # best-of-3 on the sf0.1 banding stage at 32 CPUs.
-    from idf.ops import available_cpus
-    from idf.stages.hash_stage import auto_num_blocks
+    # The distinct stage's driver fast path writes ONE small file, so
+    # one read block would run the key expansion (68 output rows per
+    # hash — the pipeline's widest map) as a single serial task:
+    # measured 3.5 s of the 32-CPU edge wall, pure first-touch
+    # allocation on one core. Reading it as row slices (two per CPU)
+    # lets the expansion fan out (a split read measured 6.8 s -> 3.4 s
+    # best-of-3 on the sf0.1 banding stage at 32 CPUs).
+    def _build_band():
+        src, in_bytes = _stage_input(
+            "distinct_hashes",
+            ["phash"],
+            factor=band_shuffle_factor(cfg),
+            min_blocks=2 * available_cpus(),
+        )
+        return band_edges(src, cfg, int_pairs=True, in_bytes=in_bytes)
 
-    distinct_blocks = auto_num_blocks(distinct_dir, available_cpus())
-    raw_edges_dir = man.run_stage(
-        "edges_band",
-        lambda: band_edges(
-            _read(distinct_dir, override_num_blocks=distinct_blocks), cfg, int_pairs=True
-        ),
-    )
+    raw_edges_dir = man.run_stage("edges_band", _build_band)
 
     # 3b. pair-dedup of the raw edges — only when the raw list is big
     # enough that shrinking it (~25x at sf0.1) pays for its own shuffle.
@@ -251,11 +272,13 @@ def run_dedup(
     # deterministically on resume (parquet footer row counts).
     from idf.stages.cc import count_edge_rows
 
+    def _build_edge_dedup():
+        src, in_bytes = _stage_input("edges_band", ["phash_a", "phash_b", "dist"])
+        return dedup_edges(src, int_pairs=True, est_bytes=in_bytes)
+
     edges_dir = raw_edges_dir
     if count_edge_rows([raw_edges_dir]) > cfg.edge_dedup_min_rows:
-        edges_dir = man.run_stage(
-            "edges_band_dedup", lambda: dedup_edges(_read(raw_edges_dir), int_pairs=True)
-        )
+        edges_dir = man.run_stage("edges_band_dedup", _build_edge_dedup)
 
     # 4. connected components over the INT phash graph -> clusters.
     #    Exact-dup (dist-0) membership needs no edges at all: every ok

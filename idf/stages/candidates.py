@@ -44,27 +44,34 @@ from idf.kernels.hamming import popcount64
 # 1. exact-hash collapse
 
 
-def distinct_hashes(hashes_ok: rd.Dataset) -> rd.Dataset:
+def _unique_phash(t: pa.Table) -> pa.Table:
+    import pyarrow.compute as pc
+
+    return pa.table({"phash": pc.unique(t["phash"].combine_chunks())})
+
+
+def distinct_hashes(hashes_ok, est_bytes: int | None = None):
     """Global DISTINCT over the phash column — the exact-duplicate
     collapse: identical images become ONE banding node, so hash floods
     (flat images) cost one row, not a quadratic bucket.
 
-    One chained Ray job: per-batch ``pc.unique`` combiner (no shuffle)
-    -> bucketed global unique over int64 hashes only. The per-image
-    id strings never enter this stage; image membership is recovered
-    by the CC stage's hashes-table join."""
-    import pyarrow.compute as pc
-
-    def local_unique(t: pa.Table) -> pa.Table:
-        return pa.table({"phash": pc.unique(t["phash"].combine_chunks())})
-
-    def bucket_unique(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"phash": pd.unique(g["phash"].to_numpy())})
-
+    One keyed shuffle whose split side runs a per-block ``pc.unique``
+    combiner first, so only block-distinct hashes cross it; the reduce
+    is the same unique. ``hashes_ok`` is a Dataset (-> Dataset) or the
+    block refs of the ok hashes (-> refs, ``ops.bucketed_apply``'s refs
+    form). The per-image id strings never enter this stage; image
+    membership is recovered by the CC stage's hashes-table join."""
     from idf.ops import bucketed_apply
 
-    local = hashes_ok.map_batches(local_unique, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_apply(local, "phash", bucket_unique, polars_sort=True)
+    return bucketed_apply(
+        hashes_ok,
+        "phash",
+        _unique_phash,
+        polars_sort=True,
+        arrow_fn=True,
+        est_bytes=est_bytes,
+        pre_map=_unique_phash,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +331,26 @@ def _emit_pairs_codes(codes: np.ndarray, hashes_u64: np.ndarray, radius: int, ca
     return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_d)
 
 
+def band_shuffle_factor(cfg: DedupConfig) -> int:
+    """Banding shuffle bytes per input byte: the expansion emits
+    (m * n_masks) rows of (key, phash[, id]) per distinct hash, and x2
+    covers parquet->Arrow decode inflation for int64 columns."""
+    return cfg.n_segments * len(_expansion_masks(cfg.segment_bits(), cfg.expansion_radius())) * 2
+
+
 def band_edges(
-    distinct: rd.Dataset,
+    distinct,
     cfg: DedupConfig,
     collapse_identical: bool = True,
     int_pairs: bool = False,
-) -> rd.Dataset:
+    in_bytes: int | None = None,
+):
     """Distinct-hash table -> verified candidate edges via banding.
+
+    ``distinct`` is a Dataset (-> Dataset) or block refs (-> refs; the
+    image pipeline below the exchange gate). ``in_bytes``: the input's
+    size (a committed stage's lineage bytes); a Dataset input without it
+    uses its metadata estimate.
 
     Pass ``collapse_identical=False`` when the input was NOT
     exact-collapsed and the full pair set (incl. dist-0 pairs) is the
@@ -344,34 +364,23 @@ def band_edges(
     The expander runs as STATELESS TASKS (not an actor pool): its state
     is a tiny mask array rebuilt per task — dedicated actor fleets would
     only add spin-up latency per stage."""
-    expander = BandExpander(cfg, with_ids=not int_pairs)
-    from idf.ops import bucketed_apply
+    from idf.ops import _estimate_bytes, bucketed_apply
 
+    expander = BandExpander(cfg, with_ids=not int_pairs)
     fn = (
         make_bucket_pairs_int_fn(cfg.radius, cfg.bucket_cap)
         if int_pairs
         else make_bucket_pairs_fn(cfg.radius, cfg.bucket_cap, collapse_identical)
     )
-    # exchange=None (size-gated auto): at 32 CPUs the exchange is a
-    # WASH in-pipeline vs the streaming sort (r2 best-of-3: 16.54s vs
-    # 16.66s, with a second edge stage then overlapping the sort's
-    # coordination), but at 4-16 CPUs the sort's fixed coordination
-    # dominates the stage wall and the exchange wins outright
-    # (r3 measured: edges 5.1/4.3s -> 3.9/3.4s at 16 CPUs; pipeline
-    # 4->16 scaling 0.76 -> 0.81). The expanded banding table is the
-    # pipeline's LARGEST intermediate, so the byte gate keeps the
-    # 100-TB shape: above IDF_EXCHANGE_MAX_BYTES the stage falls back
-    # to the spill-managed streaming sort (r2 ADVICE, medium).
-    # pre-execution size hint: the expanded table is (m * n_masks) rows
-    # of (key, phash[, id]) per input row — the caller-side arithmetic a
-    # lazy plan cannot expose to the gate by metadata alone. x2 covers
-    # parquet->Arrow decode inflation for int64 columns.
-    from idf.ops import _estimate_bytes
-
-    in_bytes = _estimate_bytes(distinct)
-    est = None
-    if in_bytes is not None:
-        est = in_bytes * cfg.n_segments * len(expander.masks) * 2
+    # The expanded banding table is the pipeline's LARGEST intermediate,
+    # so the byte gate keeps the 100-TB shape: above
+    # IDF_EXCHANGE_MAX_BYTES the stage falls back to the spill-managed
+    # streaming sort (r2 ADVICE, medium). The size hint is the
+    # caller-side expansion arithmetic a lazy plan cannot expose to the
+    # gate by metadata alone, so the gate decides BEFORE execution.
+    if in_bytes is None and not isinstance(distinct, list):
+        in_bytes = _estimate_bytes(distinct)
+    est = None if in_bytes is None else in_bytes * band_shuffle_factor(cfg)
     # pre_map fusion (r4 verdict #3): the 68x key expansion runs INSIDE
     # the exchange's split tasks, so the expanded table — the pipeline's
     # largest intermediate — never materializes into the object store as
@@ -388,23 +397,34 @@ def band_edges(
     )
 
 
-def dedup_edges(edges: rd.Dataset, int_pairs: bool = False) -> rd.Dataset:
-    """J3: distinct (id_a, id_b), keeping min dist — bucketed grouped
-    aggregate (pair keys are high-cardinality).
+def _min_dist_fn(keys: list[str]):
+    def fn(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate([("dist", "min")])
+        return g.select([*keys, "dist_min"]).rename_columns([*keys, "dist"])
+
+    return fn
+
+
+def dedup_edges(edges, int_pairs: bool = False, est_bytes: int | None = None):
+    """J3: distinct (id_a, id_b), keeping min dist — one pair-keyed
+    shuffle whose reduce is one Arrow ``group_by`` (pair keys are
+    high-cardinality).
 
     In the image pipeline the same pair surfaces from MANY band keys
     (~37x duplication measured at sf0.1), so deduping the edge stage's
     output shrinks it ~25x and keeps the serial CC input
     tiny — one extra parallel shuffle buys a much smaller sequential
-    stage. The shuffle is ``bucketed_aggregate``'s default engine: the
-    raw-task exchange (one split + one reduce task per partition, no
-    sort coordination) below ``IDF_EXCHANGE_MAX_BYTES``, Ray Data's
-    streaming sort with polars blocks above it. ``int_pairs``: the pair
-    key is (phash_a, phash_b) — the image pipeline's int-edge schema."""
-    from idf.ops import bucketed_aggregate
+    stage. Engine: ``bucketed_apply``'s — the raw-task exchange below
+    ``IDF_EXCHANGE_MAX_BYTES`` (``edges`` as block refs -> refs, or a
+    Dataset -> Dataset), Ray Data's streaming sort with polars blocks
+    above it. ``int_pairs``: the pair key is (phash_a, phash_b) — the
+    image pipeline's int-edge schema."""
+    from idf.ops import bucketed_apply
 
     keys = ["phash_a", "phash_b"] if int_pairs else ["id_a", "id_b"]
-    return bucketed_aggregate(edges, keys, {"dist": ("dist", "min")}, polars_sort=True)
+    return bucketed_apply(
+        edges, keys, _min_dist_fn(keys), polars_sort=True, arrow_fn=True, est_bytes=est_bytes
+    )
 
 
 def pair_distance_histogram(edges: rd.Dataset, n_buckets: int = 64) -> pd.DataFrame:

@@ -109,8 +109,11 @@ def _labelprop_min_reduce(t: pa.Table) -> pa.Table:
     return pa.table({"node": unodes, "label": new_lab, "old": old})
 
 
+@ray.remote
 def _edge_side(t: pa.Table) -> pa.Table:
     """Symmetrize + pad an edge block: (a, b) -> side-0 rows (a->b, b->a)."""
+    if t.num_columns == 0:
+        return t
     a, b = t.column(0).combine_chunks(), t.column(1).combine_chunks()
     return pa.table(
         {
@@ -157,7 +160,12 @@ def _changed_rows(t: pa.Table) -> int:
     return int(pc.sum(pc.not_equal(t["label"], t["old"])).as_py() or 0)
 
 
-def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
+@ray.remote
+def _num_rows(t: pa.Table) -> int:
+    return t.num_rows
+
+
+def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = None):
     """Distributed min-label propagation to fixpoint: ``edges`` (two
     int64 endpoint columns, by position) -> ``(node, label)``.
 
@@ -166,31 +174,37 @@ def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
     min over incoming messages and its own label; converged when no
     label changed. Deterministic output: label == min member id.
 
-    The symmetrized edge side is materialized ONCE (one Ray Data job);
-    from there the loop runs on object refs with no Ray Data job inside
-    it. Each round is exactly TWO ``exchange_refs`` (the structural
-    minimum for edge-wise propagation): edge refs ∪ label refs keyed on
-    ``src`` (label blocks turn into side-1 rows inside the split tasks),
-    then messages keyed on ``node``, whose reduce also emits each node's
-    previous label. Convergence is one tiny count task per partition,
-    summed on the driver; only the final labels become a Dataset. Per
-    round that is no Ray Data planning or sort coordination at all —
-    at small edge counts that fixed per-job cost was most of the wall.
+    The loop runs on object refs with no Ray Data job inside it: one
+    task per edge block symmetrizes it once, then each round is exactly
+    TWO ``exchange_refs`` (the structural minimum for edge-wise
+    propagation): edge refs ∪ label refs keyed on ``src`` (label blocks
+    turn into side-1 rows inside the split tasks), then messages keyed
+    on ``node``, whose reduce also emits each node's previous label.
+    Convergence is one tiny count task per partition, summed on the
+    driver. Per round that is no Ray Data planning or sort coordination
+    at all — at small edge counts that fixed per-job cost was most of
+    the wall.
+
+    ``edges`` is a list of Arrow block refs (-> label refs, which also
+    carry an ``old`` column; ``est_bytes`` sizes the exchanges) or a
+    Dataset, which is materialized once around the same loop
+    (-> Dataset). An edge-less input returns typed empty labels after 0
+    rounds.
     """
     from idf.ops import available_cpus, exchange_refs, exchange_width
 
-    edge_ds = edges.map_batches(_edge_side, batch_format="pyarrow").materialize()
-    if edge_ds.count() == 0:
-        CC_STATS.update(labelprop_rounds=0, converged=True)
-        empty = pa.array([], pa.int64())
-        return rd.from_arrow(pa.table({"node": empty, "label": empty}))
-    edge_refs = edge_ds.to_arrow_refs()
-    n_parts = exchange_width(edge_ds.size_bytes() or 0, available_cpus())
+    as_refs = isinstance(edges, list)
+    if not as_refs:
+        edges = edges.materialize()
+        est_bytes = 2 * (edges.size_bytes() or 0)  # the symmetrized side
+        edges = edges.to_arrow_refs()
+    n_parts = exchange_width(est_bytes or 0, available_cpus())
+    edge_refs = [_edge_side.remote(r) for r in edges]
     labels = exchange_refs(edge_refs, "src", _init_labels, n_parts)
 
     CC_STATS["labelprop_rounds"] = 0
-    CC_STATS["converged"] = False
-    for _ in range(max_iters):
+    CC_STATS["converged"] = not sum(ray.get([_num_rows.remote(r) for r in labels]))
+    for _ in range(0 if CC_STATS["converged"] else max_iters):
         msgs = exchange_refs(
             edge_refs + labels, "src", _labelprop_route_msgs, n_parts, pre_map=_label_side
         )
@@ -199,49 +213,69 @@ def components_labelprop(edges: rd.Dataset, max_iters: int = 50) -> rd.Dataset:
         if not sum(ray.get([_changed_rows.remote(r) for r in labels])):
             CC_STATS["converged"] = True
             break
+    if as_refs:
+        return labels
+    if not CC_STATS["labelprop_rounds"]:
+        empty = pa.array([], pa.int64())
+        return rd.from_arrow(pa.table({"node": empty, "label": empty}))
     return rd.from_arrow_refs(labels).select_columns(["node", "label"])
 
 
+def _join_side(key: str, carry: dict[str, pa.DataType]):
+    """``join_labels`` side tagger: a label block (``node``, ``label``
+    [, ``old``]) -> side-1 rows keyed on ``key``; a row block -> side 0."""
+    cols = [*carry, key]
+
+    def tag(t: pa.Table) -> pa.Table:
+        n = len(t)
+        if "label" in t.column_names:
+            return pa.table(
+                {
+                    **{c: pa.nulls(n, typ) for c, typ in carry.items()},
+                    key: t["node"],
+                    "__label": t["label"],
+                    "__side": pa.array(np.ones(n, dtype=np.int8)),
+                }
+            )
+        return (
+            t.select(cols)
+            .append_column("__label", pa.nulls(n, pa.int64()))
+            .append_column("__side", pa.array(np.zeros(n, dtype=np.int8)))
+        )
+
+    return tag
+
+
 def join_labels(
-    rows: rd.Dataset,
+    rows,
     key: str,
-    labels: rd.Dataset,
+    labels,
     out: str,
     carry: dict[str, pa.DataType] | None = None,
-) -> rd.Dataset:
+    est_bytes: int | None = None,
+):
     """``rows`` + column ``out``: the component label of each row's
     int64 ``key``, from ``labels`` = ``components_labelprop`` output; a
     key absent from the graph keeps itself as its label. ``carry`` names
-    and types the payload columns of ``rows`` besides ``key``.
+    and types the payload columns of ``rows`` besides ``key`` (neither
+    may be named ``label``, which marks the label side).
 
-    One co-grouping bucketed_apply over the side-tagged union. The join
-    is NUMPY searchsorted inside the bucket, not a pandas left-merge:
-    the union null-pads the label column on the rows side, and a
-    whole-partition pandas conversion would promote it to float64 and
-    round 64-bit labels above 2^53 — distinct components whose rounded
-    labels collide would silently merge (r2 ADVICE, high). Each side is
-    filtered in Arrow FIRST so every slice converts with true dtypes."""
+    One co-grouping shuffle over the side-tagged union: with block refs
+    for ``rows`` and ``labels`` it is one ``exchange_refs`` over both
+    ref lists, the tags added inside its split tasks (-> refs); with
+    Datasets each side is tagged by a map and ``bucketed_apply`` runs
+    the same shuffle (-> Dataset). The join is NUMPY searchsorted inside
+    the bucket, not a pandas left-merge: the union null-pads the label
+    column on the rows side, and a whole-partition pandas conversion
+    would promote it to float64 and round 64-bit labels above 2^53 —
+    distinct components whose rounded labels collide would silently
+    merge (r2 ADVICE, high). Each side is filtered in Arrow FIRST so
+    every slice converts with true dtypes."""
     from idf.ops import bucketed_apply
 
     carry = carry or {}
-    cols = [*carry, key]
-    left = rows.map_batches(
-        lambda t: t.select(cols)
-        .append_column("__label", pa.nulls(len(t), pa.int64()))
-        .append_column("__side", pa.array(np.zeros(len(t), dtype=np.int8))),
-        batch_format="pyarrow",
-    )
-    right = labels.map_batches(
-        lambda t: pa.table(
-            {
-                **{c: pa.nulls(len(t), typ) for c, typ in carry.items()},
-                key: t["node"],
-                "__label": t["label"],
-                "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    assert "label" not in (*carry, key), "'label' marks the label side"
+    tag = _join_side(key, carry)
 
     def _join(t: pa.Table) -> pa.Table:
         lt = t.filter(pc.equal(t["__side"], 0))
@@ -260,7 +294,31 @@ def join_labels(
             .append_column(out, pa.array(lab))
         )
 
-    return bucketed_apply(left.union(right), key, _join, arrow_fn=True)
+    if isinstance(rows, list):
+        return bucketed_apply(
+            rows + labels, key, _join, arrow_fn=True, est_bytes=est_bytes, pre_map=tag
+        )
+    tagged = rows.map_batches(tag, batch_format="pyarrow").union(
+        labels.map_batches(tag, batch_format="pyarrow")
+    )
+    return bucketed_apply(tagged, key, _join, arrow_fn=True, est_bytes=est_bytes)
+
+
+def _emit_clusters(t: pa.Table) -> pa.Table:
+    """Per-component emit over rows keyed by ``__key``: drop singleton
+    groups; cluster_id = the group's min image_id."""
+    t = t.sort_by([("__key", "ascending"), ("image_id", "ascending")])
+    k = t["__key"].to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]) if len(k) else np.empty(0, np.int64)
+    counts = np.diff(np.r_[starts, len(k)])
+    keep = np.repeat(counts >= 2, counts)
+    ids = t["image_id"].combine_chunks()
+    return pa.table(
+        {
+            "cluster_id": ids.take(pa.array(np.repeat(starts, counts)[keep])),
+            "image_id": ids.filter(pa.array(keep)),
+        }
+    )
 
 
 def _factorize_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +376,7 @@ def _cc_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
 
 def components_phash_labelprop(
     phash_edge_dirs: list[str], hashes_dir: str, max_iters: int = 50
-) -> rd.Dataset:
+):
     """Distributed CC over the INT phash graph + membership expansion —
     the scale path when the edge list exceeds driver memory
     (cfg.cc_driver_max_edges). Mirrors ``components_phash_driver``:
@@ -327,36 +385,31 @@ def components_phash_labelprop(
     2. every ok image joins its phash's component (one co-grouping
        shuffle, ``join_labels``); a phash absent from the graph keys its
        own group (the unedged exact-duplicate case)
-    3. per component: drop singletons, cluster_id = min image_id"""
+    3. per component: drop singletons, cluster_id = min image_id
+
+    Below ``IDF_EXCHANGE_MAX_BYTES`` (edge + hashes file bytes) the
+    stage reads both inputs with one task per file and runs on block
+    refs from read to the returned output refs, with no Ray Data job.
+    Above it the inputs are Ray Data reads and the join and emit take
+    the streaming sort."""
+    import os
+
     import pyarrow.dataset as pads
 
-    from idf.ops import bucketed_group_apply
+    from idf.ops import bucketed_apply, exchange_fits, read_refs
 
-    edges = None
-    for d in phash_edge_dirs:
-        part = rd.read_parquet(d, columns=["phash_a", "phash_b"])
-        edges = part if edges is None else edges.union(part)
-    hashes = rd.read_parquet(
-        hashes_dir,
-        columns=["image_id", "phash"],
-        filter=pads.field("status") == "ok",
-    )
+    edge_files = _parquet_files(phash_edge_dirs)
+    hash_files = _parquet_files([hashes_dir])
+    est = sum(os.path.getsize(f) for f in edge_files + hash_files)
+    ok = pads.field("status") == "ok"
+    read = read_refs if exchange_fits(est) else rd.read_parquet
+    edges = read(edge_files, columns=["phash_a", "phash_b"])
+    hashes = read(hash_files, columns=["image_id", "phash"], filter=ok)
+    labels = components_labelprop(edges, max_iters=max_iters, est_bytes=est)
     keyed = join_labels(
-        hashes,
-        "phash",
-        components_labelprop(edges, max_iters=max_iters),
-        "__key",
-        carry={"image_id": pa.string()},
+        hashes, "phash", labels, "__key", carry={"image_id": pa.string()}, est_bytes=est
     )
-
-    def _emit(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame(
-                {"cluster_id": pd.Series([], dtype=object), "image_id": pd.Series([], dtype=object)}
-            )
-        return pd.DataFrame({"cluster_id": g["image_id"].min(), "image_id": g["image_id"]})
-
-    return bucketed_group_apply(keyed, "__key", _emit)
+    return bucketed_apply(keyed, "__key", _emit_clusters, arrow_fn=True, est_bytes=est)
 
 
 def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.Table:

@@ -480,18 +480,25 @@ def read_images(
 def plan_read_tasks(
     path: str, ncpu: int, target_block_bytes: int = TARGET_BLOCK_BYTES
 ) -> list[dict]:
-    """Plan the fused read+hash fan-out: pack whole parquet files into
-    task units of ~min(target, total/(4*ncpu)) encoded bytes.
+    """Plan the fused read+hash fan-out: pack read units into tasks of
+    ~min(target, total/(4*ncpu)) encoded bytes.
 
-    Planning touches only file sizes (no parquet footers) on the
-    driver. The unit is the file: one file is never split, so a file
-    larger than the target is one task, and a corpus stored as a
-    single file decodes on one core (ROADMAP "Read units smaller than
-    a file" plans row-group units instead). At 100 TB this is a
-    listing of the Lance/parquet fragment manifest — O(#fragments)
-    driver memory, no data movement.
+    A unit is a whole parquet file, or, for a file larger than one
+    core's share of the corpus (total/ncpu, at most the byte target),
+    one of its row groups (sized from the footer's compressed column
+    chunks), so a corpus stored as one file still decodes on every
+    core. Smaller files stay whole: file packing already gives every
+    core work, and a split would only add per-task cost (on one CPU,
+    five row-group tasks of a 600-row file measured 0.21 s against
+    0.13 s for one task). Each task is ``{"paths", "row_groups",
+    "bytes"}``: per path the row groups it reads, ``[]`` for the whole
+    file. Planning reads footers only of the files it splits; the rest
+    is a listing of file sizes. At 100 TB this is a listing of the
+    Lance/parquet fragment manifest — O(#fragments) driver memory, no
+    data movement.
     """
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     files = []
     total = 0
@@ -507,18 +514,31 @@ def plan_read_tasks(
     # a few task units per core keeps stragglers short; the byte target
     # bounds task size regardless of cluster width
     target = max(1, min(target_block_bytes, total // (4 * ncpu) or 1))
+    split_above = max(1, min(target_block_bytes, total // ncpu))
     files.sort()  # deterministic plan
-    tasks: list[dict] = []
-    cur: list[str] = []
-    cur_bytes = 0
+    units: list[tuple[str, int | None, int]] = []
     for f, sz in files:
-        if cur and cur_bytes + sz > target:
-            tasks.append({"paths": cur, "bytes": cur_bytes})
-            cur, cur_bytes = [], 0
-        cur.append(f)
-        cur_bytes += sz
-    if cur:
-        tasks.append({"paths": cur, "bytes": cur_bytes})
+        md = pq.ParquetFile(f).metadata if sz > split_above else None
+        if md is None or md.num_row_groups < 2:
+            units.append((f, None, sz))
+            continue
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            rg_bytes = sum(rg.column(c).total_compressed_size for c in range(rg.num_columns))
+            units.append((f, i, rg_bytes))
+    tasks: list[dict] = []
+    cur: dict = {"paths": [], "row_groups": [], "bytes": 0}
+    for f, rg, sz in units:
+        if cur["paths"] and cur["bytes"] + sz > target:
+            tasks.append(cur)
+            cur = {"paths": [], "row_groups": [], "bytes": 0}
+        if rg is not None and cur["paths"] and cur["paths"][-1] == f:
+            cur["row_groups"][-1].append(rg)
+        else:
+            cur["paths"].append(f)
+            cur["row_groups"].append([] if rg is None else [rg])
+        cur["bytes"] += sz
+    tasks.append(cur)
     return tasks
 
 
@@ -669,17 +689,30 @@ def fused_hash_stage(images_path: str, cfg: DedupConfig) -> rd.Dataset:
             else:
                 hasher = DecodeHasher(algo, exif_from_bytes=exif_bytes)
             _FUSED_HASHERS[hasher_key] = hasher
-        for paths in batch["paths"].to_pylist():
-            for p in paths:
+        for paths, rgs in zip(batch["paths"].to_pylist(), batch["row_groups"].to_pylist()):
+            for p, rg in zip(paths, rgs):
                 pf = pq.ParquetFile(p)
-                # stream row-group-sized slices: bounds task heap to one
-                # decode batch, regardless of fragment size
-                for rb in pf.iter_batches(batch_size=batch_rows, columns=columns):
+                # stream decode-batch-sized slices of this task's row
+                # groups: bounds task heap to one decode batch,
+                # regardless of fragment size
+                for rb in pf.iter_batches(
+                    batch_size=batch_rows, row_groups=rg or None, columns=columns
+                ):
                     yield hasher(pa.Table.from_batches([rb]))
                 pf.close()
 
-    items = rd.from_items(
-        [{"paths": t["paths"]} for t in tasks], override_num_blocks=len(tasks)
+    # one block per task; explicit types keep whole-file ([]) and
+    # row-group units in one schema
+    items = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "paths": pa.array([t["paths"]], pa.list_(pa.string())),
+                    "row_groups": pa.array([t["row_groups"]], pa.list_(pa.list_(pa.int64()))),
+                }
+            )
+            for t in tasks
+        ]
     )
     return items.map_batches(
         read_and_hash, batch_format="pyarrow", batch_size=None, num_cpus=1

@@ -61,7 +61,7 @@ class RunManifest:
     def run_stage(
         self,
         name: str,
-        build: Callable[[], rd.Dataset],
+        build: Callable[[], rd.Dataset | pa.Table | list],
         metrics: dict | None = None,
         coalesce: int | None = None,
         empty_schema: pa.Schema | None = None,
@@ -69,6 +69,11 @@ class RunManifest:
         """Execute ``build`` -> write parquet atomically -> commit; or skip
         if already committed and resume is on. Returns the stage output
         directory (read it back with ``ray.data.read_parquet``).
+
+        ``build`` returns a Dataset (one Ray Data write job), a local
+        Arrow/pandas table (one pyarrow write), or a list of Arrow block
+        refs (one write task per block, a zero-row block writes no file
+        — the exchange stages, which thus run no Ray Data job).
 
         ``coalesce``: cap output partitions (small row-only outputs from
         a 512-bucket shuffle otherwise fragment into hundreds of tiny
@@ -96,18 +101,21 @@ class RunManifest:
             os.makedirs(tmp, exist_ok=True)
             table = pa.Table.from_pandas(ds, preserve_index=False) if isinstance(ds, pd.DataFrame) else ds
             pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
+        elif isinstance(ds, list):
+            from idf.ops import write_refs
+
+            write_refs(ds, tmp)
         else:
             if coalesce is not None:
                 ds = ds.repartition(coalesce)
             ds.write_parquet(tmp)
-            # a ZERO-row dataset writes no files and no directory at all
-            # (Ray's parquet sink: "0 rows and 0.0B written"), so the
-            # atomic rename below would crash — an empty stage (e.g. a
-            # fully-unique corpus yields zero candidate edges) must
-            # commit as an empty directory, not fail the pipeline
-            os.makedirs(tmp, exist_ok=True)
-            if empty_schema is not None and not os.listdir(tmp):
-                pq.write_table(empty_schema.empty_table(), os.path.join(tmp, "part-0.parquet"))
+        # a ZERO-row output writes no files (and Ray's parquet sink no
+        # directory at all), so the atomic rename below would crash — an
+        # empty stage (e.g. a fully-unique corpus yields zero candidate
+        # edges) must commit as an empty directory, not fail the pipeline
+        os.makedirs(tmp, exist_ok=True)
+        if empty_schema is not None and not os.listdir(tmp):
+            pq.write_table(empty_schema.empty_table(), os.path.join(tmp, "part-0.parquet"))
         if os.path.exists(out):
             shutil.rmtree(out)
         os.replace(tmp, out)

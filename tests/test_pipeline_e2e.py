@@ -51,6 +51,41 @@ def test_hashes_match_oracle(run):
     assert skipped == set(oh.skipped)
 
 
+def test_one_file_corpus_reads_as_row_group_tasks(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """A corpus stored as one file with several row groups plans more
+    than one read task (row-group units covering every group once) and
+    hashes exactly as the one-task plan does."""
+    import pandas as pd
+
+    import idf.stages.hash_stage as hs
+
+    table = pq.read_table(small_images_table)
+    imgs = str(tmp_path / "images.parquet")
+    pq.write_table(table, imgs, row_group_size=4)
+    n_groups = pq.ParquetFile(imgs).metadata.num_row_groups
+    assert n_groups >= 4
+    tasks = hs.plan_read_tasks(imgs, 4)
+    assert len(tasks) > 1
+    assert sorted(rg for t in tasks for rgs in t["row_groups"] for rg in rgs) == list(
+        range(n_groups)
+    )
+    cfg = DedupConfig(use_precomputed_phash=False)
+
+    def hashes() -> pd.DataFrame:
+        df = hs.fused_hash_stage(imgs, cfg).to_pandas()
+        return df.sort_values("image_id").reset_index(drop=True)
+
+    split = hashes()
+    monkeypatch.setattr(
+        hs, "plan_read_tasks", lambda path, ncpu: [{"paths": [path], "row_groups": [[]]}]
+    )
+    whole = hashes()
+    assert len(split) == table.num_rows
+    pd.testing.assert_frame_equal(split, whole)
+
+
 def test_clusters_match_oracle_partition(run):
     imgs, run_dir, _ = run
     table = pq.read_table(imgs)
@@ -603,19 +638,50 @@ def _assert_apply_matches_plan(imgs: str, run_dir: str) -> None:
     assert got["apply_keep"] == [r for r in rows if r[0] not in deletes]
 
 
-@pytest.mark.parametrize("kind", ["all_unique", "all_identical", "empty"])
-def test_apply_edge_corpora(ray_session, tmp_path, kind):
+# the perfbench scale_out config: distributed distinct, the edge-dedup
+# shuffle and labelprop CC, all on block refs below the exchange gate
+SCALE_OUT = {"cc_driver_max_edges": 0, "edge_dedup_min_rows": 0}
+EDGE_CORPUS_CASES = [
+    pytest.param(kind, cfg, id=kind if not cfg else f"scale_out-{kind}")
+    for cfg in ({}, SCALE_OUT)
+    for kind in ("all_unique", "all_identical", "empty")
+]
+
+
+def _assert_no_empty_stage_files(man) -> None:
+    """Every committed pipeline stage holds only non-empty parquet files,
+    except the one zero-row ``empty_schema`` file an empty stage may
+    commit instead of an empty directory."""
+    for name, info in man.state["stages"].items():
+        if info.get("status") != "committed":
+            continue
+        rows = [p["rows"] for p in info["partitions"]]
+        if info["rows"] == 0:
+            assert rows in ([], [0]), (name, rows)
+        else:
+            assert all(rows), (name, rows)
+
+
+@pytest.mark.parametrize("kind,cfg", EDGE_CORPUS_CASES)
+def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
     """The one-pass apply partitions degenerate corpora exactly, on both
     routes: no DELETE (quarantine commits empty), one keeper among
-    identical copies, and no rows at all."""
+    identical copies, and no rows at all — with the default config and
+    with the scale_out config, whose shuffle stages write block refs
+    (zero-row blocks write no file; nothing raises on an empty stage)."""
     from idf.stages.apply import apply_plan
 
     table = _edge_corpus(kind)
     imgs = str(tmp_path / "images.parquet")
     pq.write_table(table, imgs)
     run_dir = str(tmp_path / "run")
-    man = run_dedup(imgs, run_dir, DedupConfig(), resume=False, do_apply=True)
+    man = run_dedup(imgs, run_dir, DedupConfig(**cfg), resume=False, do_apply=True)
     assert all(man.is_committed(s) for s in APPLY_STAGES)
+    _assert_no_empty_stage_files(man)
+    if cfg and kind == "all_identical":
+        # one distinct hash, so distributed distinct ran; nothing to band
+        assert man.state["stages"]["distinct_hashes"]["rows"] == 1
+        assert man.state["stages"]["edges_band"]["partitions"] == []
     ids = table["image_id"].to_pylist()
     broadcast = _apply_rows(run_dir, table.schema.names)
     keep = {r[0] for r in broadcast["apply_keep"]}
@@ -695,30 +761,59 @@ def test_apply_resume_after_failure_between_renames(
     _assert_apply_matches_plan(small_images_table, run_dir)
 
 
+def _fail_clusters_write(monkeypatch):
+    """The refs write of the clusters stage writes its first block, then
+    fails (a crash part-way through the per-block write tasks)."""
+    import idf.ops as ops
+
+    write_refs = ops.write_refs
+
+    def failing(refs, out_dir):
+        if os.path.basename(out_dir) == "clusters.tmp":
+            write_refs(refs[:1], out_dir)
+            assert os.listdir(out_dir)
+            raise RuntimeError("induced failure in the clusters write")
+        return write_refs(refs, out_dir)
+
+    monkeypatch.setattr(ops, "write_refs", failing)
+
+
 @pytest.mark.parametrize(
-    "failing,lost,done",
+    "failing,lost,done,cfg",
     [
-        ("band_edges", "edges_band", ["hashes", "distinct_hashes"]),
-        ("dedup_edges", "edges_band_dedup", ["hashes", "distinct_hashes", "edges_band"]),
+        ("band_edges", "edges_band", ["hashes", "distinct_hashes"], {}),
+        ("dedup_edges", "edges_band_dedup", ["hashes", "distinct_hashes", "edges_band"], {}),
+        (
+            _fail_clusters_write,
+            "clusters",
+            ["hashes", "distinct_hashes", "edges_band", "edges_band_dedup"],
+            {"cc_driver_max_edges": 0},
+        ),
+        ("distinct_hashes", "distinct_hashes", ["hashes"], {"cc_driver_max_edges": 0}),
     ],
-    ids=["band_edges", "dedup_edges"],
+    ids=["band_edges", "dedup_edges", "clusters_refs_write", "distributed_distinct"],
 )
 def test_resume_after_edge_stage_failure(
-    ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done
+    ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done, cfg
 ):
-    """A failure inside an edge stage leaves every earlier stage
+    """A failure inside a shuffle stage leaves every earlier stage
     committed and the failed one uncommitted; resume reuses the earlier
     stages as they are (same recorded wall), rebuilds from the failed
     stage on, and reaches the oracle's plan. ``edge_dedup_min_rows=0``
-    puts the dedup stage on the path."""
+    puts the dedup stage on the path; ``cc_driver_max_edges=0`` puts
+    the distributed distinct and labelprop CC (both on block refs) on
+    it."""
     import idf.pipelines.dedup as dedup_mod
 
     def boom(*a, **kw):
         raise RuntimeError(f"induced failure in {failing}")
 
-    cfg = DedupConfig(use_precomputed_phash=False, edge_dedup_min_rows=0)
+    cfg = DedupConfig(use_precomputed_phash=False, edge_dedup_min_rows=0, **cfg)
     run_dir = str(tmp_path / "run")
-    monkeypatch.setattr(dedup_mod, failing, boom)
+    if callable(failing):
+        failing(monkeypatch)
+    else:
+        monkeypatch.setattr(dedup_mod, failing, boom)
     with pytest.raises(RuntimeError, match="induced failure"):
         run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
     monkeypatch.undo()
@@ -730,10 +825,96 @@ def test_resume_after_edge_stage_failure(
     man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=True)
     assert man2.is_committed(lost) and man2.is_committed("edges_band_dedup")
     assert {s: man2.summary()[s]["wall_sec"] for s in done} == walls
-    _, comps, plan = oracle_end_to_end(pq.read_table(small_images_table), radius=10)
-    got = sorted(
+    assert not os.path.exists(man2.stage_dir(lost) + ".tmp")
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+    _assert_apply_matches_plan(small_images_table, run_dir)
+
+
+def _oracle_plan(imgs: str) -> list[tuple]:
+    _, _, plan = oracle_end_to_end(pq.read_table(imgs), radius=10)
+    return plan
+
+
+def _plan_rows(run_dir: str) -> list[tuple]:
+    return sorted(
         (r["cluster_id"], r["action"], r["image_id"], r["reason"])
         for r in read_stage(run_dir, "plan").to_pandas().to_dict("records")
     )
-    assert got == plan
-    _assert_apply_matches_plan(small_images_table, run_dir)
+
+
+SHUFFLE_STAGES = ("distinct_hashes", "edges_band", "edges_band_dedup", "clusters")
+
+
+def _record_build_results(monkeypatch) -> dict:
+    """Stage name -> type of what its ``build`` returned."""
+    from idf.state.manifest import RunManifest
+
+    run_stage = RunManifest.run_stage
+    seen = {}
+
+    def recording(self, name, build, *a, **kw):
+        def wrapped():
+            out = build()
+            seen[name] = type(out)
+            return out
+
+        return run_stage(self, name, wrapped, *a, **kw)
+
+    monkeypatch.setattr(RunManifest, "run_stage", recording)
+    return seen
+
+
+def test_scale_out_runs_no_ray_data_job_between_hashes_and_apply(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """Below the exchange gate the scale_out config's shuffle stages run
+    on block refs from read to write: the whole run (no apply) writes
+    with Ray Data once, the hashes stage, and materializes nothing."""
+    calls = {"write_parquet": 0, "materialize": 0}
+    in_write = []
+    write_parquet, materialize = rd.Dataset.write_parquet, rd.Dataset.materialize
+
+    def counting_write(self, *a, **kw):
+        calls["write_parquet"] += 1
+        in_write.append(True)
+        try:
+            return write_parquet(self, *a, **kw)
+        finally:
+            in_write.pop()
+
+    def counting_materialize(self, *a, **kw):
+        if not in_write:  # Ray's write job materializes internally
+            calls["materialize"] += 1
+        return materialize(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", counting_write)
+    monkeypatch.setattr(rd.Dataset, "materialize", counting_materialize)
+    seen = _record_build_results(monkeypatch)
+    run_dir = str(tmp_path / "run")
+    man = run_dedup(
+        small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False
+    )
+    assert calls == {"write_parquet": 1, "materialize": 0}
+    assert all(seen[s] is list for s in SHUFFLE_STAGES), seen
+    _assert_no_empty_stage_files(man)
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+
+
+def test_scale_out_forced_sort_route_reaches_oracle_plan(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """Every auto-gate fallback at a forced small guard: with
+    ``IDF_EXCHANGE_MAX_BYTES=1`` every shuffle stage of the scale_out
+    config reads its input with Ray Data and takes the spill-safe sort
+    route (its build returns a Dataset), and the plan is the oracle's."""
+    import idf.ops as ops
+
+    seen = _record_build_results(monkeypatch)
+    monkeypatch.setenv("IDF_EXCHANGE_MAX_BYTES", "1")
+    sorts = ops.EXCHANGE_STATS["sort"]
+    run_dir = str(tmp_path / "run")
+    run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
+    # distinct, banding, edge dedup, then the label join and the emit
+    assert ops.EXCHANGE_STATS["sort"] - sorts >= 5
+    assert all(issubclass(seen[s], rd.Dataset) for s in SHUFFLE_STAGES), seen
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
