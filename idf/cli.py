@@ -132,18 +132,16 @@ def _partial_run(
 
 def cmd_hash(args) -> int:
     # the reference `hash` stops after hashes.csv; here after the hashes
-    # stage (later subcommands resume from the same run dir)
+    # stage, committed exactly as `idf run` commits it (later subcommands
+    # resume from the same run dir)
     ray = _ray()
-    from idf.stages.hash_stage import hash_stage, read_images
+    from idf.stages.hash_stage import fused_hash_stage, hash_schema, resolve_precomputed_cfg
     from idf.state.manifest import RunManifest
 
     man = RunManifest(args.out, resume=not args.no_resume)
-    cfg = _cfg(args)
+    cfg = resolve_precomputed_cfg(args.images, _cfg(args))
     man.run_stage(
-        "hashes",
-        lambda: hash_stage(
-            read_images(args.images, columns=["image_id", "bytes", "fmt", "caption"]), cfg
-        ),
+        "hashes", lambda: fused_hash_stage(args.images, cfg), empty_schema=hash_schema(cfg)
     )
     info = man.summary()["hashes"]
     print(f"Hashed {info['rows']} rows in {info['wall_sec']}s -> {man.stage_dir('hashes')}")

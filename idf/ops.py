@@ -258,7 +258,72 @@ def write_refs(refs: list, out_dir: str) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, f"part-{i:05d}.parquet") for i in range(len(refs))]
-    ray.get([_write_block.remote(r, p) for r, p in zip(refs, paths)])
+    wait_all([_write_block.remote(r, p) for r, p in zip(refs, paths)])
+
+
+class PartWriter:
+    """One parquet file of a task's output, opened on the first
+    non-empty table written to it: a task with no rows writes no file.
+    Use as a context manager (the file is closed on the way out)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.writer = None
+        self.rows = 0
+
+    def write(self, tbl: pa.Table) -> None:
+        if not tbl.num_rows:
+            return
+        if self.writer is None:
+            import os
+
+            import pyarrow.parquet as pq
+
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            self.writer = pq.ParquetWriter(self.path, tbl.schema)
+        self.writer.write_table(tbl)
+        self.rows += tbl.num_rows
+
+    def __enter__(self) -> "PartWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.writer is not None:
+            self.writer.close()
+
+
+@ray.remote
+def _rewrite_file(src: str, columns: list, dst: str) -> int:
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(src)
+    with PartWriter(dst) as out:
+        for i in range(pf.num_row_groups):
+            out.write(pf.read_row_group(i, columns=columns))
+    return out.rows
+
+
+def rewrite_files(files: list[str], columns: list[str], out_dir: str, prefix: str) -> list:
+    """Submit one task per parquet file that re-writes its ``columns``,
+    in that order, one row group at a time, to
+    ``out_dir/<prefix>-<i>.parquet`` (a zero-row file writes none);
+    -> the task refs, for ``wait_all``."""
+    import os
+
+    return [
+        _rewrite_file.remote(f, columns, os.path.join(out_dir, f"{prefix}-{i:05d}.parquet"))
+        for i, f in enumerate(files)
+    ]
+
+
+def wait_all(refs: list) -> list:
+    """``ray.get`` of task refs that returns or raises only once every
+    task has ended: a failed task must not leave its siblings writing
+    into a stage's ``.tmp`` directory after the stage has raised (a
+    resume would remove that directory under them)."""
+    if refs:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return ray.get(refs)
 
 
 def exchange_fits(est_bytes: int) -> bool:

@@ -1,24 +1,28 @@
 """End-to-end near-duplicate pipeline (the flagship).
 
-Shape (SURVEY §3, re-expressed); [Ray Data] marks the only Ray Data
-jobs below the exchange gate, every other shuffle runs on object refs:
+Shape (SURVEY §3, re-expressed). A parquet run below the exchange gate
+and the apply broadcast guard runs no Ray Data job: the hash and apply
+passes are plain tasks that read and write their own files, and every
+shuffle runs on object refs:
 
-  read_parquet(images, pruned columns)
-    -> fused read+decode+hash tasks   [Ray Data]      [hashes]
+  per read unit (plan_read_tasks, pruned columns)
+    -> one read+decode+hash task, writing its own file [hashes]
     -> per-block unique -> exchange(phash) unique     [distinct_hashes]
     -> key expansion in the split -> exchange(key)    [edges_band]
     (-> exchange(pair) min dist, above edge_dedup_min_rows)
                                                       [edges_band_dedup]
     -> labelprop rounds + label join + emit exchanges [clusters]
     -> driver keeper election (distributed above 10M) [plan]
-    -> tag keep/quarantine -> one partitioned write [Ray Data]
-                                                      [apply]
+    -> per read unit: one task tags keep/quarantine against the
+       broadcast DELETE ids and writes both sides      [apply]
 
 Every refs stage reads its committed input with one task per file
 (``ops.read_refs``), chains ``ops.exchange_refs``, and hands its output
 block refs to the run manifest, which writes one file per non-empty
 block. Above ``IDF_EXCHANGE_MAX_BYTES`` a stage reads its input with
-Ray Data instead and takes the spill-safe streaming sort.
+Ray Data instead and takes the spill-safe streaming sort; above
+``BROADCAST_MAX_IDS`` DELETE ids apply tags with a Ray Data hash join;
+Lance and loose-file sources hash and apply with Ray Data.
 
 Every stage commits a partitioned Parquet directory through the run
 manifest (atomic rename + per-partition lineage + metrics); a rerun
@@ -39,7 +43,7 @@ from idf.stages.apply import apply_plan
 from idf.stages.candidates import band_edges, band_shuffle_factor, dedup_edges, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
-from idf.state.manifest import RunManifest
+from idf.state.manifest import RunManifest, write_output
 
 
 def _read(path: str, **kw) -> rd.Dataset:
@@ -77,23 +81,34 @@ def run_dedup(
     # bytes column never transits the object store (the r1 hash stage
     # was flat 8->32 CPUs because ~15 GB of encoded bytes crossed
     # plasma between ReadParquet and the decode operator)
+    from idf.ops import rewrite_files, wait_all
     from idf.stages.hash_stage import fused_hash_stage, hash_schema
 
-    def _build_hashes() -> rd.Dataset:
+    def _build_hashes():
         delta = fused_hash_stage(images_path, cfg)
         if base_hashes_dir is None:
             return delta
-        base_schema = pads.dataset(base_hashes_dir).schema
-        delta_names = delta.schema().names
-        if sorted(base_schema.names) != sorted(delta_names):
+        base = pads.dataset(base_hashes_dir)
+        names = hash_schema(cfg).names
+        if sorted(base.schema.names) != sorted(names):
             raise RuntimeError(
                 "incremental run hash-schema mismatch: base stage has "
-                f"{base_schema.names}, delta produces {delta_names} — "
+                f"{base.schema.names}, delta produces {names} — "
                 "base and delta must hash in the same mode (pin "
                 "use_precomputed_phash explicitly on both runs)"
             )
-        # align column ORDER so the unioned stage writes one schema
-        return _read(base_hashes_dir, columns=delta_names).union(delta)
+
+        def write(tmp: str) -> None:
+            # one task per base file, in the delta's column ORDER so
+            # the unioned stage holds one schema; the tasks run beside
+            # the delta's hash tasks
+            refs = rewrite_files(sorted(base.files), names, tmp, "base")
+            try:
+                write_output(delta, tmp)
+            finally:
+                wait_all(refs)
+
+        return write
 
     hashes_dir = man.run_stage("hashes", _build_hashes, empty_schema=hash_schema(cfg))
     ok_filter = pads.field("status") == "ok"

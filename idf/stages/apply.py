@@ -3,24 +3,31 @@
 Reference analog A7 (app/Commands.java:287-354): DELETE rows are moved
 into a quarantine directory, keepers stay. Here (SURVEY §2.4 A7) one
 pass over the images tags every row ``keep`` (not DELETE, or not in the
-plan) or ``quarantine`` (plan DELETE), and one hive-partitioned parquet
-write splits the corpus on that tag. The run manifest commits the two
-partition directories together as ``apply_keep`` and
-``apply_quarantine`` (``RunManifest.run_split_stage``), so the encoded
-``bytes`` column is read and written exactly once. Filename-uniquing
-(`safeMove` _N suffixes) is N/A — image_ids are unique keys.
+plan) or ``quarantine`` (plan DELETE) and writes each side into its own
+hive partition directory, ``__apply=keep`` and ``__apply=quarantine``.
+The run manifest commits the two directories together as ``apply_keep``
+and ``apply_quarantine`` (``RunManifest.run_split_stage``), so the
+encoded ``bytes`` column is read and written exactly once.
+Filename-uniquing (`safeMove` _N suffixes) is N/A — image_ids are
+unique keys.
 
 Size-adaptive (like CC's ``cc_driver_max_edges`` guard): the DELETE
 ids are counted from the committed plan files in the driver with
 pyarrow (no Ray job).
 When the set is small it is read the same way and broadcast once via
-``ray.put`` (A6's keeper-map broadcast analog) and the images stream
-unshuffled; past ``broadcast_max_ids`` the ids stay distributed and the
-tag comes from one left ``hash_join`` (at 10^12 rows deletes are ~half
-the corpus — no driver list can hold them).
+``ray.put`` (A6's keeper-map broadcast analog). A parquet corpus then
+splits as one plain task per ``plan_read_tasks`` unit: each task reads
+its row groups one at a time, tags them with ``quarantine_mask`` and
+writes both sides itself, so the ``bytes`` column never enters the
+object store. Lance and loose-file sources tag with the same kernel in
+one Ray Data pass. Past ``broadcast_max_ids`` the ids stay distributed
+and the tag comes from one left ``hash_join`` (at 10^12 rows deletes are
+~half the corpus — no driver list can hold them).
 """
 
 from __future__ import annotations
+
+import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -28,7 +35,7 @@ import pyarrow.dataset as pads
 import ray
 import ray.data as rd
 
-from idf.ops import _as_arrow_type, available_cpus, get_broadcast, hash_join
+from idf.ops import PartWriter, _as_arrow_type, available_cpus, get_broadcast, hash_join, wait_all
 from idf.state.manifest import RunManifest
 
 BROADCAST_MAX_IDS = 5_000_000
@@ -38,25 +45,36 @@ TAG = "__apply"
 OUTPUTS = {"keep": "apply_keep", "quarantine": "apply_quarantine"}
 
 
-def tag_images(
-    images: rd.Dataset, plan_dir: str, broadcast_max_ids: int = BROADCAST_MAX_IDS
-) -> rd.Dataset:
-    """-> ``images`` plus a ``TAG`` column: ``quarantine`` for the
-    plan's DELETE rows, ``keep`` for every other row."""
+def quarantine_mask(image_ids, deleted: pa.Array) -> pa.Array:
+    """The tag kernel: True for the rows whose id is a plan DELETE."""
+    return pc.fill_null(pc.is_in(image_ids, value_set=deleted), False)
+
+
+def deleted_ids(plan_dir: str, broadcast_max_ids: int = BROADCAST_MAX_IDS) -> pa.Array | None:
+    """The plan's DELETE ids as one array, or None past
+    ``broadcast_max_ids`` (the ids then stay distributed)."""
     deleted = pads.field("action") == "DELETE"
     plan = pads.dataset(plan_dir)
-    if plan.count_rows(filter=deleted) <= broadcast_max_ids:
-        # the reference loads the whole plan CSV (Commands.java:292-299)
-        ids = plan.to_table(columns=["image_id"], filter=deleted)["image_id"]
-        ref = ray.put(ids.combine_chunks())
+    if plan.count_rows(filter=deleted) > broadcast_max_ids:
+        return None
+    # the reference loads the whole plan CSV (Commands.java:292-299)
+    return plan.to_table(columns=["image_id"], filter=deleted)["image_id"].combine_chunks()
+
+
+def tag_images(images: rd.Dataset, plan_dir: str, ids: pa.Array | None) -> rd.Dataset:
+    """-> ``images`` plus a ``TAG`` column: ``quarantine`` for the
+    plan's DELETE rows, ``keep`` for every other row. ``ids`` are the
+    DELETE ids to broadcast, or None to join against the plan."""
+    if ids is not None:
+        ref = ray.put(ids)
 
         def _tag(t: pa.Table) -> pa.Table:
-            hit = pc.is_in(t["image_id"], value_set=get_broadcast(ref))
-            tag = pc.if_else(pc.fill_null(hit, False), "quarantine", "keep")
-            return t.append_column(TAG, tag)
+            hit = quarantine_mask(t["image_id"], get_broadcast(ref))
+            return t.append_column(TAG, pc.if_else(hit, "quarantine", "keep"))
 
         return images.map_batches(_tag, batch_format="pyarrow")
 
+    deleted = pads.field("action") == "DELETE"
     marks = rd.read_parquet(plan_dir, columns=["image_id", "action"], filter=deleted).map_batches(
         lambda t: pa.table(
             {"image_id": t["image_id"], TAG: pa.array(["quarantine"] * len(t), pa.string())}
@@ -80,6 +98,52 @@ def tag_images(
     return joined.map_batches(_fill, batch_format="pyarrow")
 
 
+@ray.remote
+def _split_unit(paths: list, row_groups: list, ids, kernel, out_dir: str, part: str):
+    """Split one ``plan_read_tasks`` unit, one row group at a time, into
+    ``<TAG>=keep/<part>`` and ``<TAG>=quarantine/<part>`` (a side with
+    no rows writes no file); -> (rows kept, rows quarantined)."""
+    import pyarrow.parquet as pq
+
+    def side(v: str) -> str:
+        return os.path.join(out_dir, f"{TAG}={v}", part)
+
+    with PartWriter(side("keep")) as keep, PartWriter(side("quarantine")) as quar:
+        for path, rgs in zip(paths, row_groups):
+            pf = pq.ParquetFile(path)
+            for rg in rgs or range(pf.num_row_groups):
+                t = pf.read_row_group(rg)
+                hit = kernel(t["image_id"], ids)
+                quar.write(t.filter(hit))
+                keep.write(t.filter(pc.invert(hit)))
+            pf.close()
+    return keep.rows, quar.rows
+
+
+def split_images(images_path: str, ids: pa.Array):
+    """Writer for ``run_split_stage``: one ``_split_unit`` task per
+    read unit of the parquet corpus at ``images_path``, tagging against
+    the broadcast ``ids``."""
+    from idf.stages.hash_stage import plan_read_tasks
+
+    tasks = plan_read_tasks(images_path, available_cpus())
+    # resolved here, in the driver, and shipped with each task
+    kernel = quarantine_mask
+
+    def write(out_dir: str) -> None:
+        ref = ray.put(ids)
+        wait_all(
+            [
+                _split_unit.remote(
+                    t["paths"], t["row_groups"], ref, kernel, out_dir, f"part-{i:05d}.parquet"
+                )
+                for i, t in enumerate(tasks)
+            ]
+        )
+
+    return write
+
+
 def apply_plan(
     man: RunManifest,
     images_path: str,
@@ -88,16 +152,15 @@ def apply_plan(
 ) -> list[str]:
     """Split ``images_path`` by the run's committed plan into the
     ``apply_keep`` and ``apply_quarantine`` stages of ``man`` in one
-    write; -> their directories. ``replace`` recommits over committed
+    pass; -> their directories. ``replace`` recommits over committed
     outputs (the plan may have been edited since)."""
-    from idf.stages.hash_stage import auto_num_blocks, read_images
+    from idf.stages.hash_stage import is_parquet_source, read_images
 
-    def _build() -> rd.Dataset:
-        # bytes-targeted fan-out, as the hash stage reads: the default
-        # read splits a small corpus into dozens of tiny blocks, and
-        # each block becomes its own pair of output files
-        n_blocks = auto_num_blocks(images_path, available_cpus())
-        images = read_images(images_path, num_blocks=n_blocks)
-        return tag_images(images, man.stage_dir("plan"), broadcast_max_ids)
+    def _build():
+        plan_dir = man.stage_dir("plan")
+        ids = deleted_ids(plan_dir, broadcast_max_ids)
+        if ids is not None and is_parquet_source(images_path):
+            return split_images(images_path, ids)
+        return tag_images(read_images(images_path), plan_dir, ids)
 
     return man.run_split_stage(TAG, OUTPUTS, _build, replace=replace)

@@ -1,10 +1,14 @@
 """Decode + perceptual-hash stage.
 
 Reference analog: the ``idf hash`` loop (app/Commands.java:72-96) —
-format filter, per-file decode, hash, per-file failure skip. Here it is
-one actor-pool ``map_batches`` over zero-copy Arrow batches: decode
-``bytes`` -> numpy, run the batched hash kernel, drop ``bytes``
-immediately (SURVEY §7: never shuffle the binary column).
+format filter, per-file decode, hash, per-file failure skip. Here a
+parquet corpus hashes as one plain Ray task per read unit
+(``plan_read_tasks``): each task streams its own row groups in decode
+batches through the batched hash kernel and writes its own output file,
+so the ``bytes`` column never leaves the task (SURVEY §7: never shuffle
+the binary column) and only a row count returns to the driver. Lance
+and loose-file sources run the same hashers as one Ray Data
+``map_batches`` (``hash_stage``).
 
 Output schema: image_id, phash(int64 bit-cast), pixels, size, status
 ('ok' | 'skip:fmt' | 'skip:decode'). Skipped rows become metric rows
@@ -17,6 +21,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from idf.codecs import ACCEPTED_FORMATS, DecodeError, decode_luma_scaled
@@ -24,7 +29,7 @@ from idf.codecs import ACCEPTED_FORMATS, DecodeError, decode_luma_scaled
 _FMT_SET = pa.array(sorted(ACCEPTED_FORMATS))
 from idf.config import DedupConfig
 from idf.kernels.hashes import DECODE_MIN_DIM, hash_gray_batch, preprocess, resize_dims
-from idf.ops import available_cpus
+from idf.ops import PartWriter, available_cpus, wait_all
 
 HASH_SCHEMA = pa.schema(
     [
@@ -48,7 +53,8 @@ def hash_schema(cfg: DedupConfig) -> pa.Schema:
 
 
 class DecodeHasher:
-    """Actor-pool UDF: kernel constants built once per actor (__init__),
+    """Decode + hash one Arrow batch: kernel constants built once per
+    hasher (__init__, cached per worker process by ``_fused_hasher``),
     per-batch work in __call__."""
 
     def __init__(self, algo: str = "phash", exif_from_bytes: bool = False):
@@ -56,7 +62,7 @@ class DecodeHasher:
         self.exif_from_bytes = exif_from_bytes
         self.dims = resize_dims(algo)
         self.min_dim = DECODE_MIN_DIM[algo]
-        # touch kernel tables so per-actor setup cost is paid here, not
+        # touch kernel tables so per-hasher setup cost is paid here, not
         # in the first batch (DCT matrix, popcount LUT)
         from idf.kernels.hashes import _D32  # noqa: F401
 
@@ -371,7 +377,9 @@ def _make_hasher(cfg: DedupConfig):
 
 
 def hash_stage(images: rd.Dataset, cfg: DedupConfig) -> rd.Dataset:
-    """Decode+hash as STATELESS TASKS.
+    """Decode+hash of a Dataset as STATELESS Ray Data TASKS: the Lance
+    and loose-file route (a parquet corpus takes ``fused_hash_stage``'s
+    plain tasks, over the same hashers).
 
     Measured on this Ray build (2.49 local mode): task-based execution
     saturates all cores (59,853 images in 32.6s at 32 CPUs), while an
@@ -403,31 +411,6 @@ def hash_stage(images: rd.Dataset, cfg: DedupConfig) -> rd.Dataset:
 TARGET_BLOCK_BYTES = 128 << 20  # ~128 MiB of encoded bytes per read task
 
 
-def auto_num_blocks(path: str, ncpu: int, target_block_bytes: int = TARGET_BLOCK_BYTES) -> int:
-    """Bytes-targeted read fan-out (r1 verdict fix: a FIXED 4*ncpu block
-    count means ~800 GB blocks at 100 TB).
-
-    blocks = max(4*ncpu, total_bytes/target): small corpora still get a
-    few blocks per core (per-task scheduling cost stays amortized —
-    hundreds of tiny file-tasks made the decode stage driver-bound at
-    32 CPUs), while at scale the block size is bounded by
-    ``target_block_bytes`` regardless of cluster width."""
-    import pyarrow.dataset as pads
-
-    total = 0
-    try:
-        ds = pads.dataset(path)
-        for f in ds.files:
-            try:
-                total += os.path.getsize(f)
-            except OSError:
-                pass
-    except Exception:
-        total = 0
-    by_bytes = max(1, total // target_block_bytes)
-    return int(max(4 * ncpu, by_bytes))
-
-
 def _augment_optional_columns(columns: list[str] | None, schema_names) -> list[str] | None:
     """Shared column-pruning contract for every read_images branch:
     requested columns pass through untouched, except the optional EXIF
@@ -439,9 +422,7 @@ def _augment_optional_columns(columns: list[str] | None, schema_names) -> list[s
     return columns
 
 
-def read_images(
-    path: str, columns: list[str] | None = None, num_blocks: int | None = None
-) -> rd.Dataset:
+def read_images(path: str, columns: list[str] | None = None) -> rd.Dataset:
     """Source reader (S1/S2 mapping): column-pruned read of the images
     table. A ``*.lance`` path goes through ``ray.data.read_lance``
     (the north-rule table format — fragment-parallel, column-pruned at
@@ -467,14 +448,11 @@ def read_images(
             avail = ("image_id", "bytes", "fmt", "caption")
             ds = ds.select_columns([c for c in columns if c in avail])
         return ds
-    kw = {}
-    if num_blocks is not None:
-        kw["override_num_blocks"] = num_blocks
     if columns is not None:
         import pyarrow.dataset as pads
 
         columns = _augment_optional_columns(columns, pads.dataset(path).schema.names)
-    return rd.read_parquet(path, columns=columns, **kw)
+    return rd.read_parquet(path, columns=columns)
 
 
 def plan_read_tasks(
@@ -542,7 +520,63 @@ def plan_read_tasks(
     return tasks
 
 
-_FUSED_HASHERS: dict[str, DecodeHasher] = {}
+_FUSED_HASHERS: dict[tuple, DecodeHasher | PrecomputedHasher] = {}
+# rows per output row group of a hash task: the hash rows of many decode
+# batches (~100 B each) go out as one row group, not one per batch
+HASH_ROW_GROUP_ROWS = 1 << 17
+
+
+def _fused_hasher(cfg: DedupConfig):
+    """``_make_hasher(cfg)``, built once per worker process. The seed
+    MUST be part of the cache key: two configs differing only in seed
+    would otherwise share one cached PrecomputedHasher and silently
+    sample the same verify rows (r4 verdict #5)."""
+    key = (
+        cfg.algo,
+        cfg.exif_from_bytes,
+        cfg.use_precomputed_phash,
+        cfg.phash_verify_fraction,
+        cfg.seed,
+    )
+    hasher = _FUSED_HASHERS.get(key)
+    if hasher is None:
+        hasher = _FUSED_HASHERS[key] = _make_hasher(cfg)
+    return hasher
+
+
+@ray.remote
+def _hash_unit(paths: list, row_groups: list, columns: list, cfg, out_path: str) -> int:
+    """Read one ``plan_read_tasks`` unit in decode-batch slices (task
+    heap: one decode batch plus the pending hash rows), hash each slice,
+    and write the hash rows to ``out_path``; -> rows written (a unit
+    with no rows writes no file)."""
+    import pyarrow.parquet as pq
+
+    hasher = _fused_hasher(cfg)
+    schema = hash_schema(cfg)
+    pending: list[pa.Table] = []
+    n_pending = 0
+    with PartWriter(out_path) as out:
+        for path, rgs in zip(paths, row_groups):
+            pf = pq.ParquetFile(path)
+            for rb in pf.iter_batches(
+                batch_size=cfg.decode_batch_size, row_groups=rgs or None, columns=columns
+            ):
+                pending.append(hasher(pa.Table.from_batches([rb])).cast(schema))
+                n_pending += pending[-1].num_rows
+                if n_pending >= HASH_ROW_GROUP_ROWS:
+                    out.write(pa.concat_tables(pending))
+                    pending, n_pending = [], 0
+            pf.close()
+        if pending:
+            out.write(pa.concat_tables(pending))
+    return out.rows
+
+
+def is_parquet_source(path: str) -> bool:
+    """True when ``path`` is a parquet file or directory: the source the
+    plain-task hash and apply passes read (not Lance, not loose files)."""
+    return not path.rstrip("/").endswith(".lance") and not _is_loose_file_dir(path)
 
 
 def _is_loose_file_dir(path: str) -> bool:
@@ -595,10 +629,16 @@ def read_images_dir(root: str) -> rd.Dataset:
     return ds.map_batches(_rows, batch_format="pyarrow")
 
 
-def fused_hash_stage(images_path: str, cfg: DedupConfig) -> rd.Dataset:
-    """Fused read+decode+hash: each task reads its parquet fragments
-    LOCALLY and hashes them immediately, so the ``bytes`` column never
-    enters the object store.
+def fused_hash_stage(images_path: str, cfg: DedupConfig):
+    """Fused read+decode+hash of the images at ``images_path``, in the
+    form ``RunManifest.run_stage`` takes from ``build``.
+
+    A parquet source returns a writer: given the stage's ``.tmp``
+    directory it runs one plain Ray task per ``plan_read_tasks`` unit,
+    and each task reads its row groups LOCALLY, hashes them and writes
+    its own ``part-<i>.parquet`` (a unit with no rows writes none), so
+    the ``bytes`` column never enters the object store and only a row
+    count returns to the driver.
 
     Why not read_parquet -> map_batches: Ray materializes the read
     operator's output blocks (the full encoded corpus) into plasma
@@ -606,9 +646,12 @@ def fused_hash_stage(images_path: str, cfg: DedupConfig) -> rd.Dataset:
     object-store transit at sf0.1 that turned the hash stage flat from
     8->32 CPUs (plasma memcpy + page-cache pressure is shared-resource
     work that does not parallelize). Here the unit of work shipped
-    through Ray is a list of file paths; the output is the small hash
-    table. On a multi-node cluster the same pattern holds with shared
-    storage (S3/Lance): every task streams its own fragment.
+    through Ray is a list of file paths. On a multi-node cluster the
+    same pattern holds with shared storage (S3/Lance): every task
+    streams its own fragment.
+
+    Lance and loose-file sources return the Ray Data ``hash_stage``
+    Dataset over the same hashers.
     """
     cfg = resolve_precomputed_cfg(images_path, cfg)
     if images_path.rstrip("/").endswith(".lance"):
@@ -637,17 +680,10 @@ def fused_hash_stage(images_path: str, cfg: DedupConfig) -> rd.Dataset:
                 f"{images_path!r} is a loose-file directory (no metadata)"
             )
         return hash_stage(read_images_dir(images_path), cfg)
-    ncpu = available_cpus()
-    tasks = plan_read_tasks(images_path, ncpu)
-    if not tasks:
-        return rd.from_arrow(HASH_SCHEMA.empty_table())
     import pyarrow.dataset as pads
 
     schema_names = pads.dataset(images_path).schema.names
-    have_orient = "orientation" in schema_names
-    columns = ["image_id", "bytes", "fmt", "caption"] + (
-        ["orientation"] if have_orient else []
-    )
+    columns = _augment_optional_columns(["image_id", "bytes", "fmt", "caption"], schema_names)
     if cfg.use_precomputed_phash:
         missing = [c for c in PRECOMPUTED_COLUMNS if c not in schema_names]
         if missing:
@@ -661,62 +697,25 @@ def fused_hash_stage(images_path: str, cfg: DedupConfig) -> rd.Dataset:
             # so the main pass reads only metadata-width columns — at
             # 100 TB the bytes column (≈ the whole table) never leaves
             # storage. The verify sample's bytes come from the separate
-            # id-pushdown pruned pass (verify_precomputed_sample), which
-            # touches only the row groups holding sampled ids.
+            # row-group-sampled pass (verify_precomputed_sample).
             columns = [c for c in columns if c != "bytes"] + ["size"]
-    algo, batch_rows = cfg.algo, cfg.decode_batch_size
-    exif_bytes = cfg.exif_from_bytes
-    use_pre = cfg.use_precomputed_phash
-    verify_frac = cfg.phash_verify_fraction
-    verify_seed = cfg.seed
-    # the seed MUST be part of the cache key: two configs differing only
-    # in seed would otherwise share one cached PrecomputedHasher and
-    # silently sample the same verify rows (r4 verdict #5)
-    hasher_key = (algo, exif_bytes, use_pre, verify_frac, verify_seed)
+    tasks = plan_read_tasks(images_path, available_cpus())
 
-    def read_and_hash(batch: pa.Table):
-        import pyarrow.parquet as pq
-
-        hasher = _FUSED_HASHERS.get(hasher_key)
-        if hasher is None:
-            if use_pre:
-                hasher = PrecomputedHasher(
-                    algo,
-                    exif_from_bytes=exif_bytes,
-                    verify_fraction=verify_frac,
-                    seed=verify_seed,
+    def write(out_dir: str) -> None:
+        wait_all(
+            [
+                _hash_unit.remote(
+                    t["paths"],
+                    t["row_groups"],
+                    columns,
+                    cfg,
+                    os.path.join(out_dir, f"part-{i:05d}.parquet"),
                 )
-            else:
-                hasher = DecodeHasher(algo, exif_from_bytes=exif_bytes)
-            _FUSED_HASHERS[hasher_key] = hasher
-        for paths, rgs in zip(batch["paths"].to_pylist(), batch["row_groups"].to_pylist()):
-            for p, rg in zip(paths, rgs):
-                pf = pq.ParquetFile(p)
-                # stream decode-batch-sized slices of this task's row
-                # groups: bounds task heap to one decode batch,
-                # regardless of fragment size
-                for rb in pf.iter_batches(
-                    batch_size=batch_rows, row_groups=rg or None, columns=columns
-                ):
-                    yield hasher(pa.Table.from_batches([rb]))
-                pf.close()
+                for i, t in enumerate(tasks)
+            ]
+        )
 
-    # one block per task; explicit types keep whole-file ([]) and
-    # row-group units in one schema
-    items = rd.from_arrow(
-        [
-            pa.table(
-                {
-                    "paths": pa.array([t["paths"]], pa.list_(pa.string())),
-                    "row_groups": pa.array([t["row_groups"]], pa.list_(pa.list_(pa.int64()))),
-                }
-            )
-            for t in tasks
-        ]
-    )
-    return items.map_batches(
-        read_and_hash, batch_format="pyarrow", batch_size=None, num_cpus=1
-    )
+    return write
 
 
 def verify_precomputed_sample(images_path: str, cfg) -> dict:
@@ -734,8 +733,9 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
     — deterministic per layout — and selected groups are decoded IN FULL
     and compared bit-exactly against their phash column. Expected byte
     traffic = verify_fraction of the corpus, the contract the mode
-    advertises. One Ray task per sampled group (they are independent);
-    the returned counters feed the pipeline gate (idf/pipelines/dedup.py).
+    advertises. One plain Ray task per sampled group (they are
+    independent), each returning its ``(verified, mismatched)`` pair;
+    the summed counters feed the pipeline gate (idf/pipelines/dedup.py).
 
     The bytes-present path keeps its row-level content-keyed in-batch
     verify (PrecomputedHasher) — it already has the bytes in hand, so
@@ -767,35 +767,30 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
         [f"{os.path.relpath(p, root)}:{rg}" for p, rg in units], dtype=object
     )
     mask = _sample_unit_mask(keys, frac)
-    chosen = [u for u, m in zip(units, mask) if m]
-
-    algo, exif_bytes, batch_rows = cfg.algo, cfg.exif_from_bytes, cfg.decode_batch_size
-
-    def _check(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        hasher = DecodeHasher(algo, exif_from_bytes=exif_bytes)
-        n_v = 0
-        n_m = 0
-        # the orientation column must ride along when the table has one:
-        # DecodeHasher (and the in-batch verify) honor it, so omitting it
-        # here would spuriously fail honest oriented corpora at the gate
-        cols = ["image_id", "bytes", "fmt", "caption", "w", "h", "phash"] + (
-            ["orientation"] if has_orient else []
-        )
-        for path, rg in zip(batch["path"].to_pylist(), batch["rg"].to_pylist()):
-            t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
-            dv, dm = _verify_loaded_table(t, hasher, batch_rows)
-            n_v += dv
-            n_m += dm
-        return pa.table({"verified": [n_v], "mismatched": [n_m]})
-
-    work = rd.from_items([{"path": p, "rg": rg} for p, rg in chosen])
-    res = work.map_batches(_check, batch_format="pyarrow", batch_size=1).to_pandas()
+    # the orientation column must ride along when the table has one:
+    # DecodeHasher (and the in-batch verify) honor it, so omitting it
+    # here would spuriously fail honest oriented corpora at the gate
+    cols = ["image_id", "bytes", "fmt", "caption", "w", "h", "phash"] + (
+        ["orientation"] if has_orient else []
+    )
+    res = wait_all(
+        [_verify_row_group.remote(p, rg, cols, cfg) for (p, rg), m in zip(units, mask) if m]
+    )
     return {
-        "phash_verified": int(res["verified"].sum()),
-        "phash_verify_mismatch": int(res["mismatched"].sum()),
+        "phash_verified": sum(v for v, _ in res),
+        "phash_verify_mismatch": sum(m for _, m in res),
     }
+
+
+@ray.remote
+def _verify_row_group(path: str, rg: int, cols: list, cfg) -> tuple[int, int]:
+    """Decode one sampled row group against its phash column; ->
+    ``(verified, mismatched)``."""
+    import pyarrow.parquet as pq
+
+    t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
+    hasher = DecodeHasher(cfg.algo, exif_from_bytes=cfg.exif_from_bytes)
+    return _verify_loaded_table(t, hasher, cfg.decode_batch_size)
 
 
 def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int]:

@@ -29,6 +29,33 @@ import ray.data as rd
 MANIFEST_NAME = "manifest.json"
 
 
+def write_output(out, tmp: str, partition_cols: list[str] | None = None) -> None:
+    """Write what a stage's ``build`` returned into its ``tmp`` directory:
+
+    - a callable is a writer: ``out(tmp)`` writes its own files (the
+      plain-task stages, whose tasks read and write in place, so
+      nothing but a row count crosses the object store);
+    - a local Arrow/pandas table is one pyarrow write (driver fast
+      paths skip a whole Ray ``from_arrow`` -> write job);
+    - a list of Arrow block refs is one write task per block (a
+      zero-row block writes no file; the exchange stages);
+    - a Dataset is one Ray Data write job (``partition_cols``
+      hive-partitions it)."""
+    if callable(out):
+        os.makedirs(tmp, exist_ok=True)
+        out(tmp)
+    elif isinstance(out, (pa.Table, pd.DataFrame)):
+        os.makedirs(tmp, exist_ok=True)
+        table = pa.Table.from_pandas(out, preserve_index=False) if isinstance(out, pd.DataFrame) else out
+        pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
+    elif isinstance(out, list):
+        from idf.ops import write_refs
+
+        write_refs(out, tmp)
+    else:
+        out.write_parquet(tmp, partition_cols=partition_cols)
+
+
 class RunManifest:
     def __init__(self, run_dir: str, resume: bool = True):
         self.run_dir = run_dir
@@ -61,23 +88,17 @@ class RunManifest:
     def run_stage(
         self,
         name: str,
-        build: Callable[[], rd.Dataset | pa.Table | list],
+        build: Callable[[], rd.Dataset | pa.Table | list | Callable[[str], None]],
         metrics: dict | None = None,
-        coalesce: int | None = None,
         empty_schema: pa.Schema | None = None,
     ) -> str:
         """Execute ``build`` -> write parquet atomically -> commit; or skip
         if already committed and resume is on. Returns the stage output
         directory (read it back with ``ray.data.read_parquet``).
 
-        ``build`` returns a Dataset (one Ray Data write job), a local
-        Arrow/pandas table (one pyarrow write), or a list of Arrow block
-        refs (one write task per block, a zero-row block writes no file
-        — the exchange stages, which thus run no Ray Data job).
-
-        ``coalesce``: cap output partitions (small row-only outputs from
-        a 512-bucket shuffle otherwise fragment into hundreds of tiny
-        files that tax every downstream read).
+        ``build`` returns anything ``write_output`` takes: a Dataset,
+        a local table, a list of block refs, or a writer that fills the
+        ``.tmp`` directory itself.
 
         ``empty_schema``: a zero-row output commits one zero-row file of
         this schema instead of an empty directory, so readers of the
@@ -93,22 +114,7 @@ class RunManifest:
         # fully written to tmp — a lazy build may legitimately READ the
         # stage it replaces (web plan edit), and a crash mid-build must
         # leave the committed output intact for resume
-        ds = build()
-        if isinstance(ds, (pa.Table, pd.DataFrame)):
-            # driver fast paths (CC, plan election) return a local table;
-            # writing it with pyarrow directly skips a whole Ray
-            # from_arrow -> write job (~1.5s of fixed overhead per stage)
-            os.makedirs(tmp, exist_ok=True)
-            table = pa.Table.from_pandas(ds, preserve_index=False) if isinstance(ds, pd.DataFrame) else ds
-            pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
-        elif isinstance(ds, list):
-            from idf.ops import write_refs
-
-            write_refs(ds, tmp)
-        else:
-            if coalesce is not None:
-                ds = ds.repartition(coalesce)
-            ds.write_parquet(tmp)
+        write_output(build(), tmp)
         # a ZERO-row output writes no files (and Ray's parquet sink no
         # directory at all), so the atomic rename below would crash — an
         # empty stage (e.g. a fully-unique corpus yields zero candidate
@@ -138,12 +144,14 @@ class RunManifest:
         self,
         col: str,
         outputs: dict[str, str],
-        build: Callable[[], rd.Dataset],
+        build: Callable[[], rd.Dataset | Callable[[str], None]],
         replace: bool = False,
     ) -> list[str]:
         """Write ``build()`` ONCE, hive-partitioned on ``col``, and commit
         the rows of each value of ``col`` as its own stage (``outputs``:
-        value -> stage name; ``col`` itself is not written). The stages
+        value -> stage name; ``col`` itself is not written). ``build``
+        returns a Dataset or, as for ``run_stage``, a writer that fills
+        the ``.tmp`` directory itself with ``<col>=<value>/`` files. The stages
         commit together: the partition directories are renamed into
         place and the manifest is saved once after the last rename, so a
         crash anywhere leaves none of them committed, and resume skips
@@ -165,7 +173,7 @@ class RunManifest:
         tmp = os.path.join(self.run_dir, "+".join(names) + ".tmp")
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
-        build().write_parquet(tmp, partition_cols=[col])
+        write_output(build(), tmp, partition_cols=[col])
         os.makedirs(tmp, exist_ok=True)  # zero rows write no directory at all
         parts = {f"{col}={v}": out for v, out in zip(outputs, dirs)}
         unknown = sorted(set(os.listdir(tmp)) - set(parts))

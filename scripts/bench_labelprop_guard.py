@@ -16,7 +16,10 @@ Records, as one JSON line:
     canonical (cluster_id, image_id) sort — the correctness claim.
 
 Run:  python scripts/bench_labelprop_guard.py [sf_dir]
-(RAY_GRAFT_CPUS sets the Ray CPU count; default: all of this host's.)
+sf_dir defaults to the sf0.001 test corpus (TESTDATA.md), whose images
+table builds in seconds; an sf0.1 directory first generates a ~240k-row
+images table (many minutes, over 1.4 GB). RAY_GRAFT_CPUS sets the Ray
+CPU count; default: all of this host's.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def stage_wall(run_dir: str, name: str) -> float | None:
 
 
 def main() -> None:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
+    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 
     import ray

@@ -66,6 +66,15 @@ def test_cli_end_to_end(ray_session, tmp_path):
     rc = main(["hash", str(corpus / "images.parquet"), "--out", str(tmp_path / "h2")])
     assert rc == 0
     assert (tmp_path / "h2" / "hashes").is_dir()
+    # `idf hash` commits the same hashes stage as `idf run` (the same
+    # resolved hash mode: trusted phash on this input_hint table)
+    import pyarrow.dataset as pads
+
+    def hashes(d):
+        return pads.dataset(str(d / "hashes")).to_table().sort_by("image_id")
+
+    assert hashes(tmp_path / "h2").equals(hashes(run_dir))
+    assert "verify" in hashes(run_dir).column_names
 
 
 def test_lance_path_routes_and_gates():

@@ -2,6 +2,7 @@
 
 import collections
 import os
+import types
 
 import pyarrow.parquet as pq
 import pytest
@@ -17,6 +18,7 @@ from idf.oracle import (
     pair_recall_precision,
 )
 from idf.pipelines.dedup import read_stage, run_dedup
+from idf.state.manifest import RunManifest
 from idf.synth import i64_to_u64
 
 
@@ -51,6 +53,20 @@ def test_hashes_match_oracle(run):
     assert skipped == set(oh.skipped)
 
 
+def _fused_hashes(imgs: str, cfg, out_dir):
+    """The rows the fused hash stage's writer writes into ``out_dir``
+    (a parquet source hashes as plain tasks, one file per read unit),
+    sorted by image_id."""
+    from idf.stages.hash_stage import fused_hash_stage
+
+    write = fused_hash_stage(imgs, cfg)
+    assert callable(write) and not isinstance(write, rd.Dataset)
+    os.makedirs(out_dir)
+    write(str(out_dir))
+    df = pq.read_table(str(out_dir)).to_pandas()
+    return df.sort_values("image_id").reset_index(drop=True)
+
+
 def test_one_file_corpus_reads_as_row_group_tasks(
     ray_session, small_images_table, tmp_path, monkeypatch
 ):
@@ -72,16 +88,13 @@ def test_one_file_corpus_reads_as_row_group_tasks(
         range(n_groups)
     )
     cfg = DedupConfig(use_precomputed_phash=False)
-
-    def hashes() -> pd.DataFrame:
-        df = hs.fused_hash_stage(imgs, cfg).to_pandas()
-        return df.sort_values("image_id").reset_index(drop=True)
-
-    split = hashes()
+    split = _fused_hashes(imgs, cfg, tmp_path / "split")
+    # one output file per read task
+    assert len(os.listdir(tmp_path / "split")) == len(tasks)
     monkeypatch.setattr(
         hs, "plan_read_tasks", lambda path, ncpu: [{"paths": [path], "row_groups": [[]]}]
     )
-    whole = hashes()
+    whole = _fused_hashes(imgs, cfg, tmp_path / "whole")
     assert len(split) == table.num_rows
     pd.testing.assert_frame_equal(split, whole)
 
@@ -513,23 +526,19 @@ def test_loose_file_directory_source(ray_session, tmp_path):
     assert hashes.loc["broken.png", "status"] == "skip:decode"
 
 
-def test_unfused_hash_stage_matches_fused(ray_session, small_images_table):
-    """The fused read+decode+hash (bytes never enter the object store)
-    is provably an OPTIMIZATION, not a correctness dependency: the plain
-    read_parquet -> map_batches path — the one a multi-node deployment
-    without task-local storage access would run — produces the identical
-    hash table (DESIGN.md 'multi-node story')."""
+def test_unfused_hash_stage_matches_fused(ray_session, small_images_table, tmp_path):
+    """The fused read+decode+hash (plain tasks that read and write in
+    place; bytes never enter the object store) is provably an
+    OPTIMIZATION, not a correctness dependency: the plain read_parquet
+    -> map_batches path — the one Lance and loose-file sources run, and
+    a multi-node deployment without task-local storage access would —
+    produces the identical hash table (DESIGN.md 'multi-node story')."""
     from idf.config import DedupConfig
-    from idf.stages.hash_stage import fused_hash_stage, hash_stage, read_images
+    from idf.stages.hash_stage import hash_stage, read_images
 
     cfg = DedupConfig(use_precomputed_phash=False)  # decode parity is the point
     cols = ["image_id", "bytes", "fmt", "caption"]
-    fused = (
-        fused_hash_stage(small_images_table, cfg)
-        .to_pandas()
-        .sort_values("image_id")
-        .reset_index(drop=True)
-    )
+    fused = _fused_hashes(small_images_table, cfg, tmp_path / "fused")
     unfused = (
         hash_stage(read_images(small_images_table, columns=cols), cfg)
         .to_pandas()
@@ -678,6 +687,8 @@ def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
     man = run_dedup(imgs, run_dir, DedupConfig(**cfg), resume=False, do_apply=True)
     assert all(man.is_committed(s) for s in APPLY_STAGES)
     _assert_no_empty_stage_files(man)
+    for stage in APPLY_STAGES:  # a side with no rows writes no file at all
+        assert all(p["rows"] for p in man.state["stages"][stage]["partitions"]), stage
     if cfg and kind == "all_identical":
         # one distinct hash, so distributed distinct ran; nothing to band
         assert man.state["stages"]["distinct_hashes"]["rows"] == 1
@@ -696,38 +707,87 @@ def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
     assert _apply_rows(run_dir, table.schema.names) == broadcast
 
 
-def test_apply_resume_after_failure_inside_pass(
-    ray_session, small_images_table, tmp_path, monkeypatch
-):
-    """A failure inside the single tagging+write pass commits neither
-    output; resume recomputes only the apply step."""
-    import pyarrow.compute as pc
+@pytest.fixture()
+def multi_file_images(small_images_table, tmp_path):
+    """The small corpus as a directory of three parquet files: three
+    read units, so one plain task per file hashes and applies it."""
+    table = pq.read_table(small_images_table)
+    d = tmp_path / "images"
+    d.mkdir()
+    step = -(-table.num_rows // 3)
+    for i in range(3):
+        pq.write_table(table.slice(i * step, step), str(d / f"part-{i}.parquet"))
+    return str(d)
 
+
+def test_apply_resume_after_failure_inside_pass(
+    ray_session, multi_file_images, tmp_path, monkeypatch
+):
+    """A failure inside the tagging+write pass, after other tasks have
+    written their files, commits neither output; resume recomputes only
+    the apply step. The failing tag kernel is injected from the driver,
+    which ships ``quarantine_mask`` with each split task: it raises in
+    the one task whose rows hold a chosen DELETE id."""
     import idf.stages.apply as apply_mod
 
     run_dir = str(tmp_path / "run")
-    man = run_dedup(small_images_table, run_dir, DedupConfig(), resume=False, do_apply=False)
-    tag_images = apply_mod.tag_images
+    man = run_dedup(multi_file_images, run_dir, DedupConfig(), resume=False, do_apply=False)
+    plan = read_stage(run_dir, "plan").to_pandas()
+    victim = max(plan[plan["action"] == "DELETE"]["image_id"])
+    quarantine_mask = apply_mod.quarantine_mask
 
-    def failing_tag_images(images, plan_dir, broadcast_max_ids=apply_mod.BROADCAST_MAX_IDS):
-        def boom(t):
-            if pc.any(pc.equal(t[apply_mod.TAG], "quarantine")).as_py():
-                raise RuntimeError("induced failure inside the apply pass")
-            return t
+    def failing_mask(image_ids, deleted):
+        if victim in image_ids.to_pylist():
+            raise RuntimeError("induced failure inside the apply pass")
+        return quarantine_mask(image_ids, deleted)
 
-        tagged = tag_images(images, plan_dir, broadcast_max_ids)
-        return tagged.map_batches(boom, batch_format="pyarrow")
-
-    monkeypatch.setattr(apply_mod, "tag_images", failing_tag_images)
+    monkeypatch.setattr(apply_mod, "quarantine_mask", failing_mask)
     with pytest.raises(Exception, match="induced failure"):
-        run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=True)
+        run_dedup(multi_file_images, run_dir, DedupConfig(), resume=True, do_apply=True)
     assert _committed_apply(run_dir) == []
+    tmp = os.path.join(run_dir, "+".join(APPLY_STAGES) + ".tmp")
+    assert [f for _, _, files in os.walk(tmp) for f in files], "no task wrote before the failure"
     monkeypatch.undo()
 
-    man2 = run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=True)
+    man2 = run_dedup(multi_file_images, run_dir, DedupConfig(), resume=True, do_apply=True)
     assert _committed_apply(run_dir) == list(APPLY_STAGES)
     assert man2.summary()["plan"]["wall_sec"] == man.summary()["plan"]["wall_sec"]
-    _assert_apply_matches_plan(small_images_table, run_dir)
+    assert not os.path.exists(tmp)
+    _assert_apply_matches_plan(multi_file_images, run_dir)
+
+
+def test_resume_after_hash_task_failure(ray_session, multi_file_images, tmp_path, monkeypatch):
+    """One hash task writes its file, the others fail: the stage raises
+    only after every task has ended, commits nothing, and resume
+    removes the partial ``hashes.tmp`` and reaches the oracle's plan."""
+    import ray
+
+    import idf.stages.hash_stage as hs
+
+    @ray.remote
+    def first_unit_only(paths, row_groups, columns, cfg, out_path):
+        from idf.stages.hash_stage import _hash_unit
+
+        if os.path.basename(out_path) != "part-00000.parquet":
+            raise RuntimeError("induced failure in a hash task")
+        return _hash_unit._function(paths, row_groups, columns, cfg, out_path)
+
+    monkeypatch.setattr(hs, "_hash_unit", first_unit_only)
+    run_dir = str(tmp_path / "run")
+    cfg = DedupConfig(use_precomputed_phash=False)
+    with pytest.raises(Exception, match="induced failure"):
+        run_dedup(multi_file_images, run_dir, cfg, resume=False, do_apply=False)
+    monkeypatch.undo()
+    man = RunManifest(run_dir, resume=True)
+    assert man.state["stages"] == {}
+    assert os.listdir(man.stage_dir("hashes") + ".tmp") == ["part-00000.parquet"]
+
+    man2 = run_dedup(multi_file_images, run_dir, cfg, resume=True, do_apply=True)
+    assert man2.is_committed("hashes")
+    assert len(man2.state["stages"]["hashes"]["partitions"]) == 3
+    assert not os.path.exists(man2.stage_dir("hashes") + ".tmp")
+    assert _plan_rows(run_dir) == _oracle_plan(multi_file_images)
+    _assert_apply_matches_plan(multi_file_images, run_dir)
 
 
 def test_apply_resume_after_failure_between_renames(
@@ -846,58 +906,91 @@ SHUFFLE_STAGES = ("distinct_hashes", "edges_band", "edges_band_dedup", "clusters
 
 
 def _record_build_results(monkeypatch) -> dict:
-    """Stage name -> type of what its ``build`` returned."""
-    from idf.state.manifest import RunManifest
-
-    run_stage = RunManifest.run_stage
+    """Stage name -> type of what its ``build`` returned (the one-pass
+    apply records under ``apply``)."""
+    run_stage, run_split_stage = RunManifest.run_stage, RunManifest.run_split_stage
     seen = {}
 
-    def recording(self, name, build, *a, **kw):
+    def recorded(name, build):
         def wrapped():
             out = build()
             seen[name] = type(out)
             return out
 
-        return run_stage(self, name, wrapped, *a, **kw)
+        return wrapped
+
+    def recording(self, name, build, *a, **kw):
+        return run_stage(self, name, recorded(name, build), *a, **kw)
+
+    def recording_split(self, col, outputs, build, *a, **kw):
+        return run_split_stage(self, col, outputs, recorded("apply", build), *a, **kw)
 
     monkeypatch.setattr(RunManifest, "run_stage", recording)
+    monkeypatch.setattr(RunManifest, "run_split_stage", recording_split)
     return seen
 
 
-def test_scale_out_runs_no_ray_data_job_between_hashes_and_apply(
-    ray_session, small_images_table, tmp_path, monkeypatch
+# every way a run could plan a Ray Data job over a parquet corpus
+RAY_DATA_ENTRY_POINTS = (
+    (rd, "read_parquet"),
+    (rd, "from_arrow"),
+    (rd, "from_arrow_refs"),
+    (rd, "from_items"),
+    (rd.Dataset, "write_parquet"),
+    (rd.Dataset, "materialize"),
+)
+
+
+@pytest.mark.parametrize(
+    "cfg,do_apply,bytes_free",
+    [
+        pytest.param({"use_precomputed_phash": False}, False, False, id="decode"),
+        pytest.param({}, True, False, id="trusted_apply"),
+        pytest.param({"phash_verify_fraction": 0.5}, True, True, id="bytes_free_verify"),
+        pytest.param(SCALE_OUT, False, False, id="scale_out"),
+    ],
+)
+def test_parquet_run_plans_no_ray_data_job(
+    ray_session, small_images_table, tmp_path, monkeypatch, cfg, do_apply, bytes_free
 ):
-    """Below the exchange gate the scale_out config's shuffle stages run
-    on block refs from read to write: the whole run (no apply) writes
-    with Ray Data once, the hashes stage, and materializes nothing."""
-    calls = {"write_parquet": 0, "materialize": 0}
-    in_write = []
-    write_parquet, materialize = rd.Dataset.write_parquet, rd.Dataset.materialize
+    """Below the exchange gate and the apply broadcast guard a run over
+    a parquet corpus plans no Ray Data job at all: the hash stage, the
+    bytes-free verify pass and the apply pass run as plain tasks that
+    read and write in place, and every shuffle stage runs on block refs
+    from read to write. Every Ray Data entry point raises; each run
+    still reaches the oracle's plan."""
+    imgs = small_images_table
+    if bytes_free:
+        # a size column makes the main pass read no bytes, so the
+        # verify sample runs as its own row-group tasks
+        import pyarrow.compute as pc
 
-    def counting_write(self, *a, **kw):
-        calls["write_parquet"] += 1
-        in_write.append(True)
-        try:
-            return write_parquet(self, *a, **kw)
-        finally:
-            in_write.pop()
+        t = pq.read_table(small_images_table)
+        imgs = str(tmp_path / "sized.parquet")
+        pq.write_table(t.append_column("size", pc.binary_length(t["bytes"]).cast("int64")), imgs)
+    planned = []
+    for owner, attr in RAY_DATA_ENTRY_POINTS:
 
-    def counting_materialize(self, *a, **kw):
-        if not in_write:  # Ray's write job materializes internally
-            calls["materialize"] += 1
-        return materialize(self, *a, **kw)
+        def refuse(*a, _attr=attr, **kw):
+            planned.append(_attr)
+            raise AssertionError(f"Ray Data job planned through {_attr}")
 
-    monkeypatch.setattr(rd.Dataset, "write_parquet", counting_write)
-    monkeypatch.setattr(rd.Dataset, "materialize", counting_materialize)
+        monkeypatch.setattr(owner, attr, refuse)
     seen = _record_build_results(monkeypatch)
     run_dir = str(tmp_path / "run")
-    man = run_dedup(
-        small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False
-    )
-    assert calls == {"write_parquet": 1, "materialize": 0}
-    assert all(seen[s] is list for s in SHUFFLE_STAGES), seen
+    man = run_dedup(imgs, run_dir, DedupConfig(**cfg), resume=False, do_apply=do_apply)
+    monkeypatch.undo()
+    assert planned == []
+    assert seen["hashes"] is types.FunctionType, seen  # a writer
+    if cfg is SCALE_OUT:
+        assert all(seen[s] is list for s in SHUFFLE_STAGES), seen
+    if do_apply:
+        assert seen["apply"] is types.FunctionType, seen
+        _assert_apply_matches_plan(imgs, run_dir)
+    if bytes_free:
+        assert man.summary()["hashes"]["metrics"]["phash_verified"] > 0
     _assert_no_empty_stage_files(man)
-    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+    assert _plan_rows(run_dir) == _oracle_plan(imgs)
 
 
 def test_scale_out_forced_sort_route_reaches_oracle_plan(
