@@ -642,9 +642,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out = g.assign(caption_group=canon)[sizes >= 2]
             return out[["caption_group", "image_id"]]
 
-        return bucketed_apply(
-            imgs.map_batches(fp, batch_format="pandas"), "cap_fp", grp, 64
-        )
+        return bucketed_apply(imgs.map_batches(fp, batch_format="pandas"), "cap_fp", grp)
 
     def img_fetch(sf):
         from idf.stages.web import fetch_images_digest

@@ -24,7 +24,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from idf.ops import available_cpus
+from idf.ops import bucketed_group_apply
 
 
 def _stack(col) -> np.ndarray:
@@ -117,8 +117,8 @@ def cosine_topk(
 
     # the partial set holds <= nq*k rows per input batch. When that
     # total fits the driver comfortably, a local pandas reduce replaces
-    # the groupby shuffle (~3s of fixed Ray overhead at 32 CPUs for a
-    # 40-row answer); past the bound the distributed groupby runs.
+    # the exchange (fixed Ray overhead for a 40-row answer); past the
+    # bound the per-vec_id reduce runs on the exchange.
     try:
         n_rows = embeddings.count()
     except Exception:
@@ -144,7 +144,7 @@ def cosine_topk(
             .reset_index(drop=True)
         )
         return rd.from_pandas(out)
-    return partial.groupby("vec_id").map_groups(_reduce, batch_format="pandas")
+    return bucketed_group_apply(partial, "vec_id", _reduce)
 
 
 def hamming_topk(
@@ -338,7 +338,7 @@ def cosine_pairs(embeddings: rd.Dataset, tau: float = 0.9, n_shards: int = 8) ->
     expanded = embeddings.select_columns(["vec_id", "embedding"]).map_batches(
         _expand, batch_format="pyarrow"
     )
-    return bucketed_apply(expanded, "pairkey", _pairs_bucket, n_buckets=max(64, n_shards * n_shards))
+    return bucketed_apply(expanded, "pairkey", _pairs_bucket)
 
 
 def _mix64(x: np.ndarray, seed: int) -> np.ndarray:
@@ -488,13 +488,10 @@ def ivf_pairs(
     from idf.ops import bucketed_apply, get_broadcast
 
     def _assign(t) -> "pa.Table":
-        # Arrow in/out: the embedding column must stay a REAL Arrow list
-        # column through the bucket shuffle. A pandas version of this
-        # stage emitted an object-dtype column that Ray stores as a
-        # pickled extension array — polars' from_arrow PANICS on those,
-        # and sort-exchange tasks inherit a stale use_polars_sort=True
-        # from reused workers (Ray's sort map tasks, unlike map tasks,
-        # never set the worker's DataContext).
+        # Arrow in/out: the embedding column stays a REAL Arrow list
+        # column through the exchange (a pandas version emitted an
+        # object-dtype column that Ray stores as a pickled extension
+        # array).
         import pyarrow as pa
 
         c = get_broadcast(cents_ref)
@@ -606,7 +603,7 @@ def ivf_topk(
         g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True], kind="mergesort").head(k)
         return g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64), sim=g["sim"].round(6))
 
-    return partial.groupby("vec_id").map_groups(_reduce, batch_format="pandas")
+    return bucketed_group_apply(partial, "vec_id", _reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +726,7 @@ def lsh_pairs(
     bucketed = embeddings.select_columns(["vec_id", "embedding"]).map_batches(
         _bucket, batch_format="pyarrow"
     )
-    raw = bucketed_apply(bucketed, "bucket", _pairs, n_buckets=128)
+    raw = bucketed_apply(bucketed, "bucket", _pairs)
     # the same pair surfaces from multiple tables/buckets: thin dedup
     # shuffle over (a, b) int keys only
     return bucketed_apply(

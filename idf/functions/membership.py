@@ -174,5 +174,5 @@ def bloom_semi_join_keys(
 
     shrunk = kept.map_batches(distinct, batch_format="pyarrow")
     return bucketed_apply(
-        shrunk, probe_key, distinct, arrow_fn=True, n_buckets=32
+        shrunk, probe_key, distinct, arrow_fn=True
     ).sort(probe_key)

@@ -54,7 +54,6 @@ def window_agg(
         partials,
         key_list + ["window_start"],
         {"n": ("n", "sum"), "__cents": ("__cents", "sum")},
-        n_buckets=64,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -202,7 +201,7 @@ def sessionize(
             df = df.assign(__w=np.ones(len(df), dtype=np.int64))
             return _sessions_over(df, time_col, time_col, "__w")
 
-        return bucketed_apply(pruned, user_col, per_bucket, n_buckets=256)
+        return bucketed_apply(pruned, user_col, per_bucket)
 
     if pd.Timedelta(salt) < pd.Timedelta(gap):
         raise ValueError("salt period must be >= gap (else fragments are not maximal)")
@@ -245,9 +244,8 @@ def sessionize(
         pruned.map_batches(add_salt, batch_format="pandas"),
         [user_col, "__salt"],
         per_salted_bucket,
-        n_buckets=256,
     )
-    return bucketed_apply(frags, user_col, merge_frags, n_buckets=256)
+    return bucketed_apply(frags, user_col, merge_frags)
 
 
 def events_asof_orders(events: rd.Dataset, orders: rd.Dataset) -> rd.Dataset:
@@ -400,7 +398,7 @@ def leakfree_split(ds: rd.Dataset, test_hex: str = "33") -> rd.Dataset:
         return pd.DataFrame({"doc_id": g["doc_id"], "split": s})
 
     fps = ds.map_batches(add_fp, batch_format="pandas")
-    out = bucketed_group_apply(fps, "__fp", per_group, n_buckets=256)
+    out = bucketed_group_apply(fps, "__fp", per_group)
     return out.map_batches(
         lambda df: df[["doc_id", "split"]], batch_format="pandas"
     )
@@ -440,7 +438,6 @@ def funnel(
     user_col: str = "user_id",
     time_col: str = "ts",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Strictly-ordered conversion funnel: (stage, stage_name, n_users)
     where ``n_users`` counts users whose stage-i event happens strictly
@@ -454,7 +451,7 @@ def funnel(
     inside each bucket the stage chain resolves vectorized (per-stage
     groupby-min + merge — no per-user Python loop), and each bucket
     emits exactly ``len(stages)`` partial-count rows. The driver only
-    ever sees n_buckets x len(stages) integers.
+    ever sees partitions x len(stages) integers.
     """
     from idf.ops import bucketed_apply
 
@@ -491,8 +488,7 @@ def funnel(
         ds.map_batches(prefilter, batch_format="pandas"),
         user_col,
         bucket_counts,
-        n_buckets=n_buckets,
-    ).to_pandas()  # bounded: n_buckets * len(stages) rows by construction
+    ).to_pandas()  # bounded: partitions * len(stages) rows by construction
     out = partials.groupby("stage", sort=True)["n_users"].sum().reset_index()
     out["stage_name"] = [stage_list[i - 1] for i in out["stage"]]
     out["n_users"] = out["n_users"].astype(np.int64)
@@ -504,7 +500,6 @@ def retention(
     horizon_days: int = 14,
     user_col: str = "user_id",
     time_col: str = "ts",
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Cohort retention curve: (offset_days, n_users) = how many users
     were active again exactly ``offset_days`` after their first active
@@ -515,7 +510,7 @@ def retention(
     (user, day) pairs — the only rows that cross the ONE user-keyed
     exchange; inside each bucket the per-user first day is a vectorized
     groupby-min and each bucket emits at most ``horizon_days + 1``
-    partial-count rows. Driver sees n_buckets x (horizon+1) integers.
+    partial-count rows. Driver sees partitions x (horizon+1) integers.
     """
     from idf.ops import bucketed_apply
 
@@ -542,8 +537,7 @@ def retention(
         ds.map_batches(day_pairs, batch_format="pandas"),
         user_col,
         bucket_counts,
-        n_buckets=n_buckets,
-    ).to_pandas()  # bounded: n_buckets * (horizon+1) rows by construction
+    ).to_pandas()  # bounded: partitions * (horizon+1) rows by construction
     out = partials.groupby("offset_days", sort=True)["n_users"].sum().reset_index()
     out["n_users"] = out["n_users"].astype(np.int64)
     return out[["offset_days", "n_users"]]
@@ -554,7 +548,6 @@ def grouped_quantiles(
     value_col: str = "l_extendedprice",
     keys: tuple[str, ...] = ("l_returnflag",),
     qs: tuple[float, ...] = (0.01, 0.25, 0.5, 0.75, 0.9, 0.99),
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Exact per-group discrete quantiles: (keys..., q, value_cents).
 
@@ -598,7 +591,6 @@ def grouped_quantiles(
         ds.map_batches(partial, batch_format="pandas"),
         key_list + ["__cents"],
         {"n": ("n", "sum")},
-        n_buckets=n_buckets,
     ).to_pandas()  # bounded by keys x distinct cents values (domain-sized)
 
     out_rows = []
@@ -625,7 +617,6 @@ def top_paths(
     time_col: str = "ts",
     order_col: str = "event_id",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """Top-k session paths: (path, n) — the k most common event-type
     sequences (types joined with '>') over gap-based sessions, ties
@@ -639,7 +630,7 @@ def top_paths(
     vectorized sort + diff + cumsum with a groupby string-join, and
     only (path, count) partials leave it. Exchange 2 is the
     ``top_bigrams`` pattern over those partials: bucketed exact sum +
-    per-bucket LOCAL top-k, so the driver merges <= n_buckets*k rows —
+    per-bucket LOCAL top-k, so the driver merges <= partitions*k rows —
     no global sort at any scale.
     """
     from idf.ops import bucketed_apply
@@ -679,7 +670,6 @@ def top_paths(
         ds.map_batches(pruned, batch_format="pandas"),
         user_col,
         bucket_paths,
-        n_buckets=n_buckets,
     )
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -688,7 +678,7 @@ def top_paths(
             ["n", "path"], ascending=[False, True], kind="mergesort"
         ).head(k)
 
-    cand = bucketed_apply(partials, "path", bucket_topk, n_buckets=n_buckets).to_pandas()
+    cand = bucketed_apply(partials, "path", bucket_topk).to_pandas()
     out = (
         cand.groupby("path", sort=False)["n"]
         .sum()
@@ -706,7 +696,6 @@ def rfm(
     cust_col: str = "o_custkey",
     date_col: str = "o_orderdate",
     amount_col: str = "o_totalprice",
-    n_buckets: int = 64,
 ) -> rd.Dataset:
     """Per-customer RFM profile: (o_custkey, recency_days, frequency,
     monetary_cents) — the classic entity-feature build. Recency is whole
@@ -741,7 +730,6 @@ def rfm(
             "frequency": ("frequency", "sum"),
             "monetary_cents": ("monetary_cents", "sum"),
         },
-        n_buckets=n_buckets,
     )
     # materialize the customer-sized exchange output once: both the
     # scalar ref-day pass and the finish pass read the same blocks
@@ -768,7 +756,6 @@ def sample_per_key(
     key_col: str = "user_id",
     order_col: str = "event_id",
     k: int = 3,
-    n_buckets: int = 64,
 ) -> rd.Dataset:
     """Deterministic per-key downsample: for every key keep the k rows
     with the smallest ``md5(str(order_col))`` — a content-keyed uniform
@@ -812,7 +799,6 @@ def sample_per_key(
         ds.map_batches(partial, batch_format="pandas"),
         key_col,
         bucket_final,
-        n_buckets=n_buckets,
     )
 
 
@@ -820,7 +806,6 @@ def customers_without_orders(
     customer: rd.Dataset,
     orders: rd.Dataset,
     min_totalprice: float = 0.0,
-    n_buckets: int = 64,
 ) -> rd.Dataset:
     """(c_custkey, c_nationkey): anti join — customers with NO order
     above ``min_totalprice`` — via the engine's large-side
@@ -844,7 +829,6 @@ def customers_without_orders(
         orders.map_batches(keys_partial, batch_format="pandas"),
         "c_custkey",
         lambda g: g.drop_duplicates(),
-        n_buckets=n_buckets,
     )
     pruned = customer.select_columns(["c_custkey", "c_nationkey"])
     return set_membership_join(pruned, "c_custkey", okeys, negate=True)
@@ -856,7 +840,6 @@ def transitions(
     time_col: str = "ts",
     order_col: str = "event_id",
     type_col: str = "event_type",
-    n_buckets: int = 64,
 ) -> pd.DataFrame:
     """(type_from, type_to, n): Markov transition counts between each
     user's CONSECUTIVE events in (ts, order_col) order — the behavioral
@@ -894,8 +877,7 @@ def transitions(
         ds.map_batches(pruned, batch_format="pandas"),
         user_col,
         bucket_counts,
-        n_buckets=n_buckets,
-    ).to_pandas()  # bounded: n_buckets x #types^2
+    ).to_pandas()  # bounded: partitions x #types^2
     out = h.groupby(["type_from", "type_to"], sort=True)["n"].sum().reset_index()
     out["n"] = out["n"].astype(np.int64)
     return out
@@ -906,7 +888,6 @@ def nation_revenue_by_year(
     orders: rd.Dataset,
     lineitem: rd.Dataset,
     nation: rd.Dataset,
-    n_buckets: int = 64,
     name_map: dict | None = None,
     name_col: str = "n_name",
 ) -> rd.Dataset:
@@ -942,7 +923,6 @@ def nation_revenue_by_year(
         lineitem.map_batches(li_partial, batch_format="pandas"),
         "o_orderkey",
         {"__dmills": ("__dmills", "sum")},
-        n_buckets=n_buckets,
     )
 
     def o_pruned(df: pd.DataFrame) -> pd.DataFrame:
@@ -966,7 +946,6 @@ def nation_revenue_by_year(
         j1.map_batches(cust_partial, batch_format="pandas"),
         ["c_custkey", "o_year"],
         {"n_orders": ("n_orders", "sum"), "__dmills": ("__dmills", "sum")},
-        n_buckets=n_buckets,
     )
 
     j2 = hash_join(
@@ -989,7 +968,6 @@ def nation_revenue_by_year(
         named.map_batches(roll_partial, batch_format="pandas"),
         [name_col, "o_year"],
         {"n_orders": ("n_orders", "sum"), "revenue_dmills": ("revenue_dmills", "sum")},
-        n_buckets=16,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1006,7 +984,6 @@ def region_revenue_by_year(
     lineitem: rd.Dataset,
     nation: rd.Dataset,
     region: rd.Dataset,
-    n_buckets: int = 64,
 ) -> rd.Dataset:
     """(r_name, o_year, n_orders, revenue_dmills): the Q5 rollup one
     level up the geography dimension. nation x region (25 x 5 rows)
@@ -1022,12 +999,12 @@ def region_revenue_by_year(
     }
     return nation_revenue_by_year(
         customer, orders, lineitem, nation,
-        n_buckets=n_buckets, name_map=nmap, name_col="r_name",
+        name_map=nmap, name_col="r_name",
     )
 
 
 def part_type_revenue(
-    lineitem: rd.Dataset, part: rd.Dataset, n_buckets: int = 64
+    lineitem: rd.Dataset, part: rd.Dataset
 ) -> rd.Dataset:
     """(p_type, n_lineitems, revenue_dmills): discounted revenue by part
     type (the Q14-ish product-dimension rollup). The fact side collapses
@@ -1049,7 +1026,6 @@ def part_type_revenue(
         lineitem.map_batches(li_partial, batch_format="pandas"),
         "p_partkey",
         {"n_lineitems": ("n_lineitems", "sum"), "__dmills": ("__dmills", "sum")},
-        n_buckets=n_buckets,
     )
     j = hash_join(per_part, part.select_columns(["p_partkey", "p_type"]), on="p_partkey")
 
@@ -1063,7 +1039,6 @@ def part_type_revenue(
         j.map_batches(roll, batch_format="pandas"),
         "p_type",
         {"n_lineitems": ("n_lineitems", "sum"), "revenue_dmills": ("revenue_dmills", "sum")},
-        n_buckets=8,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:

@@ -258,7 +258,7 @@ def hash_split(ds: rd.Dataset, test_hex: str = "1a") -> rd.Dataset:
     return ds.map_batches(f, batch_format="pandas")
 
 
-def top_bigrams(ds: rd.Dataset, k: int = 20, n_buckets: int = 64) -> rd.Dataset:
+def top_bigrams(ds: rd.Dataset, k: int = 20) -> rd.Dataset:
     """(gram, n): the k globally most frequent token bigrams, ties
     broken alphabetically — corpus vocabulary statistics for filtering
     boilerplate.
@@ -266,7 +266,7 @@ def top_bigrams(ds: rd.Dataset, k: int = 20, n_buckets: int = 64) -> rd.Dataset:
     Three-level aggregation, none of which materializes the corpus:
     per-batch Counter partials (only distinct grams leave the batch),
     a bucketed exact sum per gram, then a per-bucket LOCAL top-k so the
-    driver merges <= n_buckets*k candidate rows — no global sort at any
+    driver merges <= partitions*k candidate rows — no global sort at any
     scale. Tokenization matches doc_token_count's oracle
     (lower + trim + whitespace split)."""
     from collections import Counter
@@ -294,8 +294,8 @@ def top_bigrams(ds: rd.Dataset, k: int = 20, n_buckets: int = 64) -> rd.Dataset:
     from idf.ops import bucketed_apply
 
     partials = ds.map_batches(partial, batch_format="pandas")
-    local = bucketed_apply(partials, "gram", bucket_topk, n_buckets=n_buckets)
-    cand = local.to_pandas()  # <= n_buckets * k rows by construction
+    local = bucketed_apply(partials, "gram", bucket_topk)
+    cand = local.to_pandas()  # <= partitions * k rows by construction
     out = cand.sort_values(["n", "gram"], ascending=[False, True], kind="mergesort").head(k)
     return out.reset_index(drop=True)
 
@@ -303,7 +303,7 @@ def top_bigrams(ds: rd.Dataset, k: int = 20, n_buckets: int = 64) -> rd.Dataset:
 _ALPHA = re.compile(r"[^a-z]+")
 
 
-def tfidf_topk(ds: rd.Dataset, k: int = 5, min_len: int = 2, n_buckets: int = 64) -> rd.Dataset:
+def tfidf_topk(ds: rd.Dataset, k: int = 5, min_len: int = 2) -> rd.Dataset:
     """(doc_id, term, tf, df, rank): each document's k most distinctive
     terms by TF-IDF, rank 1..k by ``tf/df`` descending with term-ascending
     tiebreak — the standard vocabulary-weighting signal for boilerplate
@@ -346,7 +346,7 @@ def tfidf_topk(ds: rd.Dataset, k: int = 5, min_len: int = 2, n_buckets: int = 64
         return g.groupby("term", sort=False)["df"].sum().reset_index()
 
     dftab = bucketed_apply(
-        ds.map_batches(df_partial, batch_format="pandas"), "term", df_sum, n_buckets=n_buckets
+        ds.map_batches(df_partial, batch_format="pandas"), "term", df_sum
     ).to_pandas()  # vocabulary-sized by construction
     if len(dftab) == 0:
         # every token was dropped: downstream Counters are empty too, so
@@ -494,7 +494,7 @@ def contamination(
 
 
 def curation_funnel(
-    ds: rd.Dataset, min_tokens: int = 10, lang: str = "en", n_buckets: int = 64
+    ds: rd.Dataset, min_tokens: int = 10, lang: str = "en"
 ) -> pd.DataFrame:
     """Corpus curation funnel: (stage, stage_name, n_docs) — how many
     documents survive each filter of a standard pre-training cleanup:
@@ -553,7 +553,7 @@ def curation_funnel(
         )
 
     d = bucketed_apply(
-        ds.map_batches(fps, batch_format="pandas"), "fp", bucket_distinct, n_buckets
+        ds.map_batches(fps, batch_format="pandas"), "fp", bucket_distinct
     ).to_pandas()  # one row per bucket
     n4 = int(d["n"].sum())
 
@@ -599,7 +599,7 @@ def packing_stats(ds: rd.Dataset, seq_len: int = 1024) -> pd.DataFrame:
     ).astype(np.int64)
 
 
-def langid_confusion(ds: rd.Dataset, n_buckets: int = 16) -> pd.DataFrame:
+def langid_confusion(ds: rd.Dataset) -> pd.DataFrame:
     """(lang, lang_pred, n): confusion matrix of the heuristic language
     ID against the table's labeled ``lang`` column — the evaluation
     every classifier-shaped curation filter needs before it gates data.
@@ -624,7 +624,6 @@ def langid_confusion(ds: rd.Dataset, n_buckets: int = 16) -> pd.DataFrame:
         ds.map_batches(part, batch_format="pandas"),
         ["lang", "lang_pred"],
         {"n": ("n", "sum")},
-        n_buckets=n_buckets,
     ).to_pandas()  # bounded by #languages^2 cells
     agg["n"] = agg["n"].astype(np.int64)
     return agg.sort_values(["lang", "lang_pred"]).reset_index(drop=True)

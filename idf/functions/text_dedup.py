@@ -135,7 +135,7 @@ def ngram_jaccard_pairs(
             }
         )
 
-    partials = bucketed_apply(shingles, "shingle", _bucket_counts, polars_sort=True).materialize()
+    partials = bucketed_apply(shingles, "shingle", _bucket_counts).materialize()
 
     # per-doc shingle counts WITHOUT a shuffle: _shingle_rows emits all
     # of a doc's shingle rows inside one output batch, so a per-batch
@@ -316,7 +316,7 @@ def minhash_lsh_pairs(
     # the count + downstream reuse don't re-run the banding. Pair
     # duplicates (same pair from several bands) collapse in the final
     # per-pair verify groupby — no dedup shuffle needed.
-    cands = bucketed_apply(banded, "key", _cand_bucket, polars_sort=True).materialize()
+    cands = bucketed_apply(banded, "key", _cand_bucket).materialize()
 
     text_side = docs.select_columns(["doc_id", "text"])
     if cands.count() <= broadcast_max_cands:
@@ -556,11 +556,14 @@ SUBSTRING_STATS = {"verify_route": None, "n_candidates": None, "win_verify": Non
 # driver-small and the win grouping runs as a bucketed exchange
 _DRIVER_VERIFY_MAX = 1_000_000
 
+# default ``fused_max_bytes``: above this many keyed window bytes the
+# verify stops shipping window text through the hash shuffle
+_FUSED_MAX_BYTES = 32 << 30
+
 
 def substring_dup_positions(
     docs: rd.Dataset,
     min_len: int = 30,
-    n_buckets: int | None = None,
     verify: bool = True,
     broadcast_max_cands: int = 5_000_000,
     fused_max_bytes: int | None = None,
@@ -578,8 +581,8 @@ def substring_dup_positions(
     carries 3 int64s per character of corpus — that is the inherent
     cost of exact substring dedup (the suffix-array approach shuffles
     comparable volume to sort suffixes). Hot boilerplate windows skew
-    only their bucket's OUTPUT size, not the groupby (the shuffle is
-    keyed on 512 hash buckets, not raw window hashes).
+    only their partition's OUTPUT size, not the shuffle (the exchange
+    is keyed on hash partitions, not raw window hashes).
 
     ``verify=True`` (default) makes the operator EXACT, matching the
     image pipeline's verified-edge contract: fixed-base polynomial
@@ -591,8 +594,8 @@ def substring_dup_positions(
 
     1. ``fused_winkey`` — when the pre-execution metadata estimate says
        the keyed window rows fit the exchange engine
-       (``est_chars x (4*min_len+16) <= fused_max_bytes``, default the
-       exchange byte gate): ship the raw window BYTES alongside the
+       (``est_chars x (4*min_len+16) <= fused_max_bytes``, default
+       ``_FUSED_MAX_BYTES``, 32 GiB): ship the raw window BYTES alongside the
        hash in the ONE existing shuffle and verify in-bucket (equal
        strings => equal hashes => same bucket, so a per-bucket group on
        the bytes is globally exact). Zero extra passes, zero extra
@@ -611,13 +614,12 @@ def substring_dup_positions(
        verifies. Two extra exchanges, no broadcast, no recompute.
     """
     from idf.kernels.suffix import batch_window_hashes, batch_window_keys
-    from idf.ops import _estimate_bytes, _exchange_max_bytes, bucketed_apply
+    from idf.ops import _estimate_bytes, bucketed_apply
 
     texts = docs.select_columns(["doc_id", "text"])
-    kwargs0 = {} if n_buckets is None else {"n_buckets": n_buckets}
 
     if verify:
-        gate = _exchange_max_bytes() if fused_max_bytes is None else fused_max_bytes
+        gate = _FUSED_MAX_BYTES if fused_max_bytes is None else fused_max_bytes
         # select_columns (a Project) erases plan metadata — probe the
         # caller's dataset too (read-rooted there; slight over-estimate
         # from extra columns only makes the gate more conservative)
@@ -679,7 +681,7 @@ def substring_dup_positions(
 
             keyed = texts.map_batches(_winkeys, batch_format="pyarrow")
             return bucketed_apply(
-                keyed, "h", _dup_wins, est_bytes=est * row_w, arrow_fn=True, **kwargs0
+                keyed, "h", _dup_wins, est_bytes=est * row_w, arrow_fn=True
             )
 
     def _windows(df: pd.DataFrame) -> pd.DataFrame:
@@ -693,8 +695,7 @@ def substring_dup_positions(
         keep = g.groupby("h", sort=False)["h"].transform("size") >= 2
         return g.loc[keep, ["h", "doc_id", "pos"]]
 
-    kwargs = {} if n_buckets is None else {"n_buckets": n_buckets}
-    cand = bucketed_apply(rows, "h", _dups, **kwargs)
+    cand = bucketed_apply(rows, "h", _dups)
     if not verify:
         return cand.map_batches(
             lambda df: df[["doc_id", "pos"]], batch_format="pandas"
@@ -772,7 +773,7 @@ def substring_dup_positions(
             keep = g.groupby("win", sort=False)["win"].transform("size") >= 2
             return g.loc[keep, ["doc_id", "pos"]]
 
-        return bucketed_apply(rewins, "win", _verify_fast, **kwargs)
+        return bucketed_apply(rewins, "win", _verify_fast)
 
     # -- fallback (candidate set too large to broadcast) ---------------
     # verify pass 1: attach each candidate's actual window text via a
@@ -819,7 +820,7 @@ def substring_dup_positions(
             {"doc_id": ct["doc_id"], "pos": ct["pos"], "win": pa.array(wins, pa.string())}
         )
 
-    winds = bucketed_apply(tagged_c.union(tagged_t), "doc_id", _attach, arrow_fn=True, **kwargs)
+    winds = bucketed_apply(tagged_c.union(tagged_t), "doc_id", _attach, arrow_fn=True)
 
     # verify pass 2: group on the ACTUAL window string; a hash collision
     # between two different strings now splits into singletons and drops
@@ -827,13 +828,12 @@ def substring_dup_positions(
         keep = g.groupby("win", sort=False)["win"].transform("size") >= 2
         return g.loc[keep, ["doc_id", "pos"]]
 
-    return bucketed_apply(winds, "win", _verify, **kwargs)
+    return bucketed_apply(winds, "win", _verify)
 
 
 def substring_dup_spans(
     docs: rd.Dataset,
     min_len: int = 30,
-    n_buckets: int | None = None,
     driver_merge_max_positions: int = 5_000_000,
 ) -> rd.Dataset:
     """Maximal duplicated character spans per document: the union of
@@ -850,7 +850,7 @@ def substring_dup_spans(
     from idf.kernels.suffix import merge_window_spans
     from idf.ops import bucketed_group_apply
 
-    pos = substring_dup_positions(docs, min_len, n_buckets=n_buckets).materialize()
+    pos = substring_dup_positions(docs, min_len).materialize()
 
     if pos.count() <= driver_merge_max_positions:
         parts = list(pos.iter_batches(batch_size=1 << 20, batch_format="pandas"))
@@ -885,8 +885,7 @@ def substring_dup_spans(
             }
         )
 
-    kwargs = {} if n_buckets is None else {"n_buckets": n_buckets}
-    return bucketed_group_apply(pos, "doc_id", _merge, **kwargs)
+    return bucketed_group_apply(pos, "doc_id", _merge)
 
 
 def dedup_docs_map(

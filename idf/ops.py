@@ -2,8 +2,13 @@
 
 These are the engine's relational building blocks, used both by the
 image-dedup pipeline (SURVEY.md §2: A1-A7, J3, S5 semantics) and by the
-SQL-checkable query surface in ``__ray_entry__``. All operate on lazy
-``ray.data.Dataset``s and keep execution streaming.
+SQL-checkable query surface in ``__ray_entry__``. Row-wise operators
+stay lazy ``map_batches`` over ``ray.data.Dataset``s. Every keyed
+shuffle (grouping, joins, aggregates) runs on one engine at every input
+size: ``exchange_refs``, a hash exchange built from plain Ray tasks
+whose slices spill through the object store like any task output.
+Dataset callers reach it through ``exchange_apply``, which materializes
+its input first; no Ray Data groupby, sort or repartition runs here.
 """
 
 from __future__ import annotations
@@ -24,59 +29,10 @@ def available_cpus(default: int = 4) -> int:
         return default
 
 
-def set_graph_polars_sort(ds: rd.Dataset, polars_sort: bool) -> None:
-    """Set the shuffle-sort backend for the graph rooted at ``ds``.
-
-    Ray copies the ambient ``DataContext`` into each ROOT dataset at
-    construction, and every derived dataset shares that same context
-    object (verified on 2.49: the executor honors ``ds.context``, not
-    the ambient context, and not the ambient value at groupby
-    construction). Mutating the ambient context instead (the r1
-    approach) both FAILED to scope the flag and LEAKED it into later
-    root constructions — a leaked ``True`` made ``ivf_pairs`` panic
-    (pyo3 Utf8Error) shuffling its embedding column.
-
-    Only the sort engine reads the flag, so it matters only above the
-    exchange byte gate (``bucketed_apply``). There, polars-backed sort
-    blocks measured 2.7x faster shuffle reduce for the edge-dedup
-    groupby and ~25% on the banding stage at sf0.1 (both of which run
-    on the raw-task exchange below the gate) —
-    but polars' ``from_arrow`` PANICS (pyo3 Utf8Error) on Ray's
-    pickled object-extension columns (e.g. numpy-object embedding
-    lists), so callers may only pass True when every shuffled column
-    in the graph is a plain primitive type."""
-    try:
-        ctx = ds.context
-        if hasattr(ctx, "use_polars_sort"):
-            ctx.use_polars_sort = polars_sort
-    except Exception:
-        pass
-
-
-# Shuffle-bucket fan-out: enough granularity that (a) every core gets
-# reduce work, (b) in-bucket self-merges stay small (their cost is
-# quadratic in bucket size). 512 measured 6x faster than 64 for the
-# banding stage at 32 CPUs on the sf0.1 corpus.
-N_BUCKETS_DEFAULT = 512
-
-# Per-process counters of which shuffle engine each bucketed_apply /
-# exchange_apply call actually used — observable from tests (the size
-# gate below must be provably engaged, not assumed).
-EXCHANGE_STATS = {"exchange": 0, "sort": 0, "sort_fallback": 0}
-
-
-def _exchange_max_bytes() -> int:
-    """Byte ceiling for the raw-task exchange engine (env-overridable).
-
-    The exchange materializes its whole shuffle input into the object
-    store at once; Ray Data's sort-based groupby streams with spill
-    management. Above this threshold bucketed shuffles fall back to the
-    sort (r2 verdict 'what's wrong #1'). Default 32 GiB — comfortably
-    above every sf0.1 intermediate, comfortably below what a 100-TB
-    stage would push through one shuffle."""
-    import os
-
-    return int(os.environ.get("IDF_EXCHANGE_MAX_BYTES", 32 << 30))
+# Per-process counters of the keyed shuffles run, observable from tests.
+# The exchange is the only engine, so "sort" stays 0; perfbench/trace.py
+# reads both keys for its declared ops.exchange_calls / ops.sort_calls.
+EXCHANGE_STATS = {"exchange": 0, "sort": 0}
 
 
 def _estimate_bytes(ds: rd.Dataset):
@@ -326,58 +282,40 @@ def wait_all(refs: list) -> list:
     return ray.get(refs)
 
 
-def exchange_fits(est_bytes: int) -> bool:
-    """True when a shuffle of ``est_bytes`` runs on the raw-task
-    exchange (``IDF_EXCHANGE_MAX_BYTES``, ``IDF_NO_EXCHANGE``): the gate
-    a stage checks before reading its input as block refs."""
-    import os
-
-    return est_bytes <= _exchange_max_bytes() and not os.environ.get("IDF_NO_EXCHANGE")
-
-
 def exchange_apply(
     ds: rd.Dataset,
     key: str | list[str],
     bucket_fn,
     n_parts: int | None = None,
     arrow_fn: bool = False,
-    max_bytes: int | None = None,
     pre_map: "callable | None" = None,
     est_bytes: int | None = None,
 ) -> rd.Dataset:
-    """Raw-Ray two-phase hash exchange + whole-partition apply.
+    """Raw-Ray two-phase hash exchange + whole-partition apply: the
+    Dataset form of ``exchange_refs``.
 
     Same co-location contract as ``bucketed_apply`` (all rows with equal
-    ``key`` reach the same ``bucket_fn`` call) but built from plain Ray
-    tasks instead of Ray Data's sort-based groupby. This is the Dataset
-    form of the exchange: the input is materialized (one Ray Data job),
-    its block refs go through ``exchange_refs``, and the output refs
-    become a Dataset again. Callers that already hold block refs
-    (``read_refs``, the image pipeline's shuffle stages) skip both ends
-    through ``bucketed_apply``'s refs form. No sample/sort coordination
-    — measured ~2x faster than the sort path on the sf0.1 banding
-    shuffle (2.6s vs 5.1s at 32 CPUs) with identical key co-location.
-
-    This is the documented "raw Ray as last resort" case from the task
-    brief: Ray Data's only keyed exchange is its sort, whose fixed
-    coordination (~2-3s/job on this box) dominates small-to-mid
-    shuffles. When ``n_parts`` is not given it is ``exchange_width`` of
-    the MATERIALIZED input bytes and the cluster's CPUs: two partitions
-    per CPU, at most 8 below 64 MiB (so a 10 KB exchange on 1 CPU runs
-    2 reduce tasks, not 8), and at most ~256 MB per partition above.
-    Skewed keys cost one oversized partition, exactly like one
-    oversized bucket.
+    ``key`` reach the same ``bucket_fn`` call), built from plain Ray
+    tasks: the input is materialized (one Ray Data job), its block refs
+    go through ``exchange_refs``, and the output refs become a Dataset
+    again. Callers that already hold block refs (``read_refs``, the
+    image pipeline's shuffle stages) skip both ends through
+    ``bucketed_apply``'s refs form. Ray Data's only keyed exchange is
+    its sort, whose fixed coordination (~2-3 s per job) dominates
+    small-to-mid shuffles and which measured ~2x slower on the sf0.1
+    banding shuffle (5.1 s vs 2.6 s at 32 CPUs) and 2.7x slower on a
+    400 MB shuffle 4x the size of the object store (45.2 s vs 16.9 s at
+    2 CPUs): the exchange's split slices spill like any task output, so
+    it is the one engine at every size. When ``n_parts`` is not given
+    it is ``exchange_width`` of ``est_bytes`` (else the MATERIALIZED
+    input bytes) and the cluster's CPUs. Skewed keys cost one oversized
+    partition.
 
     ``arrow_fn``: hand ``bucket_fn`` the Arrow partition instead of a
     pandas frame. REQUIRED when any column holds per-side null padding
     (a whole-partition pandas conversion would promote null-bearing
     int64 to float64, corrupting 64-bit keys; the fn filters in Arrow
     first).
-
-    ``max_bytes``: post-materialize size guard — if the input turns out
-    larger, the call degrades to the streaming sort engine over the
-    (already spill-managed) materialized blocks instead of also holding
-    the n_parts-way split copies alongside them.
 
     ``pre_map``: an Arrow-table->Arrow-table row-EXPANDING transform
     fused INTO the split tasks (r4 verdict #3). The banding stage's key
@@ -391,13 +329,6 @@ def exchange_apply(
     materialized pre-map input no longer predicts shuffle volume)."""
     keys = [key] if isinstance(key, str) else list(key)
     mat = ds.materialize()
-    if max_bytes is not None and (mat.size_bytes() or 0) > max_bytes:
-        EXCHANGE_STATS["sort_fallback"] += 1
-        if pre_map is not None:
-            mat = mat.map_batches(pre_map, batch_format="pyarrow", zero_copy_batch=True)
-        return _sorted_bucketed_apply(
-            mat, keys, bucket_fn, N_BUCKETS_DEFAULT, False, arrow_fn
-        )
     fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
     refs = mat.to_arrow_refs()
     if not refs:
@@ -420,51 +351,10 @@ def exchange_apply(
     return rd.from_arrow_refs(exchange_refs(refs, keys, fn, n_parts, pre_map))
 
 
-def _sorted_bucketed_apply(
-    ds: rd.Dataset,
-    keys: list[str],
-    bucket_fn,
-    n_buckets: int,
-    polars_sort: bool,
-    arrow_fn: bool = False,
-) -> rd.Dataset:
-    """The sort-engine half of ``bucketed_apply``: Ray Data's sort-based
-    groupby on a hashed ``__bucket`` column (streaming executor, spill
-    management). ``arrow_fn``: hand the fn the Arrow group table — the
-    null-padding dtype contract (see ``exchange_apply``)."""
-    EXCHANGE_STATS["sort"] += 1
-    set_graph_polars_sort(ds, polars_sort)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # Arrow in/out: only the KEY columns materialize to pandas for
-        # the vectorized siphash; the payload stays zero-copy (r1
-        # verdict fix — the old pandas round-trip copied every batch)
-        kdf = t.select(keys).to_pandas()
-        b = (pd.util.hash_pandas_object(kdf, index=False).to_numpy() % n_buckets).astype(
-            np.int64
-        )
-        # drop pandas metadata: schemas carrying it are UNHASHABLE, which
-        # defeats Ray's schema-dedup fast path in every shuffle reduce
-        # (and spams "Failed to hash the schemas" warnings)
-        return t.replace_schema_metadata(None).append_column("__bucket", pa.array(b))
-
-    grouped = ds.map_batches(add_bucket, batch_format="pyarrow").groupby("__bucket")
-    if arrow_fn:
-        return grouped.map_groups(
-            lambda g: bucket_fn(g.drop_columns(["__bucket"])), batch_format="pyarrow"
-        )
-    return grouped.map_groups(
-        lambda g: bucket_fn(g.drop(columns="__bucket")), batch_format="pandas"
-    )
-
-
 def bucketed_apply(
     ds: rd.Dataset,
     key: str | list[str],
     bucket_fn,
-    n_buckets: int = N_BUCKETS_DEFAULT,
-    polars_sort: bool = False,
-    exchange: bool | None = None,
     arrow_fn: bool = False,
     est_bytes: int | None = None,
     pre_map: "callable | None" = None,
@@ -484,82 +374,30 @@ def bucketed_apply(
     conversion promotes null-bearing int64 to float64, silently rounding
     64-bit keys above 2^53 — the fn must filter sides in Arrow first.
 
-    Engines: ``exchange_apply`` (raw-task hash exchange — the default
-    below the size gate; measured 20-40% faster on every serial bucketed
-    query at sf0.1 and never slower in-pipeline) or Ray Data's
-    sort-based groupby (``n_buckets`` groups, optional polars sort
-    blocks, streaming-executor spill management). With ``exchange=None``
-    the engine is SIZE-GATED: a metadata byte estimate (or, when the
-    plan's size is unknowable without execution, the exchange's own
-    post-materialize check) above ``IDF_EXCHANGE_MAX_BYTES`` falls back
-    to the streaming sort — the exchange materializes its whole shuffle
-    input at once, which is the wrong shape for a 100-TB stage.
-    IDF_NO_EXCHANGE=1 forces the sort engine globally.
-
-    ``ds`` may also be a list of Arrow block refs (``read_refs``, or an
-    earlier exchange's output): the exchange then runs on them directly
-    and returns refs, with ``est_bytes`` sizing its width. Callers pick
-    that form only after ``exchange_fits``.
+    The engine is the raw-task exchange at every size: a Dataset goes
+    through ``exchange_apply`` (-> Dataset); a list of Arrow block refs
+    (``read_refs``, or an earlier exchange's output) goes straight to
+    ``exchange_refs`` (-> refs), with no Ray Data job. ``est_bytes``
+    sizes the exchange width in both forms.
     """
-    import os
-
     keys = [key] if isinstance(key, str) else list(key)
-    if isinstance(ds, list):
-        # block refs (a stage read with read_refs after its
-        # exchange_fits check): the exchange runs on them directly and
-        # returns refs, with no Ray Data job; est_bytes sizes the width
-        fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
-        n_parts = exchange_width(est_bytes or 0, available_cpus())
-        return exchange_refs(ds, keys, fn, n_parts, pre_map)
-    max_bytes = _exchange_max_bytes()
-    post_guard = None
-    if exchange is None:
-        # caller-supplied estimate wins over the metadata probe: a lazy
-        # expanding plan (banding) has no pre-execution metadata size,
-        # but its caller knows the expansion arithmetic — with the hint
-        # the gate decides BEFORE execution instead of after the
-        # exchange's materialize
-        est = est_bytes if est_bytes is not None else _estimate_bytes(ds)
-        if est is not None and est > max_bytes:
-            exchange = False
-        else:
-            # size unknown pre-execution: let the exchange enforce the
-            # gate after its (unavoidable-either-way) materialize
-            exchange = True
-            post_guard = max_bytes if est is None else None
-    if (exchange or os.environ.get("IDF_EXCHANGE")) and not os.environ.get(
-        "IDF_NO_EXCHANGE"
-    ):
+    if not isinstance(ds, list):
         return exchange_apply(
-            ds,
-            keys,
-            bucket_fn,
-            arrow_fn=arrow_fn,
-            max_bytes=post_guard,
-            pre_map=pre_map,
-            est_bytes=est_bytes,
+            ds, keys, bucket_fn, arrow_fn=arrow_fn, pre_map=pre_map, est_bytes=est_bytes
         )
-    if pre_map is not None:
-        # sort engine: the row-expanding map runs as its own streamed
-        # stage (the sort spills; no fusion win to be had there)
-        ds = ds.map_batches(pre_map, batch_format="pyarrow", zero_copy_batch=True)
-    return _sorted_bucketed_apply(ds, keys, bucket_fn, n_buckets, polars_sort, arrow_fn)
+    fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
+    n_parts = exchange_width(est_bytes or 0, available_cpus())
+    return exchange_refs(ds, keys, fn, n_parts, pre_map)
 
 
-def bucketed_group_apply(
-    ds: rd.Dataset,
-    key: str | list[str],
-    group_fn,
-    n_buckets: int = N_BUCKETS_DEFAULT,
-    polars_sort: bool = False,
-) -> rd.Dataset:
+def bucketed_group_apply(ds: rd.Dataset, key: str | list[str], group_fn) -> rd.Dataset:
     """``groupby(key).map_groups(group_fn)`` with key salting.
 
     A shuffle keyed on raw ``key`` creates one Ray group per distinct
     key — ruinous overhead when keys are numerous and tiny (LSH
-    buckets, per-cluster groups). Here the shuffle groups on a hash
-    bucket of the key (``n_buckets`` scheduling units) and ``group_fn``
-    runs per real key-group via a local pandas groupby inside the task.
+    buckets, per-cluster groups). Here the exchange co-locates keys by
+    hash partition and ``group_fn`` runs per real key-group via a local
+    pandas groupby inside the reduce task.
     """
     keys = [key] if isinstance(key, str) else list(key)
 
@@ -571,7 +409,7 @@ def bucketed_group_apply(
             return out if out is not None else pd.DataFrame()
         return pd.concat(outs, ignore_index=True)
 
-    return bucketed_apply(ds, key, apply_bucket, n_buckets, polars_sort=polars_sort)
+    return bucketed_apply(ds, key, apply_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +487,7 @@ def hash_join(
         rg = t.filter(pc.equal(t["__side"], 1)).select(rcols).to_pandas()
         return lg.merge(rg, on=keys, how=how)
 
-    return exchange_apply(tagged, keys, _merge, arrow_fn=True, max_bytes=_exchange_max_bytes())
+    return exchange_apply(tagged, keys, _merge, arrow_fn=True)
 
 
 def strip_schema_metadata(ds: rd.Dataset) -> rd.Dataset:
@@ -676,7 +514,6 @@ def asof_join(
     right_on: str,
     tiebreak: list[str] | None = None,
     how: str = "inner",
-    n_buckets: int = N_BUCKETS_DEFAULT,
 ) -> rd.Dataset:
     """Distributed backward as-of join.
 
@@ -755,10 +592,8 @@ def asof_join(
             out = out[out[right_on].notna()]
         return out
 
-    # raw-task exchange keyed on the unified by-value column (the
-    # sort-groupby variant paid ~2s of width-independent coordination
-    # per call); n_buckets kept in the signature for API compat
-    return exchange_apply(tagged, "__asof_key", _merge, arrow_fn=True, max_bytes=_exchange_max_bytes())
+    # one exchange keyed on the unified by-value column
+    return exchange_apply(tagged, "__asof_key", _merge, arrow_fn=True)
 
 
 def range_lookup(
@@ -917,28 +752,24 @@ def exact_dedup(ds: rd.Dataset, key: str, order_col: str) -> rd.Dataset:
 
 
 def count_by(ds: rd.Dataset, key: str | list[str], alias: str = "n") -> rd.Dataset:
-    from ray.data.aggregate import Count
-
-    return ds.groupby(key).aggregate(Count(alias_name=alias))
+    """Row count per ``key`` value, as column ``alias``."""
+    keys = [key] if isinstance(key, str) else list(key)
+    return bucketed_aggregate(ds.select_columns(keys), keys, {alias: (keys[0], "size")})
 
 
 def bucketed_aggregate(
     ds: rd.Dataset,
     key: str | list[str],
     aggs: dict[str, tuple[str, str]],
-    n_buckets: int = N_BUCKETS_DEFAULT,
-    polars_sort: bool = False,
-    exchange: bool | None = None,
 ) -> rd.Dataset:
     """Grouped aggregate for HIGH-CARDINALITY keys (millions of groups).
 
     Ray's native ``groupby().aggregate()`` pays per-group overhead that
     dominates when groups are tiny and numerous (e.g. per-PAIR counts).
-    This runs one vectorized ``pandas.groupby.agg`` per hash bucket.
+    This runs one vectorized ``pandas.groupby.agg`` per exchange
+    partition (``bucketed_apply``).
     ``aggs``: out_col -> (in_col, fn) with fn in {'sum','min','max',
-    'count','first'}. Engine: ``bucketed_apply``'s default byte gate
-    (raw-task exchange below ``IDF_EXCHANGE_MAX_BYTES``, streaming sort
-    above it); ``polars_sort`` applies to the sort engine only.
+    'count','size','first'}.
     """
     keys = [key] if isinstance(key, str) else list(key)
 
@@ -948,6 +779,4 @@ def bucketed_aggregate(
         out = pd.DataFrame(pieces).reset_index()
         return out
 
-    return bucketed_apply(
-        ds, keys, agg_bucket, n_buckets, polars_sort=polars_sort, exchange=exchange
-    )
+    return bucketed_apply(ds, keys, agg_bucket)

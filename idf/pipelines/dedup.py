@@ -1,9 +1,9 @@
 """End-to-end near-duplicate pipeline (the flagship).
 
-Shape (SURVEY §3, re-expressed). A parquet run below the exchange gate
-and the apply broadcast guard runs no Ray Data job: the hash and apply
-passes are plain tasks that read and write their own files, and every
-shuffle runs on object refs:
+Shape (SURVEY §3, re-expressed). A parquet run below the apply
+broadcast guard runs no Ray Data job: the hash and apply passes are
+plain tasks that read and write their own files, and every shuffle runs
+on object refs:
 
   per read unit (plan_read_tasks, pruned columns)
     -> one read+decode+hash task, writing its own file [hashes]
@@ -19,10 +19,10 @@ shuffle runs on object refs:
 Every refs stage reads its committed input with one task per file
 (``ops.read_refs``), chains ``ops.exchange_refs``, and hands its output
 block refs to the run manifest, which writes one file per non-empty
-block. Above ``IDF_EXCHANGE_MAX_BYTES`` a stage reads its input with
-Ray Data instead and takes the spill-safe streaming sort; above
-``BROADCAST_MAX_IDS`` DELETE ids apply tags with a Ray Data hash join;
-Lance and loose-file sources hash and apply with Ray Data.
+block. The exchange is the one shuffle engine at every size: its
+slices spill through the object store. Above ``BROADCAST_MAX_IDS``
+DELETE ids apply tags with a ``hash_join`` over Ray Data reads; Lance
+and loose-file sources hash and apply with Ray Data.
 
 Every stage commits a partitioned Parquet directory through the run
 manifest (atomic rename + per-partition lineage + metrics); a rerun
@@ -40,7 +40,7 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.stages.apply import apply_plan
-from idf.stages.candidates import band_edges, band_shuffle_factor, dedup_edges, distinct_hashes
+from idf.stages.candidates import band_edges, dedup_edges, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest, write_output
@@ -216,21 +216,17 @@ def run_dedup(
                 "use_precomputed_phash=False"
             )
 
-    # The shuffle stages below read a committed stage either as block
-    # refs (one read task per file) or, when its lineage bytes times the
-    # stage's expansion factor exceed the exchange gate, as a Ray Data
-    # read that takes the spill-safe streaming sort. Below the gate they
-    # run on refs from read to write: no Ray Data job between the hashes
-    # and apply stages.
-    from idf.ops import available_cpus, exchange_fits, read_refs
+    # The shuffle stages below read a committed stage as block refs (one
+    # read task per file) and run on refs from read to write: no Ray
+    # Data job between the hashes and apply stages. The lineage bytes
+    # size each stage's exchange.
+    from idf.ops import available_cpus, read_refs
 
-    def _stage_input(name, columns, filter=None, factor=1, min_blocks=1):
+    def _stage_input(name, columns, filter=None, min_blocks=1):
         parts = man.state["stages"][name]["partitions"]
+        files = [os.path.join(man.stage_dir(name), p["file"]) for p in parts]
         in_bytes = sum(p["bytes"] for p in parts)
-        if exchange_fits(in_bytes * factor):
-            files = [os.path.join(man.stage_dir(name), p["file"]) for p in parts]
-            return read_refs(files, columns, filter, min_blocks), in_bytes
-        return _read(man.stage_dir(name), columns=columns, filter=filter), in_bytes
+        return read_refs(files, columns, filter, min_blocks), in_bytes
 
     # 2. exact-hash collapse over the int64 phash column only — id
     # strings stay out of the shuffle; dist-0 membership is recovered
@@ -270,12 +266,7 @@ def run_dedup(
     # lets the expansion fan out (a split read measured 6.8 s -> 3.4 s
     # best-of-3 on the sf0.1 banding stage at 32 CPUs).
     def _build_band():
-        src, in_bytes = _stage_input(
-            "distinct_hashes",
-            ["phash"],
-            factor=band_shuffle_factor(cfg),
-            min_blocks=2 * available_cpus(),
-        )
+        src, in_bytes = _stage_input("distinct_hashes", ["phash"], min_blocks=2 * available_cpus())
         return band_edges(src, cfg, int_pairs=True, in_bytes=in_bytes)
 
     raw_edges_dir = man.run_stage("edges_band", _build_band)

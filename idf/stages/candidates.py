@@ -67,7 +67,6 @@ def distinct_hashes(hashes_ok, est_bytes: int | None = None):
         hashes_ok,
         "phash",
         _unique_phash,
-        polars_sort=True,
         arrow_fn=True,
         est_bytes=est_bytes,
         pre_map=_unique_phash,
@@ -348,9 +347,9 @@ def band_edges(
     """Distinct-hash table -> verified candidate edges via banding.
 
     ``distinct`` is a Dataset (-> Dataset) or block refs (-> refs; the
-    image pipeline below the exchange gate). ``in_bytes``: the input's
-    size (a committed stage's lineage bytes); a Dataset input without it
-    uses its metadata estimate.
+    image pipeline). ``in_bytes``: the input's size (a committed stage's
+    lineage bytes); a Dataset input without it uses its metadata
+    estimate. Times ``band_shuffle_factor`` it sizes the exchange width.
 
     Pass ``collapse_identical=False`` when the input was NOT
     exact-collapsed and the full pair set (incl. dist-0 pairs) is the
@@ -372,12 +371,9 @@ def band_edges(
         if int_pairs
         else make_bucket_pairs_fn(cfg.radius, cfg.bucket_cap, collapse_identical)
     )
-    # The expanded banding table is the pipeline's LARGEST intermediate,
-    # so the byte gate keeps the 100-TB shape: above
-    # IDF_EXCHANGE_MAX_BYTES the stage falls back to the spill-managed
-    # streaming sort (r2 ADVICE, medium). The size hint is the
-    # caller-side expansion arithmetic a lazy plan cannot expose to the
-    # gate by metadata alone, so the gate decides BEFORE execution.
+    # The expanded banding table is the pipeline's LARGEST intermediate
+    # and the materialized pre-map input does not predict its size, so
+    # the exchange width comes from the expansion arithmetic.
     if in_bytes is None and not isinstance(distinct, list):
         in_bytes = _estimate_bytes(distinct)
     est = None if in_bytes is None else in_bytes * band_shuffle_factor(cfg)
@@ -385,16 +381,7 @@ def band_edges(
     # the exchange's split tasks, so the expanded table — the pipeline's
     # largest intermediate — never materializes into the object store as
     # a whole (measured 5.7 s -> ~2 s for this stage at sf0.1/32 CPUs).
-    # The sort engine (above the byte gate) streams it as its own map
-    # stage, unchanged.
-    return bucketed_apply(
-        distinct,
-        "key",
-        fn,
-        polars_sort=True,  # sort engine (above the gate): all-primitive columns
-        est_bytes=est,
-        pre_map=expander,
-    )
+    return bucketed_apply(distinct, "key", fn, est_bytes=est, pre_map=expander)
 
 
 def _min_dist_fn(keys: list[str]):
@@ -414,20 +401,17 @@ def dedup_edges(edges, int_pairs: bool = False, est_bytes: int | None = None):
     (~37x duplication measured at sf0.1), so deduping the edge stage's
     output shrinks it ~25x and keeps the serial CC input
     tiny — one extra parallel shuffle buys a much smaller sequential
-    stage. Engine: ``bucketed_apply``'s — the raw-task exchange below
-    ``IDF_EXCHANGE_MAX_BYTES`` (``edges`` as block refs -> refs, or a
-    Dataset -> Dataset), Ray Data's streaming sort with polars blocks
-    above it. ``int_pairs``: the pair key is (phash_a, phash_b) — the
-    image pipeline's int-edge schema."""
+    stage. The shuffle is ``bucketed_apply``'s exchange (``edges`` as
+    block refs -> refs, or a Dataset -> Dataset). ``int_pairs``: the
+    pair key is (phash_a, phash_b) — the image pipeline's int-edge
+    schema."""
     from idf.ops import bucketed_apply
 
     keys = ["phash_a", "phash_b"] if int_pairs else ["id_a", "id_b"]
-    return bucketed_apply(
-        edges, keys, _min_dist_fn(keys), polars_sort=True, arrow_fn=True, est_bytes=est_bytes
-    )
+    return bucketed_apply(edges, keys, _min_dist_fn(keys), arrow_fn=True, est_bytes=est_bytes)
 
 
-def pair_distance_histogram(edges: rd.Dataset, n_buckets: int = 64) -> pd.DataFrame:
+def pair_distance_histogram(edges: rd.Dataset) -> pd.DataFrame:
     """(hamming_dist, n_pairs): distribution of Hamming distances over
     the DISTINCT verified candidate pairs — the one-look diagnostic of a
     radius/threshold choice (mass near the radius boundary means the
@@ -438,7 +422,7 @@ def pair_distance_histogram(edges: rd.Dataset, n_buckets: int = 64) -> pd.DataFr
     IN-BATCH before the one pair-keyed exchange (the same partial-
     distinct discipline as exact dedup), each bucket re-dedupes its
     co-located pairs and emits a <=65-row distance histogram partial,
-    and the driver sums n_buckets such histograms.
+    and the driver sums one such histogram per exchange partition.
     """
     from idf.ops import bucketed_apply
 
@@ -467,8 +451,7 @@ def pair_distance_histogram(edges: rd.Dataset, n_buckets: int = 64) -> pd.DataFr
         edges.map_batches(norm, batch_format="pandas"),
         ["pair_lo", "pair_hi"],
         bucket_hist,
-        n_buckets=n_buckets,
-    ).to_pandas()  # bounded: n_buckets x <=65 rows
+    ).to_pandas()  # bounded: partitions x <=65 rows
     out = h.groupby("hamming_dist", sort=True)["n_pairs"].sum().reset_index()
     out["n_pairs"] = out["n_pairs"].astype(np.int64)
     return out

@@ -189,7 +189,9 @@ def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = Non
     carry an ``old`` column; ``est_bytes`` sizes the exchanges) or a
     Dataset, which is materialized once around the same loop
     (-> Dataset). An edge-less input returns typed empty labels after 0
-    rounds.
+    rounds. A graph still changing after ``max_iters`` rounds (a
+    component whose diameter exceeds it) raises ``RuntimeError`` after
+    ``CC_STATS`` records the rounds: its labels would split components.
     """
     from idf.ops import available_cpus, exchange_refs, exchange_width
 
@@ -213,6 +215,11 @@ def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = Non
         if not sum(ray.get([_changed_rows.remote(r) for r in labels])):
             CC_STATS["converged"] = True
             break
+    if not CC_STATS["converged"]:
+        raise RuntimeError(
+            f"labelprop did not converge in {max_iters} rounds: a component's "
+            "diameter exceeds max_iters, and its labels would split it"
+        )
     if as_refs:
         return labels
     if not CC_STATS["labelprop_rounds"]:
@@ -387,24 +394,21 @@ def components_phash_labelprop(
        own group (the unedged exact-duplicate case)
     3. per component: drop singletons, cluster_id = min image_id
 
-    Below ``IDF_EXCHANGE_MAX_BYTES`` (edge + hashes file bytes) the
-    stage reads both inputs with one task per file and runs on block
-    refs from read to the returned output refs, with no Ray Data job.
-    Above it the inputs are Ray Data reads and the join and emit take
-    the streaming sort."""
+    The stage reads both inputs with one task per file and runs on block
+    refs from read to the returned output refs, with no Ray Data job;
+    the edge + hashes file bytes size every exchange."""
     import os
 
     import pyarrow.dataset as pads
 
-    from idf.ops import bucketed_apply, exchange_fits, read_refs
+    from idf.ops import bucketed_apply, read_refs
 
     edge_files = _parquet_files(phash_edge_dirs)
     hash_files = _parquet_files([hashes_dir])
     est = sum(os.path.getsize(f) for f in edge_files + hash_files)
     ok = pads.field("status") == "ok"
-    read = read_refs if exchange_fits(est) else rd.read_parquet
-    edges = read(edge_files, columns=["phash_a", "phash_b"])
-    hashes = read(hash_files, columns=["image_id", "phash"], filter=ok)
+    edges = read_refs(edge_files, columns=["phash_a", "phash_b"])
+    hashes = read_refs(hash_files, columns=["image_id", "phash"], filter=ok)
     labels = components_labelprop(edges, max_iters=max_iters, est_bytes=est)
     keyed = join_labels(
         hashes, "phash", labels, "__key", carry={"image_id": pa.string()}, est_bytes=est
@@ -510,14 +514,14 @@ def count_edge_rows(dirs: list[str]) -> int:
 
 def connected_components(
     cfg, phash_edge_dirs: list[str], hashes_dir: str
-) -> rd.Dataset | pa.Table:
+) -> list | pa.Table:
     """Clusters over the int phash graph, by edge count: the driver
     route while ``count_edge_rows <= cfg.cc_driver_max_edges`` (``<=``
     keeps a zero-edge graph on the driver even at a limit of 0),
     distributed labelprop above it.
 
     The driver route returns a local ``pa.Table`` (the manifest writes
-    it with pyarrow directly — no Ray job); labelprop returns a Dataset.
+    it with pyarrow directly — no Ray job); labelprop returns block refs.
     Both routes are looked up by module attribute at call time, so a
     wrapper installed on the module (perfbench/trace.py) sees the call."""
     if count_edge_rows(phash_edge_dirs) <= cfg.cc_driver_max_edges:
@@ -525,7 +529,7 @@ def connected_components(
     return components_phash_labelprop(phash_edge_dirs, hashes_dir)
 
 
-def cluster_size_histogram(clusters: rd.Dataset, n_buckets: int = 64) -> "pd.DataFrame":
+def cluster_size_histogram(clusters: rd.Dataset) -> "pd.DataFrame":
     """(cluster_size, n_clusters): distribution of near-dup cluster
     sizes over the clusters stage — the first diagnostic a dedup run is
     judged by (how much mass sits in 2-member clusters vs mega-clusters;
@@ -554,7 +558,6 @@ def cluster_size_histogram(clusters: rd.Dataset, n_buckets: int = 64) -> "pd.Dat
         clusters.map_batches(part, batch_format="pandas"),
         "cluster_id",
         {"n": ("n", "sum")},
-        n_buckets=n_buckets,
     )
 
     def hist(df: "pd.DataFrame") -> "pd.DataFrame":

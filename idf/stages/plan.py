@@ -149,9 +149,7 @@ def plan_stage_files(
     (it is the near-dup MINORITY of the corpus), the whole election is
     one Arrow join + one C++ sort — no Ray jobs at all (the manifest
     writes the returned table with pyarrow directly). Returns None past
-    the threshold (caller falls back to the distributed ``plan_stage``)
-    and when the source carries an ``mtime`` column (the pandas
-    comparator handles that variant)."""
+    the threshold (caller falls back to the distributed ``plan_stage``)."""
     import glob
 
     import pyarrow.dataset as pads
@@ -162,17 +160,6 @@ def plan_stage_files(
     if not cfiles or n_rows > driver_max_rows:
         return None
     hfiles = sorted(glob.glob(f"{hashes_dir}/*.parquet"))
-    if "mtime" in pads.dataset(hfiles).schema.names:
-        cl = pads.dataset(cfiles).to_table().to_pandas()
-        meta = (
-            pads.dataset(hfiles)
-            .to_table(columns=["image_id", "pixels", "size", "mtime"])
-            .to_pandas()
-        )
-        joined = cl.merge(meta, on="image_id", how="left")
-        joined["pixels"] = joined["pixels"].fillna(-1).astype(np.int64)
-        joined["size"] = joined["size"].fillna(-1).astype(np.int64)
-        return pa.Table.from_pandas(elect_keeper_bucket(joined), preserve_index=False)
     cl = pads.dataset(cfiles).to_table()
     meta = pads.dataset(hfiles).to_table(columns=["image_id", "pixels", "size"])
     return plan_from_tables(cl, meta.replace_schema_metadata(None))
@@ -219,4 +206,4 @@ def plan_stage(
         joined = clusters.map_batches(_attach, batch_format="pandas")
     else:
         joined = hash_join(clusters, meta, on="image_id")
-    return bucketed_apply(joined, "cluster_id", elect_keeper_bucket, polars_sort=True)
+    return bucketed_apply(joined, "cluster_id", elect_keeper_bucket)

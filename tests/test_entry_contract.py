@@ -81,3 +81,23 @@ def test_gate_simulator_rejects_int_vs_float_column():
     assert mod.value_hash(ints) != mod.value_hash(floats)
     assert mod.value_hash(ints) == mod.value_hash(ints.iloc[::-1])  # order-insensitive
     assert mod.value_hash(floats) == mod.value_hash(floats.copy())
+
+
+def test_perfbench_trace_finds_the_idf_names_it_reads():
+    """perfbench/trace.py looks up idf names by attribute to wrap them
+    for a traced run (``RunManifest.run_stage``,
+    ``run_stages_concurrent``, ``cc.components_phash_driver``,
+    ``cc.components_phash_labelprop``) and reads two stats dicts for
+    declared per-layer metrics; a renamed or deleted name would drop a
+    metric or break every traced run."""
+    import idf.stages.cc as cc
+    from idf.state.manifest import RunManifest
+    from perfbench.trace import Tracer, instrumented, optional_counters
+
+    before = (RunManifest.run_stage, cc.components_phash_labelprop)
+    with instrumented(Tracer("t")):
+        assert RunManifest.run_stage is not before[0]
+    assert (RunManifest.run_stage, cc.components_phash_labelprop) == before
+    assert {"ops.exchange_calls", "ops.sort_calls", "stages.cc.labelprop_rounds"} <= set(
+        optional_counters()
+    )

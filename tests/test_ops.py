@@ -168,51 +168,10 @@ def test_bucketed_group_apply_per_group(tables):
     assert dict(zip(out["k"], out["vmax"])) == pytest.approx(dict(want))
 
 
-def test_polars_sort_flag_scoped_to_graph(tables, ray_session, tmp_path):
-    """r2 regression: a polars_sort=True helper must not leak the flag
-    into later-constructed roots (a leaked True made ivf_pairs panic
-    inside polars' from_arrow on the pickled embedding column), and a
-    helper passed False must win even when the root inherited True
-    from the ambient context."""
-    import numpy as np
-    from ray.data import DataContext
-
-    left, _ = tables
-    ambient = DataContext.get_current()
-    assert not getattr(ambient, "use_polars_sort", False)
-
-    # polars_sort=True is applied to the graph, not the ambient context
-    ds = rd.from_pandas(left)
-    bucketed_apply(ds, "k", lambda g: g, polars_sort=True, exchange=False).materialize()
-    assert ds.context.use_polars_sort
-    assert not getattr(DataContext.get_current(), "use_polars_sort", False)
-
-    # a root that inherited True still executes object-column shuffles
-    # safely once a polars_sort=False helper scopes it back
-    ambient.use_polars_sort = True
-    try:
-        df = pd.DataFrame(
-            {
-                "k": np.arange(64) % 7,
-                "emb": [np.random.default_rng(i).random(4) for i in range(64)],
-            }
-        )
-        p = tmp_path / "emb.parquet"
-        df.to_parquet(p)
-        root = rd.read_parquet(str(p))
-        assert root.context.use_polars_sort
-        out = bucketed_apply(
-            root, "k", lambda g: g.head(1), polars_sort=False, exchange=False
-        ).to_pandas()
-        assert set(out["k"]) == set(range(7))
-    finally:
-        ambient.use_polars_sort = False
-
-
-def test_exchange_apply_matches_sort_path(ray_session, rng):
-    """The raw-task hash exchange co-locates keys exactly like the
-    sort-based bucketed_apply: a per-key aggregate computed through
-    either engine is identical."""
+def test_exchange_apply_per_key_sum_matches_pandas(ray_session, rng):
+    """The raw-task hash exchange co-locates every key in one partition:
+    a per-key aggregate computed per partition equals pandas' global
+    groupby."""
     n = 20_000
     df = pd.DataFrame(
         {
@@ -228,12 +187,6 @@ def test_exchange_apply_matches_sort_path(ray_session, rng):
             )
         return g.groupby("k", sort=False)["v"].sum().reset_index(name="s")
 
-    got_sort = (
-        bucketed_apply(rd.from_pandas(df), "k", per_key_sum, exchange=False)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
     from idf.ops import exchange_apply
 
     got_exch = (
@@ -242,7 +195,6 @@ def test_exchange_apply_matches_sort_path(ray_session, rng):
         .sort_values("k")
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got_sort, got_exch)
     want = df.groupby("k")["v"].sum().reset_index(name="s")
     pd.testing.assert_frame_equal(got_exch, want, check_dtype=False)
 
@@ -319,7 +271,7 @@ def test_cluster_size_histogram(ray_session):
             "image_id": [f"i{k}" for k in range(8)],
         }
     )
-    got = cluster_size_histogram(rd.from_pandas(pdf), n_buckets=3)
+    got = cluster_size_histogram(rd.from_pandas(pdf))
     want = pd.DataFrame({"cluster_size": [2, 3], "n_clusters": [1, 2]})
     pd.testing.assert_frame_equal(got, want.astype({"cluster_size": "int64", "n_clusters": "int64"}))
 
@@ -338,7 +290,7 @@ def test_pair_distance_histogram(ray_session):
             "phash_b": [0b0011, 0b1011, 5 ^ 0b111, 0, 7 ^ (1 << 62)],
         }
     )
-    got = pair_distance_histogram(rd.from_pandas(pdf).repartition(3), n_buckets=3)
+    got = pair_distance_histogram(rd.from_pandas(pdf).repartition(3))
     # pairs: {3,11} d=1 (deduped from two orderings); {5,2} d=3;
     # {-1,0} d=64; {7, 7^2^62} d=1
     want = pd.DataFrame({"hamming_dist": [1, 3, 64], "n_pairs": [2, 1, 1]})
@@ -383,7 +335,7 @@ def test_img_caption_exact_groups(ray_session):
 
     got = (
         bucketed_apply(rd.from_pandas(imgs).map_batches(fp, batch_format="pandas"),
-                       "cap_fp", grp, 3)
+                       "cap_fp", grp)
         .to_pandas()
         .sort_values("image_id")
         .reset_index(drop=True)

@@ -953,8 +953,8 @@ RAY_DATA_ENTRY_POINTS = (
 def test_parquet_run_plans_no_ray_data_job(
     ray_session, small_images_table, tmp_path, monkeypatch, cfg, do_apply, bytes_free
 ):
-    """Below the exchange gate and the apply broadcast guard a run over
-    a parquet corpus plans no Ray Data job at all: the hash stage, the
+    """Below the apply broadcast guard a run over a parquet corpus
+    plans no Ray Data job at all: the hash stage, the
     bytes-free verify pass and the apply pass run as plain tasks that
     read and write in place, and every shuffle stage runs on block refs
     from read to write. Every Ray Data entry point raises; each run
@@ -991,23 +991,3 @@ def test_parquet_run_plans_no_ray_data_job(
         assert man.summary()["hashes"]["metrics"]["phash_verified"] > 0
     _assert_no_empty_stage_files(man)
     assert _plan_rows(run_dir) == _oracle_plan(imgs)
-
-
-def test_scale_out_forced_sort_route_reaches_oracle_plan(
-    ray_session, small_images_table, tmp_path, monkeypatch
-):
-    """Every auto-gate fallback at a forced small guard: with
-    ``IDF_EXCHANGE_MAX_BYTES=1`` every shuffle stage of the scale_out
-    config reads its input with Ray Data and takes the spill-safe sort
-    route (its build returns a Dataset), and the plan is the oracle's."""
-    import idf.ops as ops
-
-    seen = _record_build_results(monkeypatch)
-    monkeypatch.setenv("IDF_EXCHANGE_MAX_BYTES", "1")
-    sorts = ops.EXCHANGE_STATS["sort"]
-    run_dir = str(tmp_path / "run")
-    run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
-    # distinct, banding, edge dedup, then the label join and the emit
-    assert ops.EXCHANGE_STATS["sort"] - sorts >= 5
-    assert all(issubclass(seen[s], rd.Dataset) for s in SHUFFLE_STAGES), seen
-    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)

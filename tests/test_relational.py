@@ -569,7 +569,7 @@ def test_funnel_matches_bruteforce_random(ray_session):
             "event_type": types[rng.integers(0, len(types), n)],
         }
     )
-    got = funnel(rd.from_pandas(pdf), stages=stages, n_buckets=7)
+    got = funnel(rd.from_pandas(pdf), stages=stages)
 
     want = np.zeros(len(stages), dtype=np.int64)
     for _, g in pdf.groupby("user_id"):
@@ -598,7 +598,7 @@ def test_retention_matches_bruteforce_random(ray_session):
         }
     )
     horizon = 10
-    got = retention(rd.from_pandas(pdf), horizon_days=horizon, n_buckets=5)
+    got = retention(rd.from_pandas(pdf), horizon_days=horizon)
 
     ud = pd.DataFrame(
         {"user_id": pdf["user_id"], "d": pdf["ts"].dt.floor("D")}
@@ -641,7 +641,7 @@ def test_top_paths_known_values(ray_session):
     ev = rd.from_pandas(
         pd.DataFrame(rows, columns=["user_id", "ts", "event_id", "event_type"])
     )
-    got = top_paths(ev, k=10, n_buckets=3)
+    got = top_paths(ev, k=10)
     want = pd.DataFrame(
         {
             "path": ["view>click", "view", "view>purchase"],
@@ -667,7 +667,7 @@ def test_top_paths_matches_bruteforce_random(ray_session):
             "event_type": types[rng.integers(0, len(types), n)],
         }
     )
-    got = top_paths(rd.from_pandas(pdf), k=15, n_buckets=7)
+    got = top_paths(rd.from_pandas(pdf), k=15)
 
     g = pdf.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     ts = g["ts"].to_numpy(dtype="datetime64[ns]").astype(np.int64)
@@ -702,7 +702,7 @@ def test_rfm_known_values(ray_session):
         }
     )
     got = (
-        rfm(rd.from_pandas(pdf), n_buckets=3)
+        rfm(rd.from_pandas(pdf))
         .to_pandas()
         .sort_values("o_custkey")
         .reset_index(drop=True)
@@ -744,7 +744,7 @@ def test_sample_per_key_deterministic_and_combiner_safe(ray_session):
     for blocks in (1, 7):
         ds = rd.from_pandas(pdf).repartition(blocks)
         got = (
-            sample_per_key(ds, k=3, n_buckets=5)
+            sample_per_key(ds, k=3)
             .to_pandas()
             .sort_values(["user_id", "event_id"])
             .reset_index(drop=True)
@@ -771,7 +771,6 @@ def test_customers_without_orders_anti_join(ray_session):
     got = (
         customers_without_orders(
             rd.from_pandas(cust), rd.from_pandas(orders), min_totalprice=300.0,
-            n_buckets=3,
         )
         .to_pandas()
         .sort_values("c_custkey")
@@ -797,7 +796,7 @@ def test_transitions_known_values(ray_session):
     ev = rd.from_pandas(
         pd.DataFrame(rows, columns=["user_id", "ts", "event_id", "event_type"])
     )
-    got = transitions(ev, n_buckets=3)
+    got = transitions(ev)
     want = pd.DataFrame(
         {"type_from": ["a", "b", "b"], "type_to": ["b", "a", "a"], "n": [1, 1, 1]}
     )
@@ -836,7 +835,7 @@ def test_nation_revenue_by_year_known_values(ray_session):
     got = (
         nation_revenue_by_year(
             rd.from_pandas(cust), rd.from_pandas(orders), rd.from_pandas(li),
-            rd.from_pandas(nation), n_buckets=3,
+            rd.from_pandas(nation),
         )
         .to_pandas()
         .sort_values(["n_name", "o_year"])

@@ -1,6 +1,8 @@
 """Large-side code paths of the size-adaptive operators, forced by
 zeroed thresholds (r1 verdict #8: the auto-switches need tests)."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -138,20 +140,13 @@ def test_arrow_fn_int64_above_2pow53(ray_session):
         rt = t.filter(pc.equal(t["__side"], 1))
         return pa.table({"k": rt["k"], "label": rt["label"]})
 
-    for exchange in (None, False, True):
-        got = (
-            bucketed_apply(
-                rd.from_arrow(left).union(rd.from_arrow(right)),
-                "k",
-                fn,
-                arrow_fn=True,
-                exchange=exchange,
-            )
-            .to_pandas()
-            .sort_values("k")
-        )
-        assert list(got["label"]) == [base + 1, base + 2], exchange
-        assert got["label"].dtype == np.int64
+    got = (
+        bucketed_apply(rd.from_arrow(left).union(rd.from_arrow(right)), "k", fn, arrow_fn=True)
+        .to_pandas()
+        .sort_values("k")
+    )
+    assert list(got["label"]) == [base + 1, base + 2]
+    assert got["label"].dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -249,35 +244,89 @@ def test_labelprop_multi_round_matches_driver_kernel(ray_session):
     assert grew == 1 + 2 * CC_STATS["labelprop_rounds"]
 
 
-def test_exchange_size_gate_falls_back_to_sort(ray_session, monkeypatch):
-    """bucketed_apply(exchange=None) above IDF_EXCHANGE_MAX_BYTES must
-    run the streaming sort engine, with identical output (r2 verdict
-    'what's wrong #1')."""
-    import idf.ops as ops
+@pytest.mark.parametrize("form", ["refs", "dataset"])
+def test_labelprop_raises_when_out_of_rounds(ray_session, form):
+    """A 20-node path needs ~19 min-label rounds; at ``max_iters=5``
+    components_labelprop must raise instead of returning split labels,
+    through both its refs and its Dataset form, after ``CC_STATS``
+    records the rounds it ran."""
+    import ray
 
-    df = pd.DataFrame({"k": np.arange(1000) % 7, "v": np.arange(1000)})
-    fn = lambda g: g.groupby("k", as_index=False)["v"].sum()
+    from idf.stages.cc import CC_STATS, components_labelprop
 
-    def run():
-        return (
-            ops.bucketed_apply(rd.from_pandas(df), "k", fn)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
+    nodes = np.arange(20, dtype=np.int64)
+    edges = pa.table({"a": nodes[:-1], "b": nodes[1:]})
+    src = [ray.put(edges)] if form == "refs" else rd.from_arrow(edges)
+    with pytest.raises(RuntimeError, match="did not converge in 5 rounds"):
+        components_labelprop(src, max_iters=5)
+    assert CC_STATS["converged"] is False
+    assert CC_STATS["labelprop_rounds"] == 5
 
-    want = run()
-    before = dict(ops.EXCHANGE_STATS)
-    monkeypatch.setenv("IDF_EXCHANGE_MAX_BYTES", "1")
-    got = run()
-    monkeypatch.delenv("IDF_EXCHANGE_MAX_BYTES")
-    after = dict(ops.EXCHANGE_STATS)
-    pd.testing.assert_frame_equal(got, want)
-    # the gated run took a sort path (metadata-known -> "sort",
-    # unknown-size plan -> post-materialize "sort_fallback")
-    assert (after["sort"] + after["sort_fallback"]) > (
-        before["sort"] + before["sort_fallback"]
+
+# Run in its own process: the exchange must finish a shuffle of more than
+# three times a small object store (spilling its split slices), and its
+# per-key result must equal a driver-side Arrow group_by.
+_EXCHANGE_OVER_STORE = r"""
+import numpy as np
+import pyarrow as pa
+import ray
+
+from idf.ops import exchange_refs, exchange_width
+
+STORE = 80 << 20
+BLOCKS, ROWS = 26, 655_360  # two int64 columns: 10 MiB a block, 260 MiB in all
+assert BLOCKS * ROWS * 16 >= 3 * STORE
+
+
+def block(i):
+    rng = np.random.default_rng(i)
+    return pa.table({"k": rng.integers(0, 1 << 17, ROWS), "v": rng.integers(0, 1 << 40, ROWS)})
+
+
+def agg(t):
+    return t.group_by("k", use_threads=False).aggregate([("v", "min"), ("v", "count")])
+
+
+ray.init(
+    address="local", num_cpus=2, object_store_memory=STORE,
+    include_dashboard=False, logging_level="ERROR",
+)
+try:
+    refs = [ray.remote(block).remote(i) for i in range(BLOCKS)]
+    out = exchange_refs(refs, "k", agg, exchange_width(BLOCKS * ROWS * 16, 2))
+    got = pa.concat_tables([t for t in ray.get(out) if t.num_rows]).sort_by("k")
+finally:
+    ray.shutdown()
+
+partials = pa.concat_tables([agg(block(i)) for i in range(BLOCKS)])
+want = (
+    partials.group_by("k")
+    .aggregate([("v_min", "min"), ("v_count", "sum")])
+    .rename_columns(["k", "v_min", "v_count"])
+    .sort_by("k")
+)
+assert got.select(["k", "v_min", "v_count"]).equals(want.select(["k", "v_min", "v_count"]))
+print("rows", got.num_rows)
+"""
+
+
+def test_exchange_refs_shuffles_three_times_the_object_store():
+    """The raw-task exchange is the only shuffle engine at every size:
+    at 2 CPUs and an 80 MiB object store it shuffles 260 MiB (26 blocks,
+    17M rows over 131k keys) and its per-key min and count equal a
+    driver-side Arrow group_by."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = repo + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", _EXCHANGE_OVER_STORE],
+        env=env, capture_output=True, text=True, timeout=600,
     )
+    assert res.returncode == 0, res.stderr[-4000:]
+    assert res.stdout.split()[-2:] == ["rows", str(1 << 17)], res.stdout
 
 
 def test_dedup_docs_map_scale_path_huge_doc_ids(ray_session):
@@ -302,57 +351,6 @@ def test_dedup_docs_map_scale_path_huge_doc_ids(ray_session):
     assert got.loc[base + 2] == base + 1
     assert got.loc[base + 514] == base + 1
     assert got.loc[base + 513] == base + 513
-
-
-def test_band_edges_size_hint_gates_pre_execution(
-    ray_session, small_images_table, tmp_path, monkeypatch
-):
-    """band_edges passes a caller-side size hint (input bytes x the
-    expansion arithmetic) so the byte gate picks the streaming sort
-    BEFORE execution for huge banding tables — never via the exchange's
-    post-materialize fallback — with identical edges either way."""
-    import pyarrow.parquet as pq
-
-    import idf.ops as ops
-    from idf.config import DedupConfig
-    from idf.oracle import oracle_hash_stage
-    from idf.stages.candidates import band_edges
-    from idf.synth import u64_to_i64
-
-    table = pq.read_table(small_images_table)
-    oh = oracle_hash_stage(table)
-    import pyarrow as pa
-
-    distinct_path = str(tmp_path / "distinct.parquet")
-    pq.write_table(
-        pa.table({"phash": pa.array(sorted({u64_to_i64(h) for h in oh.id2hash.values()}), pa.int64())}),
-        distinct_path,
-    )
-
-    def run():
-        # the stage contract is the pair SET (multiplicity varies with
-        # the engine's partition count and is irrelevant: the same pair
-        # surfaces from many band keys and CC is duplicate-invariant)
-        return (
-            band_edges(rd.read_parquet(distinct_path), DedupConfig(), int_pairs=True)
-            .to_pandas()
-            .drop_duplicates()
-            .sort_values(["phash_a", "phash_b"])
-            .reset_index(drop=True)
-        )
-
-    want = run()
-    before = dict(ops.EXCHANGE_STATS)
-    monkeypatch.setenv("IDF_EXCHANGE_MAX_BYTES", "1")
-    got = run()
-    monkeypatch.delenv("IDF_EXCHANGE_MAX_BYTES")
-    after = dict(ops.EXCHANGE_STATS)
-    pd.testing.assert_frame_equal(got, want)
-    # read-rooted input -> the hint made the decision PRE-execution:
-    # plain sort, not the exchange's post-materialize sort_fallback
-    assert after["sort"] > before["sort"]
-    assert after["sort_fallback"] == before["sort_fallback"]
-    assert after["exchange"] == before["exchange"]
 
 
 def _hashes_at_every_distance(radius: int, n_segments: int, n_base: int = 50) -> np.ndarray:

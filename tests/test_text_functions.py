@@ -596,7 +596,7 @@ def test_curation_funnel_known_values(ray_session):
             ],
         }
     )
-    got = curation_funnel(rd.from_pandas(rows), min_tokens=10, lang="en", n_buckets=3)
+    got = curation_funnel(rd.from_pandas(rows), min_tokens=10, lang="en")
     assert list(got["n_docs"]) == [4, 3, 2, 1]
     assert list(got["stage_name"]) == ["total", "min_tokens", "lang_en", "exact_distinct"]
 
