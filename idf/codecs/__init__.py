@@ -38,6 +38,17 @@ def sniff(data: bytes) -> str | None:
     return None
 
 
+def _kind(data, fmt: str | None) -> str:
+    """Sniffed codec of ``data`` (any buffer); missing, empty or
+    unrecognized bytes raise ``DecodeError`` (the row becomes a skip)."""
+    if not data:
+        raise DecodeError(f"no image bytes (declared fmt={fmt!r})")
+    kind = sniff(bytes(data[:8]))
+    if kind is None:
+        raise DecodeError(f"unrecognized image bytes (declared fmt={fmt!r})")
+    return kind
+
+
 def decode_jfif_rgb(data) -> np.ndarray:
     """Real JPEG/JFIF bytes -> RGB uint8 (H, W, 3) via the in-repo
     pure-numpy baseline+progressive decoder (idf/codecs/jfif.py) —
@@ -52,9 +63,7 @@ def decode_jfif_rgb(data) -> np.ndarray:
 
 def decode(data: bytes, fmt: str | None = None) -> np.ndarray:
     """Image bytes -> RGB uint8 (H, W, 3). Sniffs magic; ``fmt`` is advisory."""
-    kind = sniff(bytes(data[:8]) if not isinstance(data, bytes) else data[:8])
-    if kind is None:
-        raise DecodeError(f"unrecognized image bytes (declared fmt={fmt!r})")
+    kind = _kind(data, fmt)
     try:
         if kind == "png":
             return decode_png(data)
@@ -78,9 +87,7 @@ def decode_luma(data: bytes, fmt: str | None = None) -> np.ndarray:
     hash equality is exact end to end."""
     from idf.kernels.preprocess import luma601_u8
 
-    kind = sniff(bytes(data[:8]) if not isinstance(data, bytes) else data[:8])
-    if kind is None:
-        raise DecodeError(f"unrecognized image bytes (declared fmt={fmt!r})")
+    kind = _kind(data, fmt)
     try:
         if kind == "jpg":
             return _fjpg.decode_fjpg_luma(data)
@@ -100,39 +107,31 @@ def decode_luma(data: bytes, fmt: str | None = None) -> np.ndarray:
 def decode_luma_scaled(
     data: bytes, min_dim: int = 32, fmt: str | None = None
 ) -> tuple[np.ndarray, int, int]:
-    """Image bytes -> (luma uint8, orig_h, orig_w), downscale-decoded
-    when the codec supports it (FJPG: libjpeg-style k/8 partial iDCT).
+    """Image bytes -> (hash input, orig_h, orig_w): the hash path.
 
-    This is the hash path: the hash kernels resize to <= 32x32 anyway,
-    so decoding at >= ``min_dim`` loses nothing they use while cutting
-    memory traffic ~(8/k)^2 — what makes the decode stage scale past
-    the DRAM-bandwidth knee. PNG/BMP have no scaled path and decode
-    fully. The whole hashing system (engine, oracle, synthetic phash
-    column) uses THIS path, so hash equality is exact end to end."""
-    from idf.kernels.preprocess import luma601_u8
-
-    kind = sniff(bytes(data[:8]) if not isinstance(data, bytes) else data[:8])
-    if kind is None:
-        raise DecodeError(f"unrecognized image bytes (declared fmt={fmt!r})")
+    FJPG and JFIF return luma uint8, downscale-decoded (libjpeg-style
+    k/8 partial iDCT of the Y component): the hash kernels resize to
+    <= 32x32 anyway, so decoding at >= ``min_dim`` loses nothing they
+    use while cutting memory traffic ~(8/k)^2. PNG and BMP have no
+    scaled path; they return their pixels as a zero-copy strided view
+    (RGB (H, W, 3), or gray (H, W)), and ``kernels.preprocess`` applies
+    the luma only at the bilinear taps it reads. The whole hashing
+    system (engine, oracle, synthetic phash column) uses THIS path, so
+    hash equality is exact end to end. Missing or empty bytes raise
+    ``DecodeError`` like corrupt ones."""
+    kind = _kind(data, fmt)
     try:
         if kind == "jpg":
             # FJPG accepts any buffer (memoryview stays zero-copy)
             return _fjpg.decode_fjpg_luma_scaled(data, min_dim)
-        if kind == "png":
-            # fused strided luma (bit-identical, ~2x less DRAM traffic)
-            from idf.codecs.png import decode_png_luma
-
-            gray = decode_png_luma(data)
-        elif kind == "jfif":
-            # k/8 partial-iDCT downscale of the Y component only (same
-            # contract as the FJPG lane; entropy decode is still full-
-            # stream — that is inherent to sequential Huffman coding)
+        if kind == "jfif":
+            # entropy decode is still full-stream — that is inherent to
+            # sequential Huffman coding
             from idf.codecs.jfif import decode_jfif_luma_scaled
 
             return decode_jfif_luma_scaled(data, min_dim)
-        else:
-            gray = luma601_u8(decode_bmp(data if isinstance(data, bytes) else bytes(data)))
-        return gray, gray.shape[0], gray.shape[1]
+        px = _png.decode_png_pixels(data) if kind == "png" else _bmp.decode_bmp_pixels(data)
+        return px, px.shape[0], px.shape[1]
     except DecodeError:
         raise
     except Exception as exc:

@@ -34,9 +34,11 @@ def encode_bmp(img: np.ndarray) -> bytes:
     return header + info + rows.tobytes()
 
 
-def decode_bmp(data: bytes) -> np.ndarray:
-    """24-bit BI_RGB BMP bytes -> RGB uint8 (H, W, 3)."""
-    if data[:2] != MAGIC:
+def decode_bmp_pixels(data) -> np.ndarray:
+    """24-bit BI_RGB BMP bytes (any buffer) -> RGB uint8 (H, W, 3) as a
+    strided read-only view of the pixel rows (row order and BGR flipped
+    by strides, no copy)."""
+    if bytes(data[:2]) != MAGIC:
         raise ValueError("not a BMP")
     off = struct.unpack_from("<I", data, 10)[0]
     hdr_size = struct.unpack_from("<I", data, 14)[0]
@@ -55,4 +57,9 @@ def decode_bmp(data: bytes) -> np.ndarray:
     rows = px.reshape(h, stride)[:, :row_len].reshape(h, w, 3)
     if bottom_up:
         rows = rows[::-1]
-    return np.ascontiguousarray(rows[:, :, ::-1])  # BGR -> RGB
+    return rows[:, :, ::-1]  # BGR -> RGB
+
+
+def decode_bmp(data) -> np.ndarray:
+    """24-bit BI_RGB BMP bytes -> RGB uint8 (H, W, 3)."""
+    return np.ascontiguousarray(decode_bmp_pixels(data))

@@ -25,10 +25,13 @@ bandwidth knee. v2 (single stream per channel) still decodes.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
 import numpy as np
+
+from idf.codecs.native import inflate
 
 MAGIC = b"FJPG"
 _VERSION = 3
@@ -73,12 +76,15 @@ def _dct_matrix(n: int = 8) -> np.ndarray:
 _D8 = _dct_matrix(8)
 
 
+@functools.lru_cache(maxsize=128)
 def _quant_tables(quality: int) -> tuple[np.ndarray, np.ndarray]:
-    # libjpeg quality scaling (public behavior).
+    # libjpeg quality scaling (public behavior); read-only, shared by
+    # every caller of the same quality
     q = min(100, max(1, int(quality)))
     s = 5000 / q if q < 50 else 200 - 2 * q
     qy = np.clip(np.floor((_QY * s + 50) / 100), 1, 255)
     qc = np.clip(np.floor((_QC * s + 50) / 100), 1, 255)
+    qy.flags.writeable = qc.flags.writeable = False
     return qy, qc
 
 
@@ -175,17 +181,10 @@ def _streams(data: bytes, version: int) -> list[tuple[bytes, bytes | None]]:
 def _coeff_blocks(stream: tuple[bytes, bytes | None], version: int, nb: int) -> np.ndarray:
     """One channel's streams -> int16 (nb, 8, 8) quantized coefficients."""
     if version == 2:
-        raw = np.frombuffer(zlib.decompress(stream[0]), dtype=np.int16)
-        if raw.size != nb * 64:
-            raise ValueError("FJPG payload size mismatch")
-        return raw.reshape(nb, 8, 8)
-    dc = np.frombuffer(zlib.decompress(stream[0]), dtype=np.int16)
-    ac = np.frombuffer(zlib.decompress(stream[1]), dtype=np.int16)
-    if dc.size != nb or ac.size != nb * 63:
-        raise ValueError("FJPG payload size mismatch")
+        return inflate(stream[0], nb * 128).view(np.int16).reshape(nb, 8, 8)
     flat = np.empty((nb, 64), dtype=np.int16)
-    flat[:, 0] = dc
-    flat[:, 1:] = ac.reshape(nb, 63)
+    flat[:, 0] = inflate(stream[0], nb * 2).view(np.int16)
+    flat[:, 1:] = inflate(stream[1], nb * 126).view(np.int16).reshape(nb, 63)
     return flat.reshape(nb, 8, 8)
 
 
@@ -254,9 +253,7 @@ def decode_fjpg_luma_scaled(data: bytes, min_dim: int = 32) -> tuple[np.ndarray,
         y = _idct_channel(_coeff_blocks(stream, version, nb), qy, h, w)
         return np.clip(np.round(y + np.float32(128.0)), 0, 255).astype(np.uint8), h, w
     if k == 1 and version == 3:
-        dc = np.frombuffer(zlib.decompress(stream[0]), dtype=np.int16)
-        if dc.size != hb * wb:
-            raise ValueError("FJPG payload size mismatch")
+        dc = inflate(stream[0], hb * wb * 2).view(np.int16)
         full = dc.astype(np.float32).reshape(hb, wb) * np.float32(qy[0, 0] / 8.0)
     else:
         blocks = _coeff_blocks(stream, version, hb * wb)

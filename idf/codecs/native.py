@@ -20,6 +20,15 @@ the native path wherever it is available.
 ``IDF_NO_NATIVE=1`` pins the pure-Python path (used by the A/B tests
 and for honest like-for-like timings).
 
+The same module also loads the system ``libdeflate`` (when the box has
+one) for ``inflate``, the one zlib-stream decoder of ``idf/codecs``
+(PNG IDAT, FJPG planes): it decodes straight into an exact-size output
+buffer, about twice as fast as stdlib zlib on the corpus's PNGs. The
+same switch and the same fallback apply: under ``IDF_NO_NATIVE=1``, or
+when the library cannot be loaded or fails its smoke call, ``inflate``
+runs ``zlib.decompress`` with the same success and error rules
+(``tests/test_codecs.py`` compares the two).
+
 Why a serial C kernel instead of the r4 verdict's suggested
 restart-interval (DRI) intra-image parallelism: decode is already
 embarrassingly parallel ACROSS images in ``map_batches`` — at 32 CPUs
@@ -33,10 +42,15 @@ every image, DRI markers or not).
 from __future__ import annotations
 
 import ctypes
+import ctypes.util
 import hashlib
 import os
 import subprocess
 import tempfile
+import threading
+import zlib
+
+import numpy as np
 
 _C_SRC = r"""
 #include <stdint.h>
@@ -268,3 +282,82 @@ def get_lib():
 
 def error_message(code: int) -> str:
     return _ERRORS.get(code, f"native entropy decode failed (code {code})")
+
+
+_deflate = None
+_deflate_tried = False
+_tls = threading.local()
+_INFLATE_ERRORS = {1: "bad data", 2: "short output", 3: "output too long"}
+
+
+class _Decompressor:
+    """One libdeflate decompressor, owned by one thread (they are not
+    thread-safe, and ctypes calls run without the GIL); freed when the
+    thread's locals are."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.ptr = lib.libdeflate_alloc_decompressor()
+        if not self.ptr:
+            raise MemoryError("libdeflate_alloc_decompressor failed")
+
+    def __del__(self):
+        self.lib.libdeflate_free_decompressor(self.ptr)
+
+
+def get_deflate():
+    """ctypes handle to the system libdeflate, or None (stdlib zlib
+    path). Loaded and smoke-tested once per process."""
+    global _deflate, _deflate_tried
+    if _deflate_tried:
+        return _deflate
+    _deflate_tried = True
+    if os.environ.get("IDF_NO_NATIVE"):
+        return None
+    try:
+        try:
+            lib = ctypes.CDLL("libdeflate.so.0")  # the 1.x soname: no ldconfig run
+        except OSError:
+            lib = ctypes.CDLL(ctypes.util.find_library("deflate"))
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        fn = lib.libdeflate_zlib_decompress
+        fn.restype = ctypes.c_int
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+                       ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+        probe = bytes(range(256)) * 4
+        _deflate = lib
+        if bytes(inflate(zlib.compress(probe), len(probe))) != probe:
+            _deflate = None
+    except Exception:
+        _deflate = None
+    return _deflate
+
+
+def inflate(src, n_out: int) -> np.ndarray:
+    """One zlib stream (any buffer) -> uint8 array of exactly ``n_out``
+    bytes. Bytes after the stream's end are ignored; a bad stream
+    (truncated, bad adler32) or an output of any other size raises
+    ``ValueError``."""
+    lib = get_deflate()
+    if lib is None:
+        try:
+            out = zlib.decompress(src, bufsize=max(n_out, 1))
+        except zlib.error as exc:
+            raise ValueError(f"inflate failed: {exc}") from exc
+        if len(out) != n_out:
+            raise ValueError(f"inflate: {len(out)} bytes, expected {n_out}")
+        return np.frombuffer(out, np.uint8)
+    d = getattr(_tls, "d", None)
+    if d is None:
+        d = _tls.d = _Decompressor(lib)
+    inp = np.frombuffer(src, np.uint8)
+    out = np.empty(n_out, np.uint8)
+    rc = lib.libdeflate_zlib_decompress(
+        d.ptr, inp.ctypes.data, inp.size, out.ctypes.data, n_out, None
+    )
+    if rc:
+        raise ValueError(f"inflate failed: {_INFLATE_ERRORS.get(rc, rc)}")
+    return out

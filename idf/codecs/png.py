@@ -1,4 +1,5 @@
-"""Minimal PNG codec (pure numpy + stdlib zlib).
+"""Minimal PNG codec (numpy + ``native.inflate``: the system libdeflate
+when present, stdlib zlib otherwise).
 
 Real PNG: 8-bit greyscale (color type 0), RGB (2) and RGBA (6),
 non-interlaced, all five scanline filters supported on decode; the
@@ -12,6 +13,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from idf.codecs.native import inflate
 
 MAGIC = b"\x89PNG\r\n\x1a\n"
 
@@ -85,125 +88,38 @@ def _parse_chunks(data) -> tuple[int, int, int, list]:
     return w, h, color_type, idat
 
 
-def _inflate(idat: list) -> bytes:
-    # single-IDAT fast path (what our encoder emits): zlib reads the
-    # buffer in place, no join copy
-    if len(idat) == 1:
-        return zlib.decompress(idat[0])
-    return zlib.decompress(b"".join(bytes(p) for p in idat))
-
-
-def decode_png_luma(data) -> np.ndarray:
-    """PNG bytes -> ITU-R 601 luma uint8 (H, W), fused fast path.
-
-    Bit-identical to ``luma601_u8(decode_png(data))`` (same float32
-    expression elementwise) but skips three full-image copies: the blob
-    ``bytes()`` copy (buffer protocol end to end), the contiguous RGB
-    copy (channel access via strided views of the inflated scanlines),
-    and the (H, W, 3) float32 materialization. On the all-filter-0
-    images our encoder writes this cuts decode DRAM traffic ~2x — the
-    decode stage is bandwidth-bound at high core counts. Filtered PNGs
-    fall back to the general path."""
+def _scanlines(data) -> tuple[np.ndarray, int, int]:
+    """PNG bytes -> (raw scanlines (H, 1 + W*C) uint8, W, C): the IDAT
+    stream inflated straight into its exact size."""
     w, h, color_type, idat = _parse_chunks(data)
     c = _CHANNELS[color_type]
-    raw = np.frombuffer(_inflate(idat), dtype=np.uint8)
     stride = w * c + 1
-    if raw.size != stride * h:
-        raise ValueError("PNG data length mismatch")
-    raw = raw.reshape(h, stride)
-    if raw[:, 0].any():
-        # filtered rows: general reconstruction, then standard luma
-        from idf.kernels.preprocess import luma601_u8
-
-        return luma601_u8(decode_png(bytes(data) if not isinstance(data, bytes) else data))
-    if c == 1:
-        # gray: luma601(x,x,x) == x for every uint8 x (0.299+0.587+0.114
-        # sums to 1.0 exactly in this float32 evaluation order; verified
-        # exhaustively in tests), so the scanline view IS the luma
-        return np.ascontiguousarray(raw[:, 1:])
-    # luma in row chunks with reused buffers: elementwise float32 math
-    # is chunk-invariant, so this is bit-identical to the whole-image
-    # expression (y = .299r; y += .587g; y += .114b) while keeping the
-    # float32 temporaries cache-sized — the decode stage is
-    # DRAM-bandwidth-bound at high core counts, and full-image float
-    # temps (4 bytes/px x 4 arrays) were the dominant memory traffic,
-    # not the pixels themselves.
-    y = np.empty((h, w), np.uint8)
-    rows_chunk = max(8, (1 << 16) // max(w, 1))  # ~256 KB of float32 temps
-    nc = min(rows_chunk, h)
-    acc = np.empty((nc, w), np.float32)
-    ch = np.empty((nc, w), np.float32)
-    prod = np.empty((nc, w), np.float32)
-    for r0 in range(0, h, rows_chunk):
-        r1 = min(h, r0 + rows_chunk)
-        k = r1 - r0
-        a, t, p = acc[:k], ch[:k], prod[:k]
-        t[:] = raw[r0:r1, 1::c]  # uint8 -> float32 cast into the buffer
-        np.multiply(t, np.float32(0.299), out=a)
-        t[:] = raw[r0:r1, 2::c]
-        np.multiply(t, np.float32(0.587), out=p)
-        a += p
-        t[:] = raw[r0:r1, 3::c]
-        np.multiply(t, np.float32(0.114), out=p)
-        a += p
-        np.round(a, out=a)
-        np.clip(a, 0, 255, out=a)
-        y[r0:r1] = a.astype(np.uint8)
-    return y
+    # single-IDAT fast path (what our encoder emits): inflate reads the
+    # buffer in place, no join copy
+    src = idat[0] if len(idat) == 1 else b"".join(idat)
+    return inflate(src, h * stride).reshape(h, stride), w, c
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """PNG bytes -> RGB uint8 (H, W, 3). Gray is stacked; alpha is dropped."""
-    if data[: len(MAGIC)] != MAGIC:
-        raise ValueError("not a PNG")
-    pos = len(MAGIC)
-    w = h = None
-    color_type = bit_depth = None
-    idat = []
-    n = len(data)
-    while pos + 8 <= n:
-        (length,) = struct.unpack_from(">I", data, pos)
-        tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if tag == b"IHDR":
-            w, h, bit_depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
-            if bit_depth != 8 or color_type not in _CHANNELS or interlace != 0:
-                raise ValueError(
-                    f"unsupported PNG (depth={bit_depth}, color={color_type}, interlace={interlace})"
-                )
-        elif tag == b"IDAT":
-            idat.append(payload)
-        elif tag == b"IEND":
-            break
-    if w is None:
-        raise ValueError("PNG missing IHDR")
-    c = _CHANNELS[color_type]
-    raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
-    stride = w * c + 1
-    if raw.size != stride * h:
-        raise ValueError("PNG data length mismatch")
-    raw = raw.reshape(h, stride)
+def _unfilter(raw: np.ndarray, c: int) -> np.ndarray:
+    """Raw scanlines -> reconstructed (H, W*C) uint8 samples. All rows
+    filter 0 (None) — what our encoder emits — is a zero-copy view, with
+    no per-scanline python (the general loop costs ~2.5ms/img)."""
     filters = raw[:, 0]
     if not filters.any():
-        # all rows filter 0 (None) — what our encoder emits; one slice,
-        # no per-scanline python (the general loop below cost ~2.5ms/img)
-        arr = np.ascontiguousarray(raw[:, 1:]).reshape(h, w, c)
-        if c == 1:
-            return np.repeat(arr, 3, axis=2)
-        return np.ascontiguousarray(arr[:, :, :3])
-    out = np.zeros((h, w * c), dtype=np.uint8)
+        return raw[:, 1:]
+    h, n = raw.shape[0], raw.shape[1] - 1
+    out = np.zeros((h, n), dtype=np.uint8)
     for y in range(h):
         f = filters[y]
         line = raw[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y > 0 else np.zeros(w * c, dtype=np.int32)
+        prev = out[y - 1].astype(np.int32) if y > 0 else np.zeros(n, dtype=np.int32)
         if f == 0:
             rec = line
         elif f == 2:  # Up — vectorized
             rec = (line + prev) & 0xFF
         else:  # Sub / Average / Paeth need a serial scan over the row
-            rec = np.zeros(w * c, dtype=np.int32)
-            for i in range(w * c):
+            rec = np.zeros(n, dtype=np.int32)
+            for i in range(n):
                 a = rec[i - c] if i >= c else 0
                 b = prev[i]
                 cc = prev[i - c] if i >= c else 0
@@ -216,7 +132,22 @@ def decode_png(data: bytes) -> np.ndarray:
                 else:
                     raise ValueError(f"bad PNG filter {f}")
         out[y] = rec.astype(np.uint8)
-    arr = out.reshape(h, w, c)
-    if c == 1:
-        return np.repeat(arr, 3, axis=2)
-    return np.ascontiguousarray(arr[:, :, :3])  # drop alpha (treated as opaque)
+    return out
+
+
+def decode_png_pixels(data) -> np.ndarray:
+    """PNG bytes (any buffer) -> the pixels as a view of the inflated
+    scanlines: RGB (H, W, 3) (RGBA with alpha sliced off, treated as
+    opaque) or gray (H, W). Strided, no copy of the pixels: the hash
+    path reads only the bilinear taps of it (``kernels.preprocess``)."""
+    raw, w, c = _scanlines(data)
+    px = _unfilter(raw, c)
+    return px if c == 1 else px.reshape(px.shape[0], w, c)[:, :, :3]
+
+
+def decode_png(data) -> np.ndarray:
+    """PNG bytes -> RGB uint8 (H, W, 3). Gray is stacked; alpha is dropped."""
+    px = decode_png_pixels(data)
+    if px.ndim == 2:
+        return np.repeat(px[:, :, None], 3, axis=2)
+    return np.ascontiguousarray(px)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from idf.kernels.preprocess import bilinear_resize, luma601_u8
+from idf.kernels.preprocess import bilinear_blend, bilinear_taps, luma601_u8
 
 EPS = 1e-9  # PHashDct.java:11
 
@@ -54,9 +54,15 @@ _D32 = _dct_matrix(32)
 
 
 def preprocess(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """RGB (H, W, 3) or gray (H, W) uint8 -> quantized gray uint8 (out_h, out_w)."""
-    gray = luma601_u8(img) if img.ndim == 3 else img
-    resized = bilinear_resize(gray, out_h, out_w)
+    """RGB (H, W, 3) or gray (H, W) uint8 -> quantized gray uint8 (out_h, out_w).
+
+    Luma is elementwise, so it is applied to the <= 2*out_h x 2*out_w
+    bilinear taps only: bit-identical to ``luma601_u8`` over the whole
+    image followed by the resample, at the cost of the pixels read."""
+    taps, wy, wx = bilinear_taps(img, out_h, out_w)
+    if taps.ndim == 3:
+        taps = luma601_u8(taps)
+    resized = bilinear_blend(taps, wy, wx)
     return np.clip(np.floor(resized + 0.5), 0, 255).astype(np.uint8)
 
 
@@ -132,7 +138,7 @@ def hash_bytes(
     together."""
     from idf.codecs import decode_luma_scaled, sniff
 
-    gray, oh, ow = decode_luma_scaled(data, min_dim=DECODE_MIN_DIM[algo])
+    img, oh, ow = decode_luma_scaled(data, min_dim=DECODE_MIN_DIM[algo])
     if exif_from_bytes:
         head = bytes(data[:8]) if not isinstance(data, bytes) else data[:8]
         if sniff(head) == "jfif":
@@ -141,8 +147,8 @@ def hash_bytes(
 
             o = exif_orientation(data)
             if o != 1:
-                gray = exif_transform(gray, o)
-    return hash_image(gray, algo), oh, ow
+                img = exif_transform(img, o)
+    return hash_image(img, algo), oh, ow
 
 
 def hash_gray_batch(gray_stack: np.ndarray, algo: str) -> np.ndarray:

@@ -52,6 +52,22 @@ def hash_schema(cfg: DedupConfig) -> pa.Schema:
     return HASH_SCHEMA
 
 
+def _blob_views(col: pa.Array) -> list:
+    """Per-row zero-copy views of a binary / large_binary column: one
+    memoryview of its data buffer sliced by the offsets (no pyarrow
+    scalar per row; to_pylist() would memcpy the whole column). Null
+    rows give None."""
+    _, offsets, data = col.buffers()
+    dt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    off = np.frombuffer(offsets, dt)[col.offset : col.offset + len(col) + 1].tolist()
+    mv = memoryview(data if data is not None else b"").cast("B")
+    views = [mv[a:b] for a, b in zip(off[:-1], off[1:])]
+    if col.null_count:
+        for i in np.flatnonzero(col.is_null().to_numpy(zero_copy_only=False)):
+            views[i] = None
+    return views
+
+
 class DecodeHasher:
     """Decode + hash one Arrow batch: kernel constants built once per
     hasher (__init__, cached per worker process by ``_fused_hasher``),
@@ -76,9 +92,8 @@ class DecodeHasher:
         # zero-copy — only the blob bytes are touched per row
         fmt_ok = pc.is_in(pc.utf8_lower(pc.cast(batch["fmt"], pa.string())), value_set=_FMT_SET)
         fmt_ok = pc.fill_null(fmt_ok, False).combine_chunks().to_numpy(zero_copy_only=False)
-        # zero-copy blob views: to_pylist() would memcpy the entire
-        # bytes column (the whole corpus) into python bytes objects
-        bcol = batch["bytes"].combine_chunks()
+        # per chunk: combine_chunks() copies the whole column, even one chunk
+        blobs = [v for chunk in batch["bytes"].chunks for v in _blob_views(chunk)]
         # optional EXIF orientation column (M1); a source without it is
         # bit-compatible with the reference's readOrientationSafe() == 1
         orients = (
@@ -92,15 +107,16 @@ class DecodeHasher:
         for i in np.flatnonzero(fmt_ok):  # per-row decode (variable-size
             # blobs); the math inside decode/preprocess is vectorized
             i = int(i)
-            data = memoryview(bcol[i].as_buffer())
+            data = blobs[i]
             try:
-                # scaled-luma fast path (Y-only, k/8 partial iDCT for FJPG)
-                gray, oh, ow = decode_luma_scaled(data, min_dim=self.min_dim)
+                # scaled-luma fast path (Y-only, k/8 partial iDCT for
+                # FJPG); PNG/BMP give a pixel view, luma at the taps
+                img, oh, ow = decode_luma_scaled(data, min_dim=self.min_dim)
             except DecodeError:
                 decode_fail[i] = True
                 continue
             if orients is not None and orients[i] is not None:
-                gray = exif_transform(gray, orients[i])
+                img = exif_transform(img, orients[i])
             elif self.exif_from_bytes and bytes(data[:3]) == b"\xff\xd8\xff":
                 # opt-in (DedupConfig.exif_from_bytes): honor the APP1
                 # Exif orientation from the bytes themselves (M1;
@@ -111,8 +127,8 @@ class DecodeHasher:
 
                 o = exif_orientation(data)
                 if o != 1:
-                    gray = exif_transform(gray, o)
-            grays[i] = preprocess(gray, *self.dims)
+                    img = exif_transform(img, o)
+            grays[i] = preprocess(img, *self.dims)
             pixels[i] = oh * ow  # A4 metadata: ORIGINAL dims, not decode scale
             sizes[i] = len(data)
             ok[i] = True
@@ -236,8 +252,11 @@ class PrecomputedHasher:
         pixels = np.where(ok, w * h, np.int64(-1))
         has_bytes = "bytes" in batch.column_names
         if has_bytes:
+            # a null bytes cell has no size: -1, as a null size column below
             sizes = (
-                pc.binary_length(batch["bytes"]).cast(pa.int64()).to_numpy(zero_copy_only=False)
+                pc.fill_null(pc.binary_length(batch["bytes"]), -1)
+                .cast(pa.int64())
+                .to_numpy(zero_copy_only=False)
             )
         else:
             # bytes-free scan (table ships a size column): the 100-TB

@@ -96,19 +96,89 @@ def test_decode_errors():
         decode(good[:40])  # truncated after valid magic
 
 
+def _full_image_bilinear(src, out_h, out_w):
+    """The float64 bilinear before the tap gather: the whole image
+    converted, taps recomputed per call."""
+    in_h, in_w = src.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return src.copy()
+
+    def axis(in_n, out_n):
+        x = np.clip((np.arange(out_n) + 0.5) * (in_n / out_n) - 0.5, 0.0, in_n - 1.0)
+        lo = np.floor(x).astype(np.int64)
+        return lo, np.minimum(lo + 1, in_n - 1), x - lo
+
+    y0, y1, wy = axis(in_h, out_h)
+    x0, x1, wx = axis(in_w, out_w)
+    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
+    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+    return top * (1 - wy[:, None]) + bot * wy[:, None]
+
+
+def _full_image_preprocess(img, out_h, out_w):
+    """The hash input before luma moved to the bilinear taps: luma601
+    over the whole image, then the full-image bilinear."""
+    from idf.kernels.preprocess import luma601_u8
+
+    gray = luma601_u8(img) if img.ndim == 3 else img
+    resized = _full_image_bilinear(gray.astype(np.float64), out_h, out_w)
+    return np.clip(np.floor(resized + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 3), (1, 57, 3), (44, 1, 3), (32, 32, 3), (8, 8, 3), (8, 9), (8, 8), (19, 83, 3),
+     (120, 37), (33, 31, 4), (64, 48, 4)],
+)
+def test_preprocess_taps_match_full_image_reference(shape):
+    """Luma at the bilinear taps (gathered first, cached tap tables) ==
+    luma over the whole image then the full-image float64 bilinear, bit
+    for bit: 1x1, 1xN, Nx1, in == out, upsampling, non-square, gray,
+    RGBA-sliced views and every EXIF orientation of a strided view."""
+    from idf.kernels.exif import exif_transform
+    from idf.kernels.hashes import preprocess
+    from idf.kernels.preprocess import bilinear_resize
+
+    img = _rand_img(shape, seed=sum(shape))
+    if img.ndim == 3 and img.shape[2] == 4:
+        img = img[:, :, :3]  # the PNG RGBA path's strided view
+    for o in range(1, 9):
+        view = exif_transform(img, o)
+        for dims in ((32, 32), (8, 8), (8, 9), (9, 8)):
+            assert np.array_equal(preprocess(view, *dims), _full_image_preprocess(view, *dims))
+    gray = img if img.ndim == 2 else img[:, :, 1]
+    for dims in ((32, 32), gray.shape, (5, 70)):
+        want = _full_image_bilinear(gray.astype(np.float64), *dims)
+        assert np.array_equal(bilinear_resize(gray, *dims), want)
+        f = gray * 0.37
+        assert np.array_equal(bilinear_resize(f, *dims), _full_image_bilinear(f, *dims))
+
+
 def test_png_luma_fused_bit_exact():
-    """decode_png_luma == luma601_u8(decode_png(...)) bit-for-bit on
-    RGB, RGBA and gray images (and via memoryview input)."""
-    from idf.codecs.png import decode_png_luma
+    """On the hash path a PNG decodes to a zero-copy view of its
+    inflated scanlines (RGB; RGBA with alpha sliced off; gray 2-D), and
+    luma at the bilinear taps gives bit-for-bit the hash input of
+    luma601_u8(decode_png(...)) over the whole image — on bytes and on
+    memoryview input."""
+    from idf.codecs import decode_luma_scaled
+    from idf.kernels.hashes import preprocess
     from idf.kernels.preprocess import luma601_u8
 
     for shape, seed in (((61, 47, 3), 1), ((15, 9, 4), 3), ((20, 30), 2)):
         img = _rand_img(shape, seed=seed)
         data = encode_png(img)
         ref = decode_png(data)
-        want = luma601_u8(ref)
-        assert np.array_equal(decode_png_luma(data), want)
-        assert np.array_equal(decode_png_luma(memoryview(data)), want)
+        for buf in (data, memoryview(data)):
+            px, h, w = decode_luma_scaled(buf, 16)
+            assert (h, w) == shape[:2] and not px.flags.owndata  # a view, no copy
+            if len(shape) == 2:
+                assert px.shape == shape and np.array_equal(px, img)
+                assert np.array_equal(px, luma601_u8(ref))  # gray identity
+            else:
+                assert px.shape == (*shape[:2], 3) and np.array_equal(px, ref)
+                assert np.array_equal(luma601_u8(px), luma601_u8(ref))
+            for dims in ((32, 32), (8, 8), (8, 9)):
+                assert np.array_equal(preprocess(px, *dims), _full_image_preprocess(ref, *dims))
 
 
 def test_luma601_gray_identity_exhaustive():
@@ -122,25 +192,177 @@ def test_luma601_gray_identity_exhaustive():
     assert np.array_equal(luma601_u8(img), x.reshape(16, 16))
 
 
-def test_png_luma_fused_filtered_fallback():
-    """Filtered PNGs (non-zero filter bytes) fall back to the general
-    decoder and still match."""
+def _png_bytes(rows: list[bytes], w: int, h: int, color_type: int, n_idat: int = 1) -> bytes:
+    """Hand-built PNG: ``rows`` are raw scanlines (filter byte first),
+    the zlib stream split over ``n_idat`` IDAT chunks."""
     import struct
     import zlib
 
-    from idf.codecs.png import MAGIC, _chunk, decode_png_luma
-    from idf.kernels.preprocess import luma601_u8
+    from idf.codecs.png import MAGIC, _chunk
 
-    # one row filter-2 (Up) image, 3x2 RGB
-    rows = [b"\x00" + bytes(range(6)), b"\x02" + bytes(range(6))]
-    ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
-    data = (
+    z = zlib.compress(b"".join(rows))
+    cut = [len(z) * k // n_idat for k in range(n_idat + 1)]
+    return (
         MAGIC
-        + _chunk(b"IHDR", ihdr)
-        + _chunk(b"IDAT", zlib.compress(b"".join(rows)))
+        + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0))
+        + b"".join(_chunk(b"IDAT", z[a:b]) for a, b in zip(cut, cut[1:]))
         + _chunk(b"IEND", b"")
     )
-    assert np.array_equal(decode_png_luma(data), luma601_u8(decode_png(data)))
+
+
+def test_png_luma_fused_filtered_fallback():
+    """Filtered PNGs (non-zero filter bytes) reconstruct through the
+    general unfilter loop; the hash path's pixels and hash input still
+    match the full decode."""
+    from idf.codecs import decode_luma_scaled
+    from idf.kernels.hashes import preprocess
+
+    # one row filter-2 (Up) image, 3x2 RGB
+    data = _png_bytes([b"\x00" + bytes(range(6)), b"\x02" + bytes(range(6))], 2, 2, 2)
+    ref = decode_png(data)
+    assert np.array_equal(ref[1], (2 * np.arange(6, dtype=np.uint8)).reshape(2, 3))
+    px, h, w = decode_luma_scaled(data, 16)
+    assert (h, w) == (2, 2) and np.array_equal(px, ref)
+    assert np.array_equal(preprocess(px, 32, 32), _full_image_preprocess(ref, 32, 32))
+
+
+def _inflate_cases():
+    """(name, bytes) per inflate consumer: RGB, RGBA, gray, filtered and
+    multi-IDAT PNGs, and FJPG streams (v3 DC plane at 1/8 scale, full
+    coefficient planes)."""
+    from idf.codecs import encode
+
+    rgb, rgba, gray = _rand_img((40, 33, 3), 11), _rand_img((17, 29, 4), 12), _rand_img((23, 41), 13)
+    filt = [bytes([y % 5]) + bytes(_rand_img((1, 3 * 19), 14 + y).ravel()) for y in range(12)]
+    yy, xx = np.mgrid[0:160, 0:200]
+    smooth = np.stack([(xx + yy) % 256, (2 * xx) % 256, (3 * yy) % 256], -1).astype(np.uint8)
+    return [
+        ("png_rgb", encode_png(rgb)),
+        ("png_rgba", encode_png(rgba)),
+        ("png_gray", encode_png(gray)),
+        ("png_filtered", _png_bytes(filt, 19, 12, 2)),
+        ("png_multi_idat", _png_bytes([b"\x00" + bytes(r.ravel()) for r in rgb], 33, 40, 2, 4)),
+        ("fjpg_dc_plane", encode(smooth, "jpg", quality=80)),
+        ("fjpg_small", encode(rgb, "jpg", quality=60)),
+    ]
+
+
+@pytest.fixture
+def zlib_only(monkeypatch):
+    """Pins ``native.inflate`` to its stdlib-zlib fallback."""
+    from idf.codecs import native
+
+    monkeypatch.setattr(native, "get_deflate", lambda: None)
+
+
+def test_inflate_native_matches_zlib(monkeypatch):
+    """libdeflate and the zlib fallback give identical pixels (and
+    decoded images) for every inflate consumer."""
+    from idf.codecs import decode_luma_scaled, native
+
+    if native.get_deflate() is None:
+        pytest.skip("no system libdeflate: the zlib fallback is the only path")
+    cases = _inflate_cases()
+    got = {n: (decode_luma_scaled(d, 16), decode(d)) for n, d in cases}
+    monkeypatch.setattr(native, "get_deflate", lambda: None)
+    for name, data in cases:
+        (px, h, w), full = got[name]
+        (px2, h2, w2), full2 = decode_luma_scaled(data, 16), decode(data)
+        assert (h, w) == (h2, w2) and px.shape == px2.shape, name
+        assert np.array_equal(px, px2) and np.array_equal(full, full2), name
+    assert got["fjpg_dc_plane"][0][0].shape == (20, 25)  # k = 1: DC plane only
+
+
+@pytest.mark.parametrize("native_path", [True, False], ids=["libdeflate", "zlib"])
+def test_inflate_bad_streams_raise_decode_error(native_path, monkeypatch):
+    """Truncated, adler-corrupt, over-long and short zlib streams raise
+    ValueError from inflate and DecodeError (skip:decode) from the hash
+    path, on both inflate paths."""
+    import zlib
+
+    from idf.codecs import decode_luma_scaled, encode, native
+
+    if native_path and native.get_deflate() is None:
+        pytest.skip("no system libdeflate")
+    if not native_path:
+        monkeypatch.setattr(native, "get_deflate", lambda: None)
+    payload = bytes(range(256)) * 8
+    z = zlib.compress(payload)
+    assert bytes(native.inflate(memoryview(z + b"trailing"), len(payload))) == payload
+    for src, n in (
+        (z[:-7], len(payload)),  # truncated
+        (z[:-4] + bytes(x ^ 0xFF for x in z[-4:]), len(payload)),  # bad adler32
+        (z, len(payload) - 1),  # output longer than expected
+        (z, len(payload) + 1),  # output shorter than expected
+        (b"", 0),
+    ):
+        with pytest.raises(ValueError):
+            native.inflate(src, n)
+
+    img = _rand_img((12, 10, 3), 21)
+    rows = [b"\x00" + bytes(r.ravel()) for r in img]
+    good = _png_bytes(rows, 10, 12, 2)
+    assert np.array_equal(decode_luma_scaled(good, 16)[0], img)
+    idat = zlib.compress(b"".join(rows))
+    bad_pngs = {
+        "truncated": good.replace(idat, idat[:-9]),
+        "adler": good.replace(idat, idat[:-1] + bytes([idat[-1] ^ 1])),
+        "over_long": _png_bytes(rows, 10, 11, 2),  # IHDR claims one row less
+        "short": _png_bytes(rows, 10, 13, 2),  # IHDR claims one row more
+    }
+    smooth = encode(np.full((160, 160, 3), 90, np.uint8), "jpg", quality=80)
+    dc_len = int.from_bytes(smooth[10:14], "little")
+    bad_fjpg = smooth[:14] + smooth[14 : 14 + dc_len - 3] + b"\0\0\0" + smooth[14 + dc_len :]
+    for name, data in (*bad_pngs.items(), ("fjpg_dc_adler", bad_fjpg)):
+        with pytest.raises(DecodeError):
+            decode_luma_scaled(data, 16)
+        with pytest.raises(DecodeError):
+            decode(data)
+
+
+def test_inflate_threads_keep_their_own_decompressor():
+    """libdeflate decompressors are not thread-safe and the ctypes call
+    drops the GIL, so each thread inflates with its own: threads
+    inflating at once (more threads than cores, short switch interval)
+    each get exactly their own stream back."""
+    import sys
+    import threading
+    import zlib
+
+    from idf.codecs import native
+
+    payloads = [bytes(_rand_img((256, 1024), seed=s).ravel() >> 4) for s in range(8)]
+    streams = [zlib.compress(p, 1) for p in payloads]
+    bad = []
+
+    def work(k):
+        for _ in range(20):
+            if bytes(native.inflate(streams[k], len(payloads[k]))) != payloads[k]:
+                bad.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not bad
+
+
+def test_missing_or_empty_bytes_raise_decode_error():
+    """A null or empty ``bytes`` cell is a per-row decode skip at every
+    codec entry point, not a TypeError."""
+    from idf.codecs import decode_luma, decode_luma_scaled
+    from idf.kernels.hashes import hash_bytes
+
+    for data in (None, b"", memoryview(b"")):
+        for fn in (decode, decode_luma, lambda d: decode_luma_scaled(d, 16), hash_bytes):
+            with pytest.raises(DecodeError):
+                fn(data)
 
 
 def test_real_jpeg_seam():

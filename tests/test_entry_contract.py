@@ -101,3 +101,36 @@ def test_perfbench_trace_finds_the_idf_names_it_reads():
     assert {"ops.exchange_calls", "ops.sort_calls", "stages.cc.labelprop_rounds"} <= set(
         optional_counters()
     )
+
+
+def test_perfbench_kernel_rates_are_strict_json(tmp_path):
+    """The traced benchmark run times the hash path's kernels directly
+    (``perfbench.trace.kernel_rates``: ``decode_luma_scaled`` per codec,
+    ``preprocess``, ``hash_gray_batch``) and prints them in its last
+    stdout line; every rate must be a finite positive number that
+    strict JSON accepts, on a tiny corpus of PNG, FJPG and JFIF rows."""
+    import json
+    import math
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from idf.codecs import encode
+    from perfbench.trace import kernel_rates
+
+    rng = np.random.default_rng(3)
+    blobs = []
+    for i, fmt in enumerate(["png", "png", "jpg", "jpg", "jfif", "jfif", "png"]):
+        img = rng.integers(0, 256, (40 + 9 * i, 70 - 5 * i, 3), dtype=np.uint8)
+        blobs.append(encode(img[:, :, 0] if i == 6 else img, fmt))  # last: gray PNG
+    path = str(tmp_path / "images.parquet")
+    pq.write_table(pa.table({"bytes": pa.array(blobs, pa.binary())}), path)
+    rates = kernel_rates(path, seed=0)
+    assert set(rates) == {
+        "codecs.fjpg.items_per_s", "codecs.png.items_per_s", "codecs.jfif.items_per_s",
+        "kernels.resize.items_per_s", "kernels.phash.items_per_s",
+    }
+    for name, v in rates.items():
+        assert isinstance(v, float) and math.isfinite(v) and v > 0, (name, v)
+    json.dumps(rates, allow_nan=False)

@@ -991,3 +991,44 @@ def test_parquet_run_plans_no_ray_data_job(
         assert man.summary()["hashes"]["metrics"]["phash_verified"] > 0
     _assert_no_empty_stage_files(man)
     assert _plan_rows(run_dir) == _oracle_plan(imgs)
+
+
+def test_null_bytes_row_is_a_decode_skip(ray_session, tmp_path):
+    """A null ``bytes`` cell (bytes come from outside the program) is a
+    per-row ``skip:decode`` in the engine and in the oracle alike, not a
+    failed hash task; the run still reaches the oracle plan. The trusted
+    route gives the row size -1 (unknown) instead of failing its task."""
+    import pyarrow as pa
+
+    from idf.synth import generate_images_table
+
+    t = generate_images_table(n_families=6, seed=7)
+    fmts = t["fmt"].to_pylist()
+    victim = fmts.index("png")
+    col = t.schema.get_field_index("bytes")
+    blobs = t["bytes"].to_pylist()
+    blobs[victim] = None
+    t = t.set_column(col, "bytes", pa.array(blobs, t.schema.field("bytes").type))
+    imgs = str(tmp_path / "images.parquet")
+    pq.write_table(t, imgs)
+    victim_id = t["image_id"][victim].as_py()
+
+    oh, _, plan = oracle_end_to_end(t, radius=10)
+    assert victim_id in oh.skipped
+    run_dir = str(tmp_path / "run")
+    cfg = DedupConfig(use_precomputed_phash=False)
+    run_dedup(imgs, run_dir, cfg, resume=False, do_apply=False)
+    hashes = read_stage(run_dir, "hashes").to_pandas()
+    status = dict(zip(hashes["image_id"], hashes["status"]))
+    assert status[victim_id] == "skip:decode"
+    assert {i for i, s in status.items() if s != "ok"} == set(oh.skipped)
+    got = sorted(
+        (r["cluster_id"], r["action"], r["image_id"], r["reason"])
+        for r in read_stage(run_dir, "plan").to_pandas().to_dict("records")
+    )
+    assert got == plan
+    # the trusted route keeps the row's metadata hash; its size is unknown
+    trusted_dir = str(tmp_path / "trusted")
+    run_dedup(imgs, trusted_dir, DedupConfig(), resume=False, do_apply=False)
+    row = read_stage(trusted_dir, "hashes").to_pandas().set_index("image_id").loc[victim_id]
+    assert (row["status"], row["size"], row["verify"]) == ("ok", -1, 0)
