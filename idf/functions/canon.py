@@ -14,10 +14,10 @@ while the edge count is <= ``driver_max_edges`` — the same guard as the
 image CC's ``cc_driver_max_edges`` (idf/stages/cc.py) — and via
 distributed min-label propagation above it. Both routes use the image
 CC's kernels: ``_factorize_sorted`` + ``_cc_labels`` on the driver,
-``components_labelprop`` + ``join_labels`` at scale. Either way the canon
-map reaches the corpus as a broadcast (small case) or a bucketed
-int-exact co-group join (scale case); the id table itself streams and is
-never materialized.
+``label_components`` at scale. The canon map reaches the corpus as a
+broadcast in the small case, where the id table streams and is never
+materialized; at scale the ids ride the labelprop co-partitioning
+exchange and each partition labels its own ids in place.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def canonical_map(
     import ray
 
     from idf.ops import get_broadcast
-    from idf.stages.cc import _cc_labels, _factorize_sorted, components_labelprop, join_labels
+    from idf.stages.cc import _cc_labels, _factorize_sorted, label_components
 
     col_a, col_b = f"{id_col}_a", f"{id_col}_b"
     edges = edges.map_batches(
@@ -77,5 +77,10 @@ def canonical_map(
 
         return ids_only.map_batches(_map, batch_format="pandas")
 
-    # scale path: distributed CC, then the int-exact bucketed co-group
-    return join_labels(ids_only, id_col, components_labelprop(edges), "canon_id")
+    # scale path: the ids ride labelprop's co-partitioning exchange and
+    # are labelled where they sit, int-exact
+    ids_only = ids_only.materialize()
+    est = 2 * (edges.size_bytes() or 0) + (ids_only.size_bytes() or 0)
+    return rd.from_arrow_refs(
+        label_components(edges.to_arrow_refs(), ids_only.to_arrow_refs(), id_col, "canon_id", est)
+    )

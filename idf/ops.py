@@ -87,24 +87,53 @@ def _to_block(out) -> pa.Table:
     return out.replace_schema_metadata(None)
 
 
+def _column_hash(col) -> np.ndarray:
+    """``hash_pandas_object`` of one key column, as uint64. A null-free
+    integer column hashes its numpy view directly: the same values as
+    its pandas conversion, without converting (the conversion cost
+    several times the hash on the small blocks of a superstep)."""
+    if pa.types.is_integer(col.type) and col.null_count == 0:
+        return pd.util.hash_array(col.to_numpy())
+    return pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
+
+
+def hash_split(keys: pa.Table, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exchange's one partition function: row ``i`` of ``keys``
+    (the key columns) goes to partition ``h % n_parts``, where ``h`` is
+    ``pd.util.hash_pandas_object`` of the keys as a frame (each
+    column's hash, combined as pandas combines them), so placement
+    depends on content alone, never on block layout. -> ``(order,
+    bounds)``: partition ``p`` holds rows ``order[bounds[p]:bounds[p +
+    1]]``. Anything that must reach the partition ``exchange_refs``
+    gave a key (labelprop's superstep messages) splits with this, on
+    keys of the same dtype."""
+    h = np.full(keys.num_rows, 0x345678, dtype=np.uint64)
+    mult = np.uint64(1000003)
+    for i, col in enumerate(keys.columns):
+        h ^= _column_hash(col)
+        h *= mult
+        mult += np.uint64(82520 + 2 * (keys.num_columns - i))
+    h += np.uint64(97531)
+    part = (h % np.uint64(n_parts)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    return order, np.searchsorted(part[order], np.arange(n_parts + 1))
+
+
 @ray.remote
-def _exchange_split(tbl: pa.Table, keys: list[str], n_parts: int, pre_map):
+def _exchange_split(keys: list[str], n_parts: int, pre_map, tbl: pa.Table, *extra):
     """Map side: one input block -> ``n_parts`` key-hashed slices."""
     # Ray emits zero-row blocks with a BLANK schema between some
     # operators; they carry nothing to route. With a pre_map, typed
     # empties must carry the POST-map schema so the reduce concat sees
     # one consistent schema (blank 0-column empties are filtered there
-    # either way).
-    if pre_map is not None and tbl.num_columns:
-        tbl = pre_map(tbl)
+    # either way). An input with extra args always goes through pre_map.
+    if pre_map is not None and (extra or tbl.num_columns):
+        tbl = pre_map(tbl, *extra)
     if tbl.num_rows == 0:
         parts = [tbl.slice(0, 0)] * n_parts
     else:
-        kdf = tbl.select(keys).to_pandas()
-        part = (pd.util.hash_pandas_object(kdf, index=False).to_numpy() % n_parts).astype(np.int64)
-        order = np.argsort(part, kind="stable")
+        order, bounds = hash_split(tbl.select(keys), n_parts)
         t2 = tbl.replace_schema_metadata(None).take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
         parts = [t2.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(n_parts)]
     return tuple(parts) if n_parts > 1 else parts[0]
 
@@ -153,20 +182,24 @@ def exchange_refs(
     pre_map: "callable | None" = None,
 ) -> list:
     """The raw-task hash exchange over Arrow block refs: every block
-    splits into ``n_parts`` content-keyed slices (siphash of ``keys``,
-    so outputs are invariant to block layout), and one reduce task per
-    partition concats its slices and runs the Arrow-in ``bucket_fn``
-    (Arrow or pandas out). Returns the ``n_parts`` output block refs
-    without waiting on them, so callers chain exchanges with no Ray
-    Data job in between. ``pre_map`` (Arrow -> Arrow) runs inside the
-    split tasks. No input refs -> no output refs."""
+    splits into ``n_parts`` content-keyed slices (``hash_split`` of
+    ``keys``, so outputs are invariant to block layout), and one reduce
+    task per partition concats its slices and runs the Arrow-in
+    ``bucket_fn`` (Arrow or pandas out). Returns the ``n_parts`` output
+    block refs without waiting on them, so callers chain exchanges with
+    no Ray Data job in between. ``pre_map`` (Arrow -> Arrow) runs inside
+    the split tasks. An input may also be a tuple ``(block_ref, *extra)``:
+    its split task calls ``pre_map(block, *extra)``, each ref in
+    ``extra`` resolved to its object. No input refs -> no output refs."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     n_parts = int(n_parts)
     EXCHANGE_STATS["exchange"] += 1
     if not refs:
         return []
     split = _exchange_split.options(num_returns=n_parts)
-    splits = [split.remote(r, keys, n_parts, pre_map) for r in refs]
+    splits = [
+        split.remote(keys, n_parts, pre_map, *(r if isinstance(r, tuple) else (r,))) for r in refs
+    ]
     if n_parts == 1:
         splits = [[s] for s in splits]
     return [_exchange_reduce.remote(bucket_fn, *[s[p] for s in splits]) for p in range(n_parts)]

@@ -11,7 +11,9 @@ on object refs:
     -> key expansion in the split -> exchange(key)    [edges_band]
     (-> exchange(pair) min dist, above edge_dedup_min_rows)
                                                       [edges_band_dedup]
-    -> labelprop rounds + label join + emit exchanges [clusters]
+    -> edges+hashes co-partition exchange(phash), one
+       superstep task per partition per labelprop round,
+       label in place -> emit exchange(component)       [clusters]
     -> driver keeper election (distributed above 10M) [plan]
     -> per read unit: one task tags keep/quarantine against the
        broadcast DELETE ids and writes both sides      [apply]
@@ -148,6 +150,7 @@ def run_dedup(
         n_ok = pc.sum(pc.equal(vt["status"], "ok")).as_py() or 0
         sampled = int((v > 0).sum())
         mismatched = int((v == 2).sum())
+        no_bytes = int((v == 3).sum())
         if sampled == 0 and cfg.phash_verify_fraction > 0.0:
             # bytes-FREE scan (table ships a size column, so the main
             # pass read no bytes and could not verify in-batch): run the
@@ -203,6 +206,7 @@ def run_dedup(
             {
                 "phash_verified": sampled,
                 "phash_verify_mismatch": mismatched,
+                "phash_verify_no_bytes": no_bytes,
                 "phash_verified_fraction": (sampled / n_ok) if n_ok else 0.0,
                 "phash_verify_fraction_requested": cfg.phash_verify_fraction,
             },
@@ -214,6 +218,14 @@ def run_dedup(
                 f"(tolerance {cfg.phash_verify_max_mismatch}); the input "
                 "table's phash column is not trustworthy — rerun with "
                 "use_precomputed_phash=False"
+            )
+        if no_bytes > cfg.phash_verify_max_mismatch:
+            raise RuntimeError(
+                f"precomputed-phash verification failed: {no_bytes} of "
+                f"{sampled} sampled rows have a null `bytes` cell, so their "
+                f"phash could not be checked (tolerance "
+                f"{cfg.phash_verify_max_mismatch}); the input table's bytes "
+                "column is missing images"
             )
 
     # The shuffle stages below read a committed stage as block refs (one
@@ -290,11 +302,23 @@ def run_dedup(
     #    Exact-dup (dist-0) membership needs no edges at all: every ok
     #    image joins its phash's component inside the CC stage, and a
     #    phash with >= 2 images forms a cluster even with no band edge;
-    #    singletons drop (Commands.java:149-151 analog).
-    clusters_dir = man.run_stage(
-        "clusters",
-        lambda: connected_components(cfg, [edges_dir], hashes_dir),
-    )
+    #    singletons drop (Commands.java:149-151 analog). The build
+    #    fills the stage metrics with the CC route it took; run_stage
+    #    reads them at commit, so a resumed run records none.
+    from idf.stages.cc import CC_STATS
+
+    cc_metrics: dict = {}
+
+    def _build_clusters():
+        out = connected_components(cfg, [edges_dir], hashes_dir)
+        cc_metrics.update(
+            cc_route=CC_STATS["route"],
+            labelprop_rounds=CC_STATS["labelprop_rounds"],
+            converged=CC_STATS["converged"],
+        )
+        return out
+
+    clusters_dir = man.run_stage("clusters", _build_clusters, metrics=cc_metrics)
 
     # 5. keeper election (driver fast path below 10M members, else the
     # distributed broadcast-join + bucketed election)

@@ -15,16 +15,24 @@ phash ids and membership expands through the hash-stage output after.
   reads the edge parquet on the driver and runs ``_cc_labels``,
   whole-array min-label propagation with pointer jumping. Memory is
   O(#edges) — the near-dup minority, not the corpus.
-- ``components_phash_labelprop`` (above it): ``components_labelprop``,
-  the fully distributed min-label fixpoint (rounds = graph diameter;
-  near-dup components are tiny, so 2-4), then ``join_labels`` attaches
-  every image to its phash's component.
+- ``components_phash_labelprop`` (above it): the fully distributed
+  min-label fixpoint as Pregel-style supersteps over object refs. One
+  exchange co-partitions the symmetric edges (keyed on ``src``) with
+  the rows to label (keyed on their int key); each partition's block is
+  its static state. Each round is one task per partition: it applies
+  the messages addressed to it and returns its labels, how many
+  changed, and the next round's messages, sent from changed nodes only
+  (rounds = graph diameter; near-dup components are tiny, so 2-4).
+  After the fixpoint each partition labels its own rows in place,
+  inside the split tasks of the cluster emit exchange.
 
-``idf/functions/canon.py`` runs the same two kernels and the same join
-over its int id graphs.
+``idf/functions/canon.py`` runs the same two kernels over its int id
+graphs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -33,167 +41,212 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-# Observability for the distributed CC path (mirrors SESSIONIZE_STATS /
-# EXCHANGE_STATS): how many propagation rounds the last labelprop run
-# took and whether it hit the fixpoint before max_iters. Read by
-# scripts/bench_labelprop_guard.py and asserted in tests.
-CC_STATS: dict = {"labelprop_rounds": None, "converged": None}
+# Observability for the clusters stage (mirrors EXCHANGE_STATS): the
+# route the last ``connected_components`` call took, how many
+# propagation rounds the last labelprop run took and whether it reached
+# the fixpoint before max_iters. Recorded in the clusters stage's
+# manifest metrics, read by perfbench's tracer and
+# scripts/bench_labelprop_guard.py, and asserted in tests.
+CC_STATS: dict = {"route": None, "labelprop_rounds": None, "converged": None}
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _labelprop_route_msgs(t: pa.Table) -> pa.Table:
-    """Exchange-1 bucket fn: co-grouped (edges ∪ labels) keyed on ``src``.
+def _tag_side(t: pa.Table, side: int, key: str | None) -> pa.Table:
+    """Co-partition pre_map: an edge block (side 0: two int endpoint
+    columns, by position) -> its symmetric ``(src, dst)`` rows; a row
+    block (side 1) -> its rows with ``key`` as ``src`` and a null
+    ``dst``, the payload columns carried. Both sides key on int64
+    ``src``, the dtype the superstep messages are split on."""
+    if side == 0:
+        a, b = (
+            (t.column(i).cast(pa.int64()).combine_chunks() for i in (0, 1))
+            if t.num_columns
+            else (pa.array(_EMPTY), pa.array(_EMPTY))
+        )
+        return pa.table(
+            {
+                "src": pa.concat_arrays([a, b]),
+                "dst": pa.concat_arrays([b, a]),
+                "__side": pa.array(np.zeros(2 * len(a), dtype=np.int8)),
+            }
+        )
+    if not t.num_columns:
+        t = pa.table({key: pa.array(_EMPTY)})
+    n = t.num_rows
+    return pa.table(
+        {
+            "src": t[key].cast(pa.int64()),
+            "dst": pa.nulls(n, pa.int64()),
+            "__side": pa.array(np.ones(n, dtype=np.int8)),
+            **{c: t[c] for c in t.column_names if c != key},
+        }
+    )
 
-    Emits one message per edge (``node=dst`` carrying ``label(src)``)
-    plus every label row's self-message (flagged), all vectorized via a
-    sorted searchsorted lookup — no pandas merge, no null-padded int64
-    round-trips through float64.
-    """
-    is_lab = pc.equal(t["__side"], 1)
-    lab_t = t.filter(is_lab)
-    edge_t = t.filter(pc.invert(is_lab))
-    src_l = lab_t["src"].to_numpy(zero_copy_only=False)
-    lab_l = lab_t["label"].to_numpy(zero_copy_only=False)
-    src_e = edge_t["src"].to_numpy(zero_copy_only=False)
-    dst_e = edge_t["dst"].to_numpy(zero_copy_only=False)
-    order = np.argsort(src_l, kind="stable")
-    src_ls, lab_ls = src_l[order], lab_l[order]
-    if len(src_e):
-        idx = np.searchsorted(src_ls, src_e)
-        if idx.max(initial=-1) >= len(src_ls) or not (src_ls[idx] == src_e).all():
+
+def _static_block(t: pa.Table) -> pa.Table:
+    """Co-partition reduce: one partition's static superstep state. Its
+    edges come first, sorted by ``(src, dst)`` with repeats dropped (the
+    raw edge list repeats a pair once per band key it surfaced from),
+    then its rows (null ``dst``)."""
+    is_edge = pc.equal(t["__side"], 0)
+    e = t.filter(is_edge)
+    src = e["src"].to_numpy(zero_copy_only=False)
+    dst = e["dst"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((dst, src))
+    s, d = src[order], dst[order]
+    keep = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])][: len(s)]
+    edges = pa.table(
+        {"src": s[keep], "dst": d[keep], "__side": np.zeros(int(keep.sum()), dtype=np.int8)}
+    )
+    rows = t.filter(pc.invert(is_edge))
+    return pa.concat_tables([edges, rows], promote_options="default").combine_chunks()
+
+
+def _static_parts(static: pa.Table) -> tuple[np.ndarray, np.ndarray, pa.Table]:
+    """A static block -> its edge ``src`` and ``dst`` arrays (sorted by
+    ``src``) and its rows table."""
+    if "dst" not in static.column_names:  # every input block was blank
+        return _EMPTY, _EMPTY, static
+    n_e = static.num_rows - static["dst"].null_count
+    edges = static.slice(0, n_e)
+    return (
+        edges["src"].to_numpy(zero_copy_only=False),
+        edges["dst"].to_numpy(zero_copy_only=False),
+        static.slice(n_e),
+    )
+
+
+@ray.remote
+def _superstep(static: pa.Table, labels: pa.Table | None, n_parts: int, *msgs: np.ndarray):
+    """One labelprop round of one partition -> ``(labels, n_changed,
+    *messages)``: ``labels`` is the ``(node, label)`` table of the
+    partition's nodes (every edge ``src``, ascending) and ``messages``
+    holds one ``(2, k)`` int64 ``[dst; label]`` array per partition,
+    split with the exchange's own ``hash_split``.
+
+    Round 0 (``labels`` None) starts every node at min(node,
+    neighbors); a node still at its own id has nothing to send, since
+    each neighbor already counted that id. Later rounds take each
+    node's min over its label and the messages addressed to it. Only
+    nodes whose label changed send, along every edge, so a round's
+    labels equal a full all-edges round's, with no sentinel values."""
+    from idf.ops import hash_split
+
+    src, dst, _ = _static_parts(static)
+    starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]]) if len(src) else _EMPTY
+    nodes = src[starts]
+    if labels is None:
+        old = nodes
+        new = np.minimum(nodes, np.minimum.reduceat(dst, starts)) if len(starts) else nodes
+    else:
+        if not np.array_equal(labels["node"].to_numpy(zero_copy_only=False), nodes):
             raise AssertionError(
                 "labelprop invariant broken: an edge src has no label row "
                 "(labels must cover every node of the symmetric edge list)"
             )
-        edge_lab = lab_ls[idx]
-    else:
-        edge_lab = np.empty(0, dtype=lab_ls.dtype)
-    node = np.concatenate([dst_e, src_ls])
-    label = np.concatenate([edge_lab, lab_ls])
-    is_self = np.zeros(len(node), dtype=np.int8)
-    is_self[len(dst_e):] = 1
-    return pa.table({"node": node, "label": label, "__self": is_self})
+        old = labels["label"].to_numpy(zero_copy_only=False)
+        new = old.copy()
+        m = np.concatenate(msgs, axis=1) if msgs else np.empty((2, 0), dtype=np.int64)
+        if m.shape[1]:
+            pos = np.searchsorted(nodes, m[0])
+            if pos.max() >= len(nodes) or not (nodes[pos] == m[0]).all():
+                raise AssertionError(
+                    "labelprop invariant broken: a node received messages but "
+                    "has no self row (every node must carry its own label)"
+                )
+            np.minimum.at(new, pos, m[1])
+    changed = new != old
+    degree = np.diff(np.r_[starts, len(src)])
+    sel = np.repeat(changed, degree)
+    to, lab = dst[sel], np.repeat(new, degree)[sel]
+    order, bounds = hash_split(pa.table({"src": to}), n_parts)
+    out = np.stack([to[order], lab[order]])
+    return (
+        pa.table({"node": nodes, "label": new}),
+        int(changed.sum()),
+        *(out[:, bounds[p] : bounds[p + 1]] for p in range(n_parts)),
+    )
 
 
-def _labelprop_min_reduce(t: pa.Table) -> pa.Table:
-    """Exchange-2 bucket fn: per-node min over messages ∪ self rows.
+def _propagate(
+    edges: list, rows: list, key: str | None, n_parts: int, max_iters: int
+) -> tuple[list, list]:
+    """Min-label propagation to fixpoint -> ``(static, labels)``, one
+    ref each per partition: ``static`` from the one co-partitioning
+    ``exchange_refs`` over the edge blocks (symmetrized inside its split
+    tasks) and the ``rows`` blocks keyed on their int ``key``;
+    ``labels`` the final ``(node, label)`` tables. Each round is one
+    ``_superstep`` task per partition; the driver gets only their
+    changed counts. A graph still changing after ``max_iters`` rounds
+    raises ``RuntimeError`` after ``CC_STATS`` records the rounds: its
+    labels would split components."""
+    from idf.ops import exchange_refs
 
-    Returns ``(node, label, old)`` where ``old`` is the node's previous
-    label (its unique self row) — the convergence comparison rides the
-    same shuffle instead of a separate join, halving the per-round
-    all-to-all count (the thing that matters at 100-TB edge volumes).
-    No sentinel values: ``old`` comes from the flagged self rows, so
-    labels touching INT64_MAX/MIN stay exact (r2 advice analog,
-    tests/test_scale_paths.py::test_labelprop_distinct_huge_labels_stay_distinct).
-    """
-    node = t["node"].to_numpy(zero_copy_only=False)
-    label = t["label"].to_numpy(zero_copy_only=False)
-    is_self = t["__self"].to_numpy(zero_copy_only=False).astype(bool)
-    order = np.argsort(node, kind="stable")
-    n_s, l_s = node[order], label[order]
-    bounds = np.flatnonzero(np.r_[True, n_s[1:] != n_s[:-1]]) if len(n_s) else np.empty(0, dtype=np.int64)
-    unodes = n_s[bounds]
-    new_lab = np.minimum.reduceat(l_s, bounds) if len(bounds) else l_s[:0]
-    ns, ls = node[is_self], label[is_self]
-    so = np.argsort(ns, kind="stable")
-    ns_s, ls_s = ns[so], ls[so]
-    if len(unodes):
-        pos = np.searchsorted(ns_s, unodes)
-        if pos.max(initial=-1) >= len(ns_s) or not (ns_s[pos] == unodes).all():
-            raise AssertionError(
-                "labelprop invariant broken: a node received messages but "
-                "has no self row (every node must carry its own label)"
+    static = exchange_refs(
+        [(r, 0) for r in edges] + [(r, 1) for r in rows],
+        "src",
+        _static_block,
+        n_parts,
+        pre_map=functools.partial(_tag_side, key=key),
+    )
+    step = _superstep.options(num_returns=2 + n_parts)
+    outs = [step.remote(s, None, n_parts) for s in static]
+    CC_STATS.update(labelprop_rounds=0, converged=False)
+    while True:
+        labels = [o[0] for o in outs]
+        if not sum(ray.get([o[1] for o in outs])):
+            CC_STATS["converged"] = True
+            return static, labels
+        if CC_STATS["labelprop_rounds"] == max_iters:
+            raise RuntimeError(
+                f"labelprop did not converge in {max_iters} rounds: a component's "
+                "diameter exceeds max_iters, and its labels would split it"
             )
-        old = ls_s[pos]
-    else:
-        old = ls_s[:0]
-    return pa.table({"node": unodes, "label": new_lab, "old": old})
+        outs = [
+            step.remote(s, lab, n_parts, *[o[2 + p] for o in outs])
+            for p, (s, lab) in enumerate(zip(static, labels))
+        ]
+        CC_STATS["labelprop_rounds"] += 1
 
 
-@ray.remote
-def _edge_side(t: pa.Table) -> pa.Table:
-    """Symmetrize + pad an edge block: (a, b) -> side-0 rows (a->b, b->a)."""
-    if t.num_columns == 0:
-        return t
-    a, b = t.column(0).combine_chunks(), t.column(1).combine_chunks()
-    return pa.table(
-        {
-            "src": pa.concat_arrays([a, b]),
-            "dst": pa.concat_arrays([b, a]),
-            "label": pa.nulls(2 * len(t), pa.int64()),
-            "__side": pa.array(np.zeros(2 * len(t), dtype=np.int8)),
-        }
-    )
-
-
-def _label_side(t: pa.Table) -> pa.Table:
-    """Exchange-1 pre_map: a label block (``node``, ``label`` [, ``old``])
-    -> side-1 rows keyed on ``src``; edge-side blocks pass through."""
-    if "__side" in t.column_names:
-        return t
-    return pa.table(
-        {
-            "src": t["node"].combine_chunks(),
-            "dst": pa.nulls(len(t), pa.int64()),
-            "label": t["label"].combine_chunks(),
-            "__side": pa.array(np.ones(len(t), dtype=np.int8)),
-        }
-    )
-
-
-def _init_labels(t: pa.Table) -> pa.Table:
-    """labels(node) = min(node, neighbors) over the symmetric edge side."""
-    src = t["src"].to_numpy(zero_copy_only=False)
-    dst = t["dst"].to_numpy(zero_copy_only=False)
-    order = np.argsort(src, kind="stable")
-    s_s, d_s = src[order], dst[order]
-    bounds = np.flatnonzero(np.r_[True, s_s[1:] != s_s[:-1]]) if len(s_s) else np.empty(0, dtype=np.int64)
-    unodes = s_s[bounds]
-    min_nb = np.minimum.reduceat(d_s, bounds) if len(bounds) else d_s[:0]
-    return pa.table({"node": unodes, "label": np.minimum(unodes, min_nb)})
-
-
-@ray.remote
-def _changed_rows(t: pa.Table) -> int:
-    """Per-partition convergence count: nodes whose label moved."""
-    if t.num_rows == 0:
-        return 0
-    return int(pc.sum(pc.not_equal(t["label"], t["old"])).as_py() or 0)
-
-
-@ray.remote
-def _num_rows(t: pa.Table) -> int:
-    return t.num_rows
+def _label_rows(
+    static: pa.Table, labels: pa.Table, key: str, out: str, carry: dict[str, pa.DataType]
+) -> pa.Table:
+    """Join in place: one partition's rows as ``carry`` columns + int64
+    ``key`` + ``out``, the component label of the row's key (a key
+    absent from the graph keeps itself). A numpy searchsorted over the
+    partition's own sorted nodes: no shuffle, and no pandas round trip
+    that could turn 64-bit labels into float64 (r2 ADVICE, high)."""
+    _, _, rows = _static_parts(static)
+    if not rows.num_rows:
+        empty = pa.array(_EMPTY)
+        return pa.table({**{c: pa.array([], t) for c, t in carry.items()}, key: empty, out: empty})
+    x = rows["src"].to_numpy(zero_copy_only=False)
+    lab = x.copy()
+    nodes = labels["node"].to_numpy(zero_copy_only=False)
+    if len(nodes):
+        pos = np.clip(np.searchsorted(nodes, x), 0, len(nodes) - 1)
+        hit = nodes[pos] == x
+        lab[hit] = labels["label"].to_numpy(zero_copy_only=False)[pos[hit]]
+    return pa.table({**{c: rows[c] for c in carry}, key: x, out: lab})
 
 
 def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = None):
     """Distributed min-label propagation to fixpoint: ``edges`` (two
-    int64 endpoint columns, by position) -> ``(node, label)``.
+    int64 endpoint columns, by position) -> ``(node, label)``, label ==
+    the component's min node id.
 
-    labels(node) starts at min(node, neighbors); each round every edge
-    sends its source's label to its destination and each node takes the
-    min over incoming messages and its own label; converged when no
-    label changed. Deterministic output: label == min member id.
-
-    The loop runs on object refs with no Ray Data job inside it: one
-    task per edge block symmetrizes it once, then each round is exactly
-    TWO ``exchange_refs`` (the structural minimum for edge-wise
-    propagation): edge refs ∪ label refs keyed on ``src`` (label blocks
-    turn into side-1 rows inside the split tasks), then messages keyed
-    on ``node``, whose reduce also emits each node's previous label.
-    Convergence is one tiny count task per partition, summed on the
-    driver. Per round that is no Ray Data planning or sort coordination
-    at all — at small edge counts that fixed per-job cost was most of
-    the wall.
-
-    ``edges`` is a list of Arrow block refs (-> label refs, which also
-    carry an ``old`` column; ``est_bytes`` sizes the exchanges) or a
-    Dataset, which is materialized once around the same loop
-    (-> Dataset). An edge-less input returns typed empty labels after 0
-    rounds. A graph still changing after ``max_iters`` rounds (a
-    component whose diameter exceeds it) raises ``RuntimeError`` after
-    ``CC_STATS`` records the rounds: its labels would split components.
-    """
-    from idf.ops import available_cpus, exchange_refs, exchange_width
+    Pregel-style supersteps over object refs (``_propagate``): one
+    ``exchange_refs`` co-partitions the symmetric edges on ``src``, then
+    each round is one task per partition, with no Ray Data job and no
+    exchange inside the loop; the final labels are the superstep
+    outputs. ``edges`` is a list of Arrow block refs (-> label refs;
+    ``est_bytes`` sizes the exchange) or a Dataset, which is
+    materialized once around the same loop (-> Dataset). An edge-less
+    input returns typed empty labels after 0 rounds. A graph still
+    changing after ``max_iters`` rounds raises ``RuntimeError``."""
+    from idf.ops import available_cpus, exchange_width
 
     as_refs = isinstance(edges, list)
     if not as_refs:
@@ -201,114 +254,28 @@ def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = Non
         est_bytes = 2 * (edges.size_bytes() or 0)  # the symmetrized side
         edges = edges.to_arrow_refs()
     n_parts = exchange_width(est_bytes or 0, available_cpus())
-    edge_refs = [_edge_side.remote(r) for r in edges]
-    labels = exchange_refs(edge_refs, "src", _init_labels, n_parts)
-
-    CC_STATS["labelprop_rounds"] = 0
-    CC_STATS["converged"] = not sum(ray.get([_num_rows.remote(r) for r in labels]))
-    for _ in range(0 if CC_STATS["converged"] else max_iters):
-        msgs = exchange_refs(
-            edge_refs + labels, "src", _labelprop_route_msgs, n_parts, pre_map=_label_side
-        )
-        labels = exchange_refs(msgs, "node", _labelprop_min_reduce, n_parts)
-        CC_STATS["labelprop_rounds"] += 1
-        if not sum(ray.get([_changed_rows.remote(r) for r in labels])):
-            CC_STATS["converged"] = True
-            break
-    if not CC_STATS["converged"]:
-        raise RuntimeError(
-            f"labelprop did not converge in {max_iters} rounds: a component's "
-            "diameter exceeds max_iters, and its labels would split it"
-        )
+    _, labels = _propagate(edges, [], None, n_parts, max_iters)
     if as_refs:
         return labels
     if not CC_STATS["labelprop_rounds"]:
-        empty = pa.array([], pa.int64())
-        return rd.from_arrow(pa.table({"node": empty, "label": empty}))
-    return rd.from_arrow_refs(labels).select_columns(["node", "label"])
+        return rd.from_arrow(pa.table({"node": pa.array(_EMPTY), "label": pa.array(_EMPTY)}))
+    return rd.from_arrow_refs(labels)
 
 
-def _join_side(key: str, carry: dict[str, pa.DataType]):
-    """``join_labels`` side tagger: a label block (``node``, ``label``
-    [, ``old``]) -> side-1 rows keyed on ``key``; a row block -> side 0."""
-    cols = [*carry, key]
+def label_components(
+    edges: list, rows: list, key: str, out: str, est_bytes: int, max_iters: int = 50
+) -> list:
+    """``(key, out)`` block refs over ``rows`` (block refs of one int64
+    ``key`` column): ``out`` is the component label of each key over the
+    ``edges`` block refs, a key absent from the graph keeping itself.
+    The rows ride the labelprop co-partitioning exchange and are
+    labelled where they sit, one task per partition."""
+    from idf.ops import available_cpus, exchange_width
 
-    def tag(t: pa.Table) -> pa.Table:
-        n = len(t)
-        if "label" in t.column_names:
-            return pa.table(
-                {
-                    **{c: pa.nulls(n, typ) for c, typ in carry.items()},
-                    key: t["node"],
-                    "__label": t["label"],
-                    "__side": pa.array(np.ones(n, dtype=np.int8)),
-                }
-            )
-        return (
-            t.select(cols)
-            .append_column("__label", pa.nulls(n, pa.int64()))
-            .append_column("__side", pa.array(np.zeros(n, dtype=np.int8)))
-        )
-
-    return tag
-
-
-def join_labels(
-    rows,
-    key: str,
-    labels,
-    out: str,
-    carry: dict[str, pa.DataType] | None = None,
-    est_bytes: int | None = None,
-):
-    """``rows`` + column ``out``: the component label of each row's
-    int64 ``key``, from ``labels`` = ``components_labelprop`` output; a
-    key absent from the graph keeps itself as its label. ``carry`` names
-    and types the payload columns of ``rows`` besides ``key`` (neither
-    may be named ``label``, which marks the label side).
-
-    One co-grouping shuffle over the side-tagged union: with block refs
-    for ``rows`` and ``labels`` it is one ``exchange_refs`` over both
-    ref lists, the tags added inside its split tasks (-> refs); with
-    Datasets each side is tagged by a map and ``bucketed_apply`` runs
-    the same shuffle (-> Dataset). The join is NUMPY searchsorted inside
-    the bucket, not a pandas left-merge: the union null-pads the label
-    column on the rows side, and a whole-partition pandas conversion
-    would promote it to float64 and round 64-bit labels above 2^53 —
-    distinct components whose rounded labels collide would silently
-    merge (r2 ADVICE, high). Each side is filtered in Arrow FIRST so
-    every slice converts with true dtypes."""
-    from idf.ops import bucketed_apply
-
-    carry = carry or {}
-    assert "label" not in (*carry, key), "'label' marks the label side"
-    tag = _join_side(key, carry)
-
-    def _join(t: pa.Table) -> pa.Table:
-        lt = t.filter(pc.equal(t["__side"], 0))
-        rt = t.filter(pc.equal(t["__side"], 1)).sort_by(key)
-        x = lt[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        lab = x.copy()
-        rk = rt[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(rk):
-            rl = rt["__label"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.clip(np.searchsorted(rk, x), 0, len(rk) - 1)
-            hit = rk[pos] == x
-            lab[hit] = rl[pos[hit]]
-        return (
-            lt.select(list(carry))
-            .append_column(key, pa.array(x))
-            .append_column(out, pa.array(lab))
-        )
-
-    if isinstance(rows, list):
-        return bucketed_apply(
-            rows + labels, key, _join, arrow_fn=True, est_bytes=est_bytes, pre_map=tag
-        )
-    tagged = rows.map_batches(tag, batch_format="pyarrow").union(
-        labels.map_batches(tag, batch_format="pyarrow")
-    )
-    return bucketed_apply(tagged, key, _join, arrow_fn=True, est_bytes=est_bytes)
+    n_parts = exchange_width(est_bytes, available_cpus())
+    static, labels = _propagate(edges, rows, key, n_parts, max_iters)
+    task = ray.remote(_label_rows)
+    return [task.remote(s, lab, key, out, {}) for s, lab in zip(static, labels)]
 
 
 def _emit_clusters(t: pa.Table) -> pa.Table:
@@ -388,32 +355,35 @@ def components_phash_labelprop(
     the scale path when the edge list exceeds driver memory
     (cfg.cc_driver_max_edges). Mirrors ``components_phash_driver``:
 
-    1. min-label propagation over (phash_a, phash_b) int edges
-    2. every ok image joins its phash's component (one co-grouping
-       shuffle, ``join_labels``); a phash absent from the graph keys its
-       own group (the unedged exact-duplicate case)
+    1. min-label propagation over (phash_a, phash_b) int edges, with
+       the ok ``(image_id, phash)`` rows co-partitioned on their phash
+       by the same exchange (``_propagate``)
+    2. every ok image takes its phash's component label where it sits,
+       inside the split tasks of the emit exchange; a phash absent from
+       the graph keys its own group (the unedged exact-duplicate case)
     3. per component: drop singletons, cluster_id = min image_id
 
-    The stage reads both inputs with one task per file and runs on block
-    refs from read to the returned output refs, with no Ray Data job;
-    the edge + hashes file bytes size every exchange."""
+    Two exchanges and R+1 superstep waves in all. The stage reads both
+    inputs with one task per file and runs on block refs from read to
+    the returned output refs, with no Ray Data job; the edge + hashes
+    file bytes size both exchanges."""
     import os
 
     import pyarrow.dataset as pads
 
-    from idf.ops import bucketed_apply, read_refs
+    from idf.ops import available_cpus, exchange_refs, exchange_width, read_refs
 
     edge_files = _parquet_files(phash_edge_dirs)
     hash_files = _parquet_files([hashes_dir])
-    est = sum(os.path.getsize(f) for f in edge_files + hash_files)
+    n_parts = exchange_width(
+        sum(os.path.getsize(f) for f in edge_files + hash_files), available_cpus()
+    )
     ok = pads.field("status") == "ok"
     edges = read_refs(edge_files, columns=["phash_a", "phash_b"])
     hashes = read_refs(hash_files, columns=["image_id", "phash"], filter=ok)
-    labels = components_labelprop(edges, max_iters=max_iters, est_bytes=est)
-    keyed = join_labels(
-        hashes, "phash", labels, "__key", carry={"image_id": pa.string()}, est_bytes=est
-    )
-    return bucketed_apply(keyed, "__key", _emit_clusters, arrow_fn=True, est_bytes=est)
+    static, labels = _propagate(edges, hashes, "phash", n_parts, max_iters)
+    keyed = functools.partial(_label_rows, key="phash", out="__key", carry={"image_id": pa.string()})
+    return exchange_refs(list(zip(static, labels)), "__key", _emit_clusters, n_parts, pre_map=keyed)
 
 
 def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.Table:
@@ -523,9 +493,13 @@ def connected_components(
     The driver route returns a local ``pa.Table`` (the manifest writes
     it with pyarrow directly — no Ray job); labelprop returns block refs.
     Both routes are looked up by module attribute at call time, so a
-    wrapper installed on the module (perfbench/trace.py) sees the call."""
+    wrapper installed on the module (perfbench/trace.py) sees the call.
+    ``CC_STATS`` records the route taken; the driver kernel always runs
+    to its fixpoint, in 0 labelprop rounds."""
     if count_edge_rows(phash_edge_dirs) <= cfg.cc_driver_max_edges:
+        CC_STATS.update(route="driver", labelprop_rounds=0, converged=True)
         return components_phash_driver(phash_edge_dirs, hashes_dir)
+    CC_STATS["route"] = "labelprop"
     return components_phash_labelprop(phash_edge_dirs, hashes_dir)
 
 

@@ -186,9 +186,11 @@ class PrecomputedHasher:
 
     Output adds a ``verify`` int8 column: 0 = trusted (not sampled),
     1 = sampled & matched the real decode, 2 = sampled & MISMATCHED
-    (wrong hash, or decode failed where metadata said ok). The pipeline
-    aggregates it into manifest metrics and fails the run when
-    mismatches exceed ``cfg.phash_verify_max_mismatch``.
+    (wrong hash, or decode failed where metadata said ok), 3 = sampled
+    but its ``bytes`` cell is null, so there was nothing to decode. The
+    pipeline aggregates it into manifest metrics and fails the run when
+    mismatches, or sampled rows without bytes, exceed
+    ``cfg.phash_verify_max_mismatch``.
 
     At 100 TB this is the only sane default: a trusted corpus is never
     re-decoded, the sampled decode bounds verify cost at
@@ -282,6 +284,11 @@ class PrecomputedHasher:
             else:
                 ids = batch["image_id"].to_numpy(zero_copy_only=False)
                 sample = ok & _verify_sample_mask(ids, self.thresh, self.seed)
+            # a sampled row with a null bytes cell has nothing to decode:
+            # its own outcome, not a phash mismatch
+            no_bytes = pc.is_null(batch["bytes"]).combine_chunks().to_numpy(zero_copy_only=False)
+            verify[sample & no_bytes] = 3
+            sample = sample & ~no_bytes
             if sample.any():
                 sub = batch.filter(pa.array(sample))
                 dec = self.decoder(sub)

@@ -1,5 +1,6 @@
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray
@@ -243,6 +244,35 @@ def test_exchange_width(size_bytes, ncpu, want):
     from idf.ops import exchange_width
 
     assert exchange_width(size_bytes, ncpu) == want
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 8])
+def test_hash_split_places_keys_like_the_exchange(ray_session, n_parts):
+    """``hash_split`` is the exchange's partition function: int64 keys
+    (INT64 min and max among them) split through it land in the same
+    partition as through ``exchange_refs``, whatever the block layout."""
+    import ray
+
+    from idf.ops import exchange_refs, hash_split
+
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    keys = np.r_[lo, lo + 1, -1, 0, 1, hi - 1, hi, np.arange(-500, 500) * 7919]
+    order, bounds = hash_split(pa.table({"k": keys}), n_parts)
+    want = [set(keys[order[bounds[p] : bounds[p + 1]]].tolist()) for p in range(n_parts)]
+    blocks = [ray.put(pa.table({"k": keys[i::3]})) for i in range(3)]
+    out = ray.get(exchange_refs(blocks, "k", lambda t: t, n_parts))
+    got = [set(t["k"].to_pylist()) if t.num_columns else set() for t in out]
+    assert got == want
+    assert set().union(*got) == set(keys.tolist())
+    # the placement is hash_pandas_object's, whatever the key columns:
+    # int64 (with and without nulls), string, and both together
+    names = np.array([f"id{k % 97}" for k in keys], dtype=object)
+    keyed = pa.table({"k": keys, "s": names, "n": pa.array(np.where(keys % 5 == 0, None, keys))})
+    for cols in (["k"], ["s"], ["n"], ["k", "s"], ["s", "n", "k"]):
+        frame = keyed.select(cols).to_pandas()
+        part = pd.util.hash_pandas_object(frame, index=False).to_numpy() % n_parts
+        order, bounds = hash_split(keyed.select(cols), n_parts)
+        assert (np.repeat(np.arange(n_parts), np.diff(bounds)) == part[order]).all()
 
 
 def test_exchange_apply_pandas_output_has_no_schema_metadata(ray_session, rng):

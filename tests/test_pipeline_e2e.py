@@ -1,6 +1,7 @@
 """End-to-end engine-vs-oracle conformance (FIXTURES.md §5)."""
 
 import collections
+import json
 import os
 import types
 
@@ -193,6 +194,11 @@ def test_resume_mid_pipeline(ray_session, small_images_table, tmp_path_factory):
     )
     man2 = run_dedup(small_images_table, run_dir, DedupConfig(), resume=True, do_apply=False)
     assert man2.is_committed("clusters") and man2.is_committed("plan")
+    assert man2.state["stages"]["clusters"]["metrics"] == {
+        "cc_route": "driver",
+        "labelprop_rounds": 0,
+        "converged": True,
+    }
     hashes_after = sorted(
         (p["file"], p["rows"]) for p in man2.state["stages"]["hashes"]["partitions"]
     )
@@ -217,6 +223,19 @@ def test_labelprop_equals_driver_cc(ray_session, small_images_table, tmp_path_fa
 
     assert CC_STATS["converged"] is True
     assert 1 <= CC_STATS["labelprop_rounds"] <= 50
+    # the clusters stage records its route in the run manifest
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        metrics = json.load(f)["stages"]["clusters"]["metrics"]
+    assert metrics == {
+        "cc_route": "labelprop",
+        "labelprop_rounds": CC_STATS["labelprop_rounds"],
+        "converged": True,
+    }
+    # a resumed run rebuilds nothing and records nothing new
+    CC_STATS.update(route=None, labelprop_rounds=None, converged=None)
+    man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=False)
+    assert man2.state["stages"]["clusters"]["metrics"] == metrics
+    assert CC_STATS["route"] is None
 
 
 def test_edge_dedup_path_same_clusters(ray_session, small_images_table, tmp_path_factory):

@@ -120,6 +120,55 @@ def test_mismatch_within_tolerance_passes(ray_session, small_images_table, tmp_p
     assert man.summary()["hashes"]["metrics"]["phash_verify_mismatch"] == 1
 
 
+def _null_bytes_table(src: str, out: str) -> None:
+    """``src`` with the first decodable row's bytes cell nulled."""
+    t = pq.read_table(src)
+    victim = int(np.flatnonzero(t["w"].to_numpy(zero_copy_only=False) > 0)[0])
+    blobs = t["bytes"].to_pylist()
+    blobs[victim] = None
+    col = t.schema.get_field_index("bytes")
+    pq.write_table(t.set_column(col, "bytes", pa.array(blobs, t.schema.field("bytes").type)), out)
+
+
+def test_null_bytes_sample_is_not_a_mismatch(ray_session, small_images_table, tmp_path):
+    """A sampled row whose bytes cell is null has nothing to decode: it
+    is its own verify outcome, counted apart from phash mismatches, and
+    within tolerance the run completes."""
+    imgs = str(tmp_path / "null_bytes.parquet")
+    _null_bytes_table(small_images_table, imgs)
+    man = run_dedup(
+        imgs,
+        str(tmp_path / "run"),
+        DedupConfig(
+            use_precomputed_phash=True,
+            phash_verify_fraction=1.0,
+            phash_verify_max_mismatch=1,
+        ),
+        resume=False,
+        do_apply=False,
+    )
+    m = man.summary()["hashes"]["metrics"]
+    assert (m["phash_verify_mismatch"], m["phash_verify_no_bytes"]) == (0, 1)
+    verify = read_stage(str(tmp_path / "run"), "hashes").to_pandas()["verify"]
+    assert (verify == 3).sum() == 1 and (verify == 2).sum() == 0
+
+
+def test_null_bytes_sample_over_tolerance_names_bytes(ray_session, small_images_table, tmp_path):
+    """Past the tolerance a sampled null-bytes row still fails the run,
+    and the message names the bytes column, not the phash column."""
+    imgs = str(tmp_path / "null_bytes.parquet")
+    _null_bytes_table(small_images_table, imgs)
+    with pytest.raises(RuntimeError, match="null `bytes` cell") as err:
+        run_dedup(
+            imgs,
+            str(tmp_path / "run"),
+            DedupConfig(use_precomputed_phash=True, phash_verify_fraction=1.0),
+            resume=False,
+            do_apply=False,
+        )
+    assert "phash column is not trustworthy" not in str(err.value)
+
+
 def test_loose_dir_rejected(tmp_path):
     from idf.stages.hash_stage import fused_hash_stage
 

@@ -217,8 +217,9 @@ def test_labelprop_multi_round_matches_driver_kernel(ray_session):
     """components_labelprop over a shuffled-id 48-node chain, a disjoint
     triangle and a 2-node component (most of the exchange partitions
     run empty in some rounds) equals the driver kernel's labels, takes
-    several rounds to converge, and runs exactly one exchange for the
-    initial labels plus two per round."""
+    several rounds to converge, and runs exactly one exchange: the one
+    that co-partitions the edges; every round is one superstep task per
+    partition."""
     import idf.ops as ops
     from idf.stages.cc import CC_STATS, _cc_labels, _factorize_sorted, components_labelprop
 
@@ -241,7 +242,46 @@ def test_labelprop_multi_round_matches_driver_kernel(ray_session):
     assert got["label"].nunique() == 3
     assert CC_STATS["converged"] is True
     assert CC_STATS["labelprop_rounds"] >= 3
-    assert grew == 1 + 2 * CC_STATS["labelprop_rounds"]
+    assert grew == 1
+
+
+def test_labelprop_many_partitions_matches_driver_kernel(ray_session):
+    """The same chain, triangle and pair plus two components at the
+    INT64 extremes, through the refs form with ``est_bytes`` forcing at
+    least 8 partitions: most chain steps join nodes of different
+    partitions, so each round's messages cross them, and the labels
+    still equal the driver kernel's."""
+    import ray
+
+    from idf.ops import available_cpus, exchange_width, hash_split
+    from idf.stages.cc import CC_STATS, _cc_labels, _factorize_sorted, components_labelprop
+
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    rng = np.random.default_rng(11)
+    ids = rng.permutation(np.arange(1_000, 1_053, dtype=np.int64)) * 7919
+    chain = ids[:48]
+    a = np.concatenate([chain[:-1], ids[[48, 49, 50, 51]], [lo, lo + 1, hi]])
+    b = np.concatenate([chain[1:], ids[[49, 50, 48, 52]], [lo + 1, lo + 2, hi - 1]])
+    est = 32 << 20
+    n_parts = exchange_width(est, available_cpus())
+    assert n_parts >= 8
+    order, bounds = hash_split(pa.table({"src": chain}), n_parts)
+    part = np.repeat(np.arange(n_parts), np.diff(bounds))[np.argsort(order)]
+    assert (part[1:] != part[:-1]).sum() >= len(chain) // 2
+
+    codes, nodes = _factorize_sorted(np.concatenate([a, b]))
+    want = pd.DataFrame(
+        {"node": nodes, "label": nodes[_cc_labels(codes[: len(a)], codes[len(a) :], len(nodes))]}
+    )
+    refs = [ray.put(pa.table({"x": a[i::3], "y": b[i::3]})) for i in range(3)]
+    out = components_labelprop(refs, est_bytes=est)
+    got = pa.concat_tables(ray.get(out)).to_pandas().sort_values("node").reset_index(drop=True)
+
+    assert len(out) == n_parts
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got["label"].nunique() == 5
+    assert CC_STATS["converged"] is True
+    assert CC_STATS["labelprop_rounds"] >= 3
 
 
 @pytest.mark.parametrize("form", ["refs", "dataset"])
