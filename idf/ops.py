@@ -250,13 +250,29 @@ def write_refs(refs: list, out_dir: str) -> None:
     wait_all([_write_block.remote(r, p) for r, p in zip(refs, paths)])
 
 
+def open_parquet(path: str):
+    """The one way a task opens an input parquet file: memory-mapped, so
+    a read of page-cache pages copies nothing into fresh buffers (a
+    plain read pays a first-touch page fault per page of every column
+    chunk it loads). The file must not be truncated or rewritten while
+    it is open: a mapped read past a cut end raises SIGBUS in the
+    reading process, not an I/O error."""
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(path, memory_map=True)
+
+
 class PartWriter:
     """One parquet file of a task's output, opened on the first
     non-empty table written to it: a task with no rows writes no file.
-    Use as a context manager (the file is closed on the way out)."""
+    ``compression`` goes to ``pq.ParquetWriter`` as is: one codec, or a
+    codec per column (a column missing from the dict is written
+    uncompressed). Use as a context manager (the file is closed on the
+    way out)."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, compression: str | dict = "snappy"):
         self.path = path
+        self.compression = compression
         self.writer = None
         self.rows = 0
 
@@ -269,7 +285,7 @@ class PartWriter:
             import pyarrow.parquet as pq
 
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            self.writer = pq.ParquetWriter(self.path, tbl.schema)
+            self.writer = pq.ParquetWriter(self.path, tbl.schema, compression=self.compression)
         self.writer.write_table(tbl)
         self.rows += tbl.num_rows
 
@@ -283,10 +299,7 @@ class PartWriter:
 
 @ray.remote
 def _rewrite_file(src: str, columns: list, dst: str) -> int:
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(src)
-    with PartWriter(dst) as out:
+    with open_parquet(src) as pf, PartWriter(dst) as out:
         for i in range(pf.num_row_groups):
             out.write(pf.read_row_group(i, columns=columns))
     return out.rows

@@ -30,7 +30,9 @@ Every stage commits a partitioned Parquet directory through the run
 manifest (atomic rename + per-partition lineage + metrics); a rerun
 resumes after the last committed stage. The ``bytes`` column never
 crosses a shuffle below the apply broadcast guard: it is read only by
-the hash stage and the apply pass, which writes it once.
+the hash stage and the apply pass (memory-mapped, ``ops.open_parquet``),
+which writes it once, without a codec when the input's codec saved
+nothing on it (``stages.apply.column_codecs``).
 """
 
 from __future__ import annotations
@@ -189,6 +191,7 @@ def run_dedup(
                 # verify_fraction of the corpus on every resume
                 sampled = prev["phash_verified"]
                 mismatched = prev["phash_verify_mismatch"]
+                no_bytes = prev.get("phash_verify_no_bytes", 0)
             elif bytes_free:
                 from idf.stages.hash_stage import (
                     verify_precomputed_sample,
@@ -201,6 +204,7 @@ def run_dedup(
                 vr = verifier(images_path, cfg)
                 sampled = vr["phash_verified"]
                 mismatched = vr["phash_verify_mismatch"]
+                no_bytes = vr["phash_verify_no_bytes"]
         man.record_metrics(
             "hashes",
             {

@@ -17,16 +17,32 @@ pyarrow (no Ray job).
 When the set is small it is read the same way and broadcast once via
 ``ray.put`` (A6's keeper-map broadcast analog). A parquet corpus then
 splits as one plain task per ``plan_read_tasks`` unit: each task reads
-its row groups one at a time, tags them with ``quarantine_mask`` and
-writes both sides itself, so the ``bytes`` column never enters the
-object store. Lance and loose-file sources tag with the same kernel in
-one Ray Data pass. Past ``broadcast_max_ids`` the ids stay distributed
-and the tag comes from one left ``hash_join`` (at 10^12 rows deletes are
-~half the corpus — no driver list can hold them).
+its row groups one at a time (memory-mapped, ``ops.open_parquet``),
+tags them with ``quarantine_mask`` and writes both sides itself, so the
+``bytes`` column never enters the object store. Lance and loose-file
+sources tag with the same kernel in one Ray Data pass. Past
+``broadcast_max_ids`` the ids stay distributed and the tag comes from
+one left ``hash_join`` (at 10^12 rows deletes are ~half the corpus — no
+driver list can hold them).
+
+Codec rule of the task route (``column_codecs``): each task reads the
+footers of the row groups it splits and, per column, compares the
+total compressed size with the total uncompressed size. A column whose
+codec saved less than ``CODEC_MIN_SAVING`` (3%) of its bytes — encoded
+PNG/JPEG blobs, where snappy finds nothing — is written without a
+codec; every other column, and any column the input stores
+uncompressed (no evidence either way), keeps snappy. The rule reads the
+input rather than naming ``bytes``: a BMP corpus's raster blobs shrink
+~3x under snappy and keep it. Dictionary encoding is left on, so
+exact-duplicate blobs still share one dictionary entry. The manifest
+records ``apply_route`` (``tasks``, ``ray_data`` or ``hash_join``) and
+``uncompressed_columns`` on both outputs; the Ray Data routes keep Ray
+Data's writer, which compresses every column.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pyarrow as pa
@@ -35,7 +51,15 @@ import pyarrow.dataset as pads
 import ray
 import ray.data as rd
 
-from idf.ops import PartWriter, _as_arrow_type, available_cpus, get_broadcast, hash_join, wait_all
+from idf.ops import (
+    PartWriter,
+    _as_arrow_type,
+    available_cpus,
+    get_broadcast,
+    hash_join,
+    open_parquet,
+    wait_all,
+)
 from idf.state.manifest import RunManifest
 
 BROADCAST_MAX_IDS = 5_000_000
@@ -43,6 +67,9 @@ BROADCAST_MAX_IDS = 5_000_000
 # written files, so both outputs carry exactly the input's columns
 TAG = "__apply"
 OUTPUTS = {"keep": "apply_keep", "quarantine": "apply_quarantine"}
+# a column whose input codec saved less than this share of its bytes is
+# written without one (see column_codecs)
+CODEC_MIN_SAVING = 0.03
 
 
 def quarantine_mask(image_ids, deleted: pa.Array) -> pa.Array:
@@ -98,32 +125,66 @@ def tag_images(images: rd.Dataset, plan_dir: str, ids: pa.Array | None) -> rd.Da
     return joined.map_batches(_fill, batch_format="pyarrow")
 
 
+def column_codecs(units: list[tuple]) -> dict[str, str]:
+    """The output codec of every column of the ``(ParquetFile, row
+    groups)`` units one split task reads, from their footers: ``none``
+    where the input's codec saved under ``CODEC_MIN_SAVING`` of the
+    column's bytes (already entropy-coded blobs), else ``snappy``. A
+    column stored uncompressed shows nothing about what a codec would
+    save, so it keeps ``snappy``."""
+    comp: dict[str, int] = {}
+    raw: dict[str, int] = {}
+    for pf, rgs in units:
+        md = pf.metadata
+        for i in rgs:
+            rg = md.row_group(i)
+            for j in range(rg.num_columns):
+                c = rg.column(j)
+                name = c.path_in_schema
+                comp.setdefault(name, 0)
+                raw.setdefault(name, 0)
+                if c.compression != "UNCOMPRESSED":
+                    comp[name] += c.total_compressed_size
+                    raw[name] += c.total_uncompressed_size
+    return {
+        n: "none" if raw[n] and comp[n] >= (1 - CODEC_MIN_SAVING) * raw[n] else "snappy"
+        for n in comp
+    }
+
+
 @ray.remote
 def _split_unit(paths: list, row_groups: list, ids, kernel, out_dir: str, part: str):
     """Split one ``plan_read_tasks`` unit, one row group at a time, into
     ``<TAG>=keep/<part>`` and ``<TAG>=quarantine/<part>`` (a side with
-    no rows writes no file); -> (rows kept, rows quarantined)."""
-    import pyarrow.parquet as pq
+    no rows writes no file), each column under its ``column_codecs``
+    codec; -> (rows kept, rows quarantined, columns written
+    uncompressed)."""
 
     def side(v: str) -> str:
         return os.path.join(out_dir, f"{TAG}={v}", part)
 
-    with PartWriter(side("keep")) as keep, PartWriter(side("quarantine")) as quar:
+    with contextlib.ExitStack() as stack:
+        units = []
         for path, rgs in zip(paths, row_groups):
-            pf = pq.ParquetFile(path)
-            for rg in rgs or range(pf.num_row_groups):
+            pf = stack.enter_context(open_parquet(path))
+            units.append((pf, rgs or range(pf.num_row_groups)))
+        codecs = column_codecs(units)
+        keep = stack.enter_context(PartWriter(side("keep"), codecs))
+        quar = stack.enter_context(PartWriter(side("quarantine"), codecs))
+        for pf, rgs in units:
+            for rg in rgs:
                 t = pf.read_row_group(rg)
                 hit = kernel(t["image_id"], ids)
                 quar.write(t.filter(hit))
                 keep.write(t.filter(pc.invert(hit)))
-            pf.close()
-    return keep.rows, quar.rows
+    return keep.rows, quar.rows, sorted(n for n, c in codecs.items() if c == "none")
 
 
-def split_images(images_path: str, ids: pa.Array):
+def split_images(images_path: str, ids: pa.Array, metrics: dict):
     """Writer for ``run_split_stage``: one ``_split_unit`` task per
     read unit of the parquet corpus at ``images_path``, tagging against
-    the broadcast ``ids``."""
+    the broadcast ``ids``. Fills ``metrics["uncompressed_columns"]``
+    with the columns some task wrote without a codec."""
     from idf.stages.hash_stage import plan_read_tasks
 
     tasks = plan_read_tasks(images_path, available_cpus())
@@ -132,7 +193,7 @@ def split_images(images_path: str, ids: pa.Array):
 
     def write(out_dir: str) -> None:
         ref = ray.put(ids)
-        wait_all(
+        res = wait_all(
             [
                 _split_unit.remote(
                     t["paths"], t["row_groups"], ref, kernel, out_dir, f"part-{i:05d}.parquet"
@@ -140,6 +201,7 @@ def split_images(images_path: str, ids: pa.Array):
                 for i, t in enumerate(tasks)
             ]
         )
+        metrics["uncompressed_columns"] = sorted({n for *_, cols in res for n in cols})
 
     return write
 
@@ -156,11 +218,20 @@ def apply_plan(
     outputs (the plan may have been edited since)."""
     from idf.stages.hash_stage import is_parquet_source, read_images
 
+    # the build fills these with the route it took; run_split_stage
+    # reads them at commit, so a resumed run records none
+    metrics: dict = {}
+
     def _build():
         plan_dir = man.stage_dir("plan")
         ids = deleted_ids(plan_dir, broadcast_max_ids)
         if ids is not None and is_parquet_source(images_path):
-            return split_images(images_path, ids)
+            metrics.update(apply_route="tasks")
+            return split_images(images_path, ids, metrics)
+        # Ray Data's writer compresses every column
+        metrics.update(
+            apply_route="ray_data" if ids is not None else "hash_join", uncompressed_columns=[]
+        )
         return tag_images(read_images(images_path), plan_dir, ids)
 
-    return man.run_split_stage(TAG, OUTPUTS, _build, replace=replace)
+    return man.run_split_stage(TAG, OUTPUTS, _build, replace=replace, metrics=metrics)

@@ -29,7 +29,7 @@ from idf.codecs import ACCEPTED_FORMATS, DecodeError, decode_luma_scaled
 _FMT_SET = pa.array(sorted(ACCEPTED_FORMATS))
 from idf.config import DedupConfig
 from idf.kernels.hashes import DECODE_MIN_DIM, hash_gray_batch, preprocess, resize_dims
-from idf.ops import PartWriter, available_cpus, wait_all
+from idf.ops import PartWriter, available_cpus, open_parquet, wait_all
 
 HASH_SCHEMA = pa.schema(
     [
@@ -576,24 +576,21 @@ def _hash_unit(paths: list, row_groups: list, columns: list, cfg, out_path: str)
     heap: one decode batch plus the pending hash rows), hash each slice,
     and write the hash rows to ``out_path``; -> rows written (a unit
     with no rows writes no file)."""
-    import pyarrow.parquet as pq
-
     hasher = _fused_hasher(cfg)
     schema = hash_schema(cfg)
     pending: list[pa.Table] = []
     n_pending = 0
     with PartWriter(out_path) as out:
         for path, rgs in zip(paths, row_groups):
-            pf = pq.ParquetFile(path)
-            for rb in pf.iter_batches(
-                batch_size=cfg.decode_batch_size, row_groups=rgs or None, columns=columns
-            ):
-                pending.append(hasher(pa.Table.from_batches([rb])).cast(schema))
-                n_pending += pending[-1].num_rows
-                if n_pending >= HASH_ROW_GROUP_ROWS:
-                    out.write(pa.concat_tables(pending))
-                    pending, n_pending = [], 0
-            pf.close()
+            with open_parquet(path) as pf:
+                for rb in pf.iter_batches(
+                    batch_size=cfg.decode_batch_size, row_groups=rgs or None, columns=columns
+                ):
+                    pending.append(hasher(pa.Table.from_batches([rb])).cast(schema))
+                    n_pending += pending[-1].num_rows
+                    if n_pending >= HASH_ROW_GROUP_ROWS:
+                        out.write(pa.concat_tables(pending))
+                        pending, n_pending = [], 0
         if pending:
             out.write(pa.concat_tables(pending))
     return out.rows
@@ -744,6 +741,10 @@ def fused_hash_stage(images_path: str, cfg: DedupConfig):
     return write
 
 
+# the result of a verify pass that sampled nothing
+_NO_VERIFY = {"phash_verified": 0, "phash_verify_mismatch": 0, "phash_verify_no_bytes": 0}
+
+
 def verify_precomputed_sample(images_path: str, cfg) -> dict:
     """Standalone trust-but-verify pass for bytes-FREE precomputed
     scans (table ships a ``size`` column, so the main hash pass never
@@ -760,8 +761,9 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
     and compared bit-exactly against their phash column. Expected byte
     traffic = verify_fraction of the corpus, the contract the mode
     advertises. One plain Ray task per sampled group (they are
-    independent), each returning its ``(verified, mismatched)`` pair;
-    the summed counters feed the pipeline gate (idf/pipelines/dedup.py).
+    independent), each returning its ``(verified, mismatched,
+    no_bytes)`` counts; the summed counters feed the pipeline gates
+    (idf/pipelines/dedup.py).
 
     The bytes-present path keeps its row-level content-keyed in-batch
     verify (PrecomputedHasher) — it already has the bytes in hand, so
@@ -771,7 +773,7 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
 
     frac = min(max(float(cfg.phash_verify_fraction), 0.0), 1.0)
     if frac <= 0.0:
-        return {"phash_verified": 0, "phash_verify_mismatch": 0}
+        return dict(_NO_VERIFY)
 
     dset = pads.dataset(images_path)
     has_orient = "orientation" in dset.schema.names
@@ -783,7 +785,7 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
             n_rg = 1
         units.extend((fr.path, rg) for rg in range(n_rg))
     if not units:
-        return {"phash_verified": 0, "phash_verify_mismatch": 0}
+        return dict(_NO_VERIFY)
     root = images_path.rstrip("/")
     # key on the dataset-root-relative path, NOT the basename:
     # hive-partitioned layouts repeat basenames (date=D*/part-0.parquet),
@@ -803,33 +805,35 @@ def verify_precomputed_sample(images_path: str, cfg) -> dict:
         [_verify_row_group.remote(p, rg, cols, cfg) for (p, rg), m in zip(units, mask) if m]
     )
     return {
-        "phash_verified": sum(v for v, _ in res),
-        "phash_verify_mismatch": sum(m for _, m in res),
+        "phash_verified": sum(v for v, _, _ in res),
+        "phash_verify_mismatch": sum(m for _, m, _ in res),
+        "phash_verify_no_bytes": sum(nb for _, _, nb in res),
     }
 
 
 @ray.remote
-def _verify_row_group(path: str, rg: int, cols: list, cfg) -> tuple[int, int]:
+def _verify_row_group(path: str, rg: int, cols: list, cfg) -> tuple[int, int, int]:
     """Decode one sampled row group against its phash column; ->
-    ``(verified, mismatched)``."""
-    import pyarrow.parquet as pq
-
-    t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
+    ``(verified, mismatched, no_bytes)``."""
+    with open_parquet(path) as pf:
+        t = pf.read_row_group(rg, columns=cols)
     hasher = DecodeHasher(cfg.algo, exif_from_bytes=cfg.exif_from_bytes)
     return _verify_loaded_table(t, hasher, cfg.decode_batch_size)
 
 
-def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int]:
+def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int, int]:
     """Decode one loaded (bytes-carrying) table slice and compare its
     hashes bit-exactly against the shipped phash column. Returns
-    (n_verified, n_mismatched). Shared by the parquet row-group verify
-    and the Lance fragment verify — ONE definition of the trust
-    contract.
+    (n_verified, n_mismatched, n_no_bytes). Shared by the parquet
+    row-group verify and the Lance fragment verify — ONE definition of
+    the trust contract.
 
     Eligibility mirrors the in-batch verify: fmt accepted AND metadata
     marks the row decodable — rows the corpus honestly flags (corrupt
     probes get w<=0, alien formats skip:fmt, null phash) are outside
-    the trust contract, not mismatches."""
+    the trust contract, not mismatches. An eligible row with a null
+    ``bytes`` cell has nothing to decode: it counts as verified and as
+    no_bytes (the in-batch verify's outcome 3), never as a mismatch."""
     import pyarrow.compute as pc
 
     fmt_ok = pc.is_in(pc.utf8_lower(pc.cast(t["fmt"], pa.string())), value_set=_FMT_SET)
@@ -838,6 +842,7 @@ def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int
     h = t["h"].to_numpy(zero_copy_only=False).astype(np.int64)
     ph_null = pc.is_null(t["phash"]).combine_chunks().to_numpy(zero_copy_only=False)
     eligible = fmt_ok & (w > 0) & (h > 0) & ~ph_null
+    no_bytes = pc.is_null(t["bytes"]).combine_chunks().to_numpy(zero_copy_only=False)
     # fill_null BEFORE to_numpy — one null makes to_numpy float64 for
     # the whole column, rounding hashes above 2^53
     exp = (
@@ -857,8 +862,8 @@ def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int
         e = exp[lo : lo + len(sub)]
         n_v += int(m_ok.sum())
         # mismatch: metadata said ok but decode failed, or hash differs
-        n_m += int((m_ok & (~ok | (got != e))).sum())
-    return n_v, n_m
+        n_m += int((m_ok & ~no_bytes[lo : lo + len(sub)] & (~ok | (got != e))).sum())
+    return n_v, n_m, int((eligible & no_bytes).sum())
 
 
 def _sample_unit_mask(keys: np.ndarray, frac: float) -> np.ndarray:
@@ -899,14 +904,14 @@ def verify_precomputed_sample_lance(images_path: str, cfg, dataset_factory=None)
     real ``lance`` wheel inside the task."""
     frac = min(max(float(cfg.phash_verify_fraction), 0.0), 1.0)
     if frac <= 0.0:
-        return {"phash_verified": 0, "phash_verify_mismatch": 0}
+        return dict(_NO_VERIFY)
 
     factory = dataset_factory or _open_lance_dataset
     ds = factory(images_path)
     has_orient = "orientation" in list(ds.schema.names)
     frags = list(ds.get_fragments())
     if not frags:
-        return {"phash_verified": 0, "phash_verify_mismatch": 0}
+        return dict(_NO_VERIFY)
     fids = [int(getattr(f, "fragment_id", i)) for i, f in enumerate(frags)]
     keys = np.array([f"frag:{i}" for i in fids], dtype=object)
     mask = _sample_unit_mask(keys, frac)
@@ -923,6 +928,7 @@ def verify_precomputed_sample_lance(images_path: str, cfg, dataset_factory=None)
         by_id = None
         n_v = 0
         n_m = 0
+        n_nb = 0
         for fid in batch["fid"].to_pylist():
             if hasattr(dsl, "get_fragment"):
                 fr = dsl.get_fragment(int(fid))
@@ -934,16 +940,18 @@ def verify_precomputed_sample_lance(images_path: str, cfg, dataset_factory=None)
                     }
                 fr = by_id[int(fid)]
             t = fr.to_table(columns=cols)
-            dv, dm = _verify_loaded_table(t, hasher, batch_rows)
+            dv, dm, dnb = _verify_loaded_table(t, hasher, batch_rows)
             n_v += dv
             n_m += dm
-        return pa.table({"verified": [n_v], "mismatched": [n_m]})
+            n_nb += dnb
+        return pa.table({"verified": [n_v], "mismatched": [n_m], "no_bytes": [n_nb]})
 
     work = rd.from_items([{"fid": i} for i in chosen])
     res = work.map_batches(_check, batch_format="pyarrow", batch_size=1).to_pandas()
     return {
         "phash_verified": int(res["verified"].sum()),
         "phash_verify_mismatch": int(res["mismatched"].sum()),
+        "phash_verify_no_bytes": int(res["no_bytes"].sum()),
     }
 
 

@@ -146,6 +146,7 @@ class RunManifest:
         outputs: dict[str, str],
         build: Callable[[], rd.Dataset | Callable[[str], None]],
         replace: bool = False,
+        metrics: dict | None = None,
     ) -> list[str]:
         """Write ``build()`` ONCE, hive-partitioned on ``col``, and commit
         the rows of each value of ``col`` as its own stage (``outputs``:
@@ -157,8 +158,10 @@ class RunManifest:
         crash anywhere leaves none of them committed, and resume skips
         only when all of them are. A value with no rows commits as an
         empty directory. ``replace=True`` recommits over committed
-        entries (the web apply after a plan edit). Returns the stage
-        output directories in ``outputs`` order."""
+        entries (the web apply after a plan edit). ``metrics``, as for
+        ``run_stage``, is read at commit and recorded on every output
+        stage. Returns the stage output directories in ``outputs``
+        order."""
         names = list(outputs.values())
         dirs = [self.stage_dir(n) for n in names]
         if self.resume and not replace and all(self.is_committed(n) for n in names):
@@ -187,7 +190,10 @@ class RunManifest:
             os.replace(src, out)
         os.rmdir(tmp)
         wall = time.time() - t0
-        entries = {name: self._committed_entry(out, wall) for name, out in zip(names, dirs)}
+        entries = {
+            name: self._committed_entry(out, wall, dict(metrics or {}))
+            for name, out in zip(names, dirs)
+        }
         with self._lock:
             self.state["stages"].update(entries)
             self._save()

@@ -11,12 +11,15 @@ does not exist — which is why BENCH/BASELINE.md reports the 4-vs-16
 pair (where one box's bandwidth is not saturated) as the N-vs-4N
 evidence.
 
-Usage: python scripts/platform_scaling_probe.py [sf_dir] [n_images]
-Prints one JSON line: {"procs": {p: images_per_sec}, ...}.
+Usage: python scripts/platform_scaling_probe.py [sf_dir] [n_images] [--procs 4,8,16,32]
+``--procs`` lists the worker-process counts to measure, in order
+(default 4,8,16,32). Prints one JSON line:
+{"images_per_sec": {p: images_per_sec}, ...}.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import json
 import multiprocessing as mp
@@ -50,23 +53,33 @@ def _work(span: tuple[int, int]) -> int:
     return n_ok
 
 
+def _procs_list(text: str) -> list[int]:
+    procs = [int(p) for p in text.split(",") if p.strip()]
+    if not procs or min(procs) < 1:
+        raise argparse.ArgumentTypeError(f"--procs wants positive counts, got {text!r}")
+    return procs
+
+
 def main() -> None:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
-    n_images = int(sys.argv[2]) if len(sys.argv) > 2 else 60000
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.1")
+    ap.add_argument("n_images", nargs="?", type=int, default=60000)
+    ap.add_argument("--procs", type=_procs_list, default=[4, 8, 16, 32])
+    args = ap.parse_args()
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
     import pyarrow.dataset as pads
 
     from idf.synth import ensure_images_cache
 
-    images = ensure_images_cache(sf_dir)
+    images = ensure_images_cache(args.sf_dir)
     files = sorted(glob.glob(os.path.join(images, "*.parquet")))
-    t = pads.dataset(files).head(n_images, columns=["bytes"])
+    t = pads.dataset(files).head(args.n_images, columns=["bytes"])
     _BLOBS.extend(v.as_py() for v in t["bytes"])
     n = len(_BLOBS)
 
     results: dict[int, float] = {}
-    for procs in (4, 8, 16, 32):
+    for procs in args.procs:
         chunk = (n + 4 * procs - 1) // (4 * procs)
         spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
         with mp.get_context("fork").Pool(procs) as pool:

@@ -373,3 +373,56 @@ def test_img_caption_exact_groups(ray_session):
     # groups: {a,b} canon 'a'; {d(null), e('')} canon 'd'; 'c' singleton drops
     assert list(got["image_id"]) == ["a", "b", "d", "e"]
     assert list(got["caption_group"]) == ["a", "a", "d", "d"]
+
+
+def test_open_parquet_reads_like_a_plain_parquet_file(tmp_path):
+    """A memory-mapped ``open_parquet`` read gives the same tables as a
+    plain ``pq.ParquetFile`` read: whole row groups, projected row
+    groups and ``iter_batches`` slices, with nulls and binary blobs."""
+    import pyarrow.parquet as pq
+
+    from idf.ops import open_parquet
+
+    rng = np.random.default_rng(3)
+    blobs = [bytes(rng.integers(0, 256, int(n), dtype=np.uint8)) for n in rng.integers(0, 900, 300)]
+    blobs[7] = None
+    t = pa.table(
+        {
+            "image_id": [f"id-{i}" for i in range(300)],
+            "bytes": pa.array(blobs, pa.binary()),
+            "phash": pa.array(rng.integers(-(2**63), 2**63 - 1, 300, dtype=np.int64)),
+        }
+    )
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path, row_group_size=70)
+    plain, mapped = pq.ParquetFile(path), open_parquet(path)
+    assert mapped.num_row_groups == plain.num_row_groups == 5
+    for rg in range(plain.num_row_groups):
+        assert mapped.read_row_group(rg).equals(plain.read_row_group(rg))
+        cols = ["phash", "bytes"]
+        assert mapped.read_row_group(rg, columns=cols).equals(plain.read_row_group(rg, columns=cols))
+    got = [b for b in mapped.iter_batches(batch_size=64, row_groups=[1, 3], columns=["bytes"])]
+    want = [b for b in plain.iter_batches(batch_size=64, row_groups=[1, 3], columns=["bytes"])]
+    assert pa.Table.from_batches(got).equals(pa.Table.from_batches(want))
+    assert mapped.read().equals(t)
+    mapped.close()
+
+
+def test_part_writer_compression_per_column(tmp_path):
+    """``PartWriter`` hands its ``compression`` to the parquet writer:
+    one codec for every column, or one per column."""
+    import pyarrow.parquet as pq
+
+    from idf.ops import PartWriter
+
+    t = pa.table({"a": [b"x" * 100] * 10, "b": list(range(10))})
+    for name, compression, want in (
+        ("default", "snappy", ["SNAPPY", "SNAPPY"]),
+        ("per_column", {"a": "none", "b": "snappy"}, ["UNCOMPRESSED", "SNAPPY"]),
+    ):
+        path = str(tmp_path / f"{name}.parquet")
+        with PartWriter(path, compression) as out:
+            out.write(t)
+        md = pq.ParquetFile(path).metadata
+        assert [md.row_group(0).column(j).compression for j in range(2)] == want
+        assert pq.read_table(path).equals(t)

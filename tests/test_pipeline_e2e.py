@@ -539,6 +539,13 @@ def test_loose_file_directory_source(ray_session, tmp_path):
     for fam in range(3):
         assert any(f"fam{fam}.png" in c for c in got)
 
+    # loose files tag in one Ray Data pass, whose writer compresses all
+    for stage in APPLY_STAGES:
+        assert _apply_metrics(run_a)[stage] == {
+            "apply_route": "ray_data",
+            "uncompressed_columns": [],
+        }
+
     # per-file skips recorded like the table path (M9)
     hashes = read_stage(run_a, "hashes").to_pandas().set_index("image_id")
     assert hashes.loc["notes.txt", "status"] == "skip:fmt"
@@ -656,6 +663,28 @@ def _committed_apply(run_dir: str) -> list[str]:
     return [s for s in APPLY_STAGES if stages.get(s, {}).get("status") == "committed"]
 
 
+def _apply_metrics(run_dir: str) -> dict[str, dict]:
+    """The metrics of both apply outputs, as committed in manifest.json."""
+    with open(os.path.join(run_dir, "manifest.json")) as f:
+        stages = json.load(f)["stages"]
+    return {s: stages[s]["metrics"] for s in APPLY_STAGES}
+
+
+def _apply_codecs(run_dir: str) -> dict[str, set]:
+    """Column -> the set of codecs it has in every apply output file."""
+    import glob
+
+    out: dict[str, set] = collections.defaultdict(set)
+    for stage in APPLY_STAGES:
+        for f in glob.glob(os.path.join(run_dir, stage, "*.parquet")):
+            md = pq.ParquetFile(f).metadata
+            for i in range(md.num_row_groups):
+                for j in range(md.num_columns):
+                    c = md.row_group(i).column(j)
+                    out[c.path_in_schema].add(c.compression)
+    return out
+
+
 def _assert_apply_matches_plan(imgs: str, run_dir: str) -> None:
     table = pq.read_table(imgs)
     plan = read_stage(run_dir, "plan").to_pandas()
@@ -721,9 +750,17 @@ def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
     assert man.state["stages"]["apply_quarantine"]["rows"] == len(quar)
     want_quar = {"all_unique": 0, "all_identical": len(ids) - 1, "empty": 0}[kind]
     assert len(quar) == want_quar
+    assert {m["apply_route"] for m in _apply_metrics(run_dir).values()} == {"tasks"}
     # broadcast_max_ids=0 forces the hash_join route over the same plan
+    # (a plan with no DELETE row stays under any bound)
     apply_plan(man, imgs, replace=True, broadcast_max_ids=0)
     assert _apply_rows(run_dir, table.schema.names) == broadcast
+    if want_quar:
+        for stage in APPLY_STAGES:
+            assert _apply_metrics(run_dir)[stage] == {
+                "apply_route": "hash_join",
+                "uncompressed_columns": [],
+            }
 
 
 @pytest.fixture()
@@ -1051,3 +1088,97 @@ def test_null_bytes_row_is_a_decode_skip(ray_session, tmp_path):
     run_dedup(imgs, trusted_dir, DedupConfig(), resume=False, do_apply=False)
     row = read_stage(trusted_dir, "hashes").to_pandas().set_index("image_id").loc[victim_id]
     assert (row["status"], row["size"], row["verify"]) == ("ok", -1, 0)
+
+
+def test_apply_records_route_and_codecs(run):
+    """The task-route apply records its route and the columns its codec
+    rule wrote uncompressed on both outputs; on this PNG/FJPG corpus the
+    encoded ``bytes`` column is one of them, and the written footers
+    agree with the record. A resumed run records nothing new."""
+    imgs, run_dir, _ = run
+    metrics = _apply_metrics(run_dir)
+    assert metrics["apply_keep"] == metrics["apply_quarantine"]
+    assert metrics["apply_keep"]["apply_route"] == "tasks"
+    uncompressed = metrics["apply_keep"]["uncompressed_columns"]
+    assert "bytes" in uncompressed
+    codecs = _apply_codecs(run_dir)
+    assert codecs["bytes"] == {"UNCOMPRESSED"}
+    assert {c for c, k in codecs.items() if k == {"UNCOMPRESSED"}} == set(uncompressed)
+    assert all(k == {"SNAPPY"} for c, k in codecs.items() if c not in uncompressed)
+    _assert_apply_matches_plan(imgs, run_dir)
+
+    walls = {s: RunManifest(run_dir).state["stages"][s]["wall_sec"] for s in APPLY_STAGES}
+    man2 = run_dedup(imgs, run_dir, DedupConfig(), resume=True)
+    assert _apply_metrics(run_dir) == metrics
+    assert {s: man2.state["stages"][s]["wall_sec"] for s in APPLY_STAGES} == walls
+
+
+def _bmp_images_table(src: str, out: str) -> None:
+    """``src`` with every decodable image re-encoded as a 24-bit BMP,
+    posterized to 16 levels a channel so its raster has the repeats of
+    real flat-shaded images (the synth rasters carry pixel noise that no
+    codec finds repeats in); hashes are recomputed from the new bytes."""
+    import pyarrow as pa
+
+    from idf.codecs import decode
+    from idf.codecs.bmp import encode_bmp
+    from idf.synth import SCHEMA, _row
+
+    rows = []
+    for r in pq.read_table(src).to_pylist():
+        if r["w"] > 0:
+            img = decode(r["bytes"], r["fmt"]) // 16 * 16
+            r = _row(r["image_id"], encode_bmp(img), "bmp", r["caption"])
+        rows.append(r)
+    pq.write_table(pa.Table.from_pylist(rows, schema=SCHEMA), out)
+
+
+def test_apply_keeps_snappy_where_it_saves(ray_session, small_images_table, tmp_path):
+    """The codec rule reads the input's footers, not the column name: a
+    BMP corpus, whose raster blobs snappy shrinks, keeps snappy on
+    ``bytes`` in both apply outputs, and the outputs stay row-equal to
+    the split input."""
+    from idf.stages.apply import column_codecs
+    from idf.ops import open_parquet
+
+    imgs = str(tmp_path / "bmp.parquet")
+    _bmp_images_table(small_images_table, imgs)
+    pf = open_parquet(imgs)
+    assert column_codecs([(pf, range(pf.num_row_groups))])["bytes"] == "snappy"
+    run_dir = str(tmp_path / "run")
+    run_dedup(imgs, run_dir, DedupConfig(), resume=False)
+    assert read_stage(run_dir, "plan").to_pandas()["action"].eq("DELETE").any()
+    assert _apply_codecs(run_dir)["bytes"] == {"SNAPPY"}
+    assert "bytes" not in _apply_metrics(run_dir)["apply_keep"]["uncompressed_columns"]
+    _assert_apply_matches_plan(imgs, run_dir)
+
+
+def test_column_codecs_rule(tmp_path):
+    """``column_codecs`` per column, summed over the row groups a task
+    reads: ``none`` where the input codec saved under 3%, ``snappy``
+    where it saved more, and ``snappy`` for a column stored without a
+    codec (its footer shows nothing either way)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from idf.ops import open_parquet
+    from idf.stages.apply import column_codecs
+
+    rng = np.random.default_rng(5)
+    n = 64
+    t = pa.table(
+        {
+            "noise": pa.array([bytes(rng.integers(0, 256, 2000, dtype=np.uint8)) for _ in range(n)]),
+            "flat": pa.array([bytes([i % 7]) * 2000 for i in range(n)]),
+            "raw": pa.array([bytes(rng.integers(0, 256, 50, dtype=np.uint8)) for _ in range(n)]),
+        }
+    )
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(
+        t, path, row_group_size=16, compression={"noise": "snappy", "flat": "snappy", "raw": "none"}
+    )
+    pf = open_parquet(path)
+    want = {"noise": "none", "flat": "snappy", "raw": "snappy"}
+    assert column_codecs([(pf, range(pf.num_row_groups))]) == want
+    assert column_codecs([(pf, [1]), (open_parquet(path), [2, 3])]) == want
+    assert column_codecs([(pf, [])]) == {}

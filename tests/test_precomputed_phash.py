@@ -742,3 +742,65 @@ def test_lance_poisoned_phash_fails_gate(ray_session, sized_images_table, tmp_pa
             resume=False,
             do_apply=False,
         )
+
+
+def _bytes_free_null_bytes_run(kind, sized_images_table, tmp_path, monkeypatch, **cfg):
+    """-> a ``run(resume=False)`` that runs ``run_dedup`` of the sized
+    corpus with one decodable row's bytes cell nulled, through the
+    bytes-free verify pass of a parquet or a (fake) Lance source, at
+    ``phash_verify_fraction=1.0``."""
+    import sys
+
+    import ray.data as rdata
+
+    import idf.stages.hash_stage as hs
+    from idf.testing import FakeLanceDataset, fake_lance_module
+
+    path = str(tmp_path / "null_bytes_sized.parquet")
+    _null_bytes_table(sized_images_table, path)
+    src = path
+    if kind == "lance":
+        monkeypatch.setitem(sys.modules, "lance", fake_lance_module(path))
+        real_read_parquet = rdata.read_parquet
+        monkeypatch.setattr(
+            rdata, "read_lance", lambda p, columns=None: real_read_parquet(path, columns=columns)
+        )
+        monkeypatch.setattr(hs, "_open_lance_dataset", lambda p: FakeLanceDataset(path))
+        src = "/data/images.lance"
+    return lambda resume=False: run_dedup(
+        src,
+        str(tmp_path / "run"),
+        DedupConfig(use_precomputed_phash=True, phash_verify_fraction=1.0, **cfg),
+        resume=resume,
+        do_apply=False,
+    )
+
+
+@pytest.mark.parametrize("kind", ["parquet", "lance"])
+def test_bytes_free_null_bytes_is_not_a_mismatch(
+    ray_session, sized_images_table, tmp_path, monkeypatch, kind
+):
+    """On the bytes-free route a sampled row with a null bytes cell is
+    counted as ``phash_verify_no_bytes``, not as a phash mismatch; within
+    tolerance the run completes, and a resumed run that reuses the
+    recorded verify result keeps the count."""
+    run = _bytes_free_null_bytes_run(
+        kind, sized_images_table, tmp_path, monkeypatch, phash_verify_max_mismatch=1
+    )
+    m = run().summary()["hashes"]["metrics"]
+    assert m["phash_verified"] > 0
+    assert (m["phash_verify_mismatch"], m["phash_verify_no_bytes"]) == (0, 1)
+    m2 = run(resume=True).summary()["hashes"]["metrics"]
+    assert (m2["phash_verify_mismatch"], m2["phash_verify_no_bytes"]) == (0, 1)
+
+
+@pytest.mark.parametrize("kind", ["parquet", "lance"])
+def test_bytes_free_null_bytes_over_tolerance_names_bytes(
+    ray_session, sized_images_table, tmp_path, monkeypatch, kind
+):
+    """Past the tolerance the bytes-free route still fails the run on a
+    null bytes cell, with the message that names the bytes column."""
+    run = _bytes_free_null_bytes_run(kind, sized_images_table, tmp_path, monkeypatch)
+    with pytest.raises(RuntimeError, match="null `bytes` cell") as err:
+        run()
+    assert "phash column is not trustworthy" not in str(err.value)
