@@ -13,11 +13,14 @@ its input first; no Ray Data groupby, sort or repartition runs here.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from typing import Iterable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -62,18 +65,16 @@ def _estimate_rows(ds: rd.Dataset):
 
 def exchange_width(size_bytes: int, ncpu: int) -> int:
     """Partition count of a raw-task exchange over ``size_bytes`` of
-    shuffle input on ``ncpu`` CPUs.
-
-    Two partitions per CPU, so every core gets reduce work. Below 64 MiB
-    that width is capped at 8, because each split task returns one
-    object per partition: 64-way partitioning of a 5 MB input drowns in
-    per-object overhead (measured r4: every sf0.1 doc-family query ~2x
-    SLOWER at 32 CPUs than at 8 purely from this; BENCH/family_r4.json).
-    ~4 MB per partition keeps small shuffles wide enough; from 64 MiB on
-    one partition stays under ~256 MB of worker heap (the bound Ray
-    Data's map_groups imposes on a sorted group run too)."""
+    shuffle input on ``ncpu`` CPUs, sized by the bytes: each partition
+    costs a reduce task and an object per split task, fixed costs that
+    dwarf the kernel work of a small shuffle. Below 64 MiB one partition
+    per ~4 MiB while that fits the CPUs, else two per CPU (or more) so
+    every core gets reduce work; from 64 MiB on two per CPU and at most
+    ~256 MiB per partition, the bound Ray Data's map_groups imposes on
+    a sorted group run too."""
     if size_bytes < (64 << 20):
-        return max(min(8, 2 * ncpu), size_bytes // (4 << 20) + 1)
+        n = size_bytes // (4 << 20) + 1
+        return n if n <= ncpu else max(2 * ncpu, n)
     return max(2 * ncpu, size_bytes // (256 << 20) + 1)
 
 
@@ -119,15 +120,51 @@ def hash_split(keys: pa.Table, n_parts: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(part[order], np.arange(n_parts + 1))
 
 
+@dataclasses.dataclass(frozen=True)
+class FileSlice:
+    """A committed parquet file, or row slice ``part = (i, n)`` (the
+    i-th of n equal slices) of it, as an exchange input that the split
+    task reads itself: no read wave and no block refs before the split.
+    ``columns`` and ``filter`` (a ``pyarrow.dataset`` expression whose
+    columns need not be read) as for ``pq.read_table``; ``extra`` is
+    handed to ``pre_map`` after the table."""
+
+    path: str
+    columns: list | None = None
+    filter: object = None
+    part: tuple[int, int] = (0, 1)
+    extra: tuple = ()
+
+    def read(self) -> pa.Table:
+        t = pq.read_table(self.path, columns=self.columns, filters=self.filter, memory_map=True)
+        i, n = self.part
+        step = -(-t.num_rows // n)
+        return t.slice(i * step, step).replace_schema_metadata(None)
+
+
+def file_inputs(files: list[FileSlice], n_tasks: int, slice_rows: bool = False) -> list:
+    """Whole-file ``FileSlice``s -> the inputs of at most ``n_tasks``
+    split tasks, each a list of the slices it reads (round robin). With
+    ``slice_rows`` and fewer files than ``n_tasks`` each file splits
+    into row slices, so a row-expanding ``pre_map`` over a one-file
+    stage still fans out to ``n_tasks``."""
+    k = -(-n_tasks // len(files)) if slice_rows and files else 1
+    items = [dataclasses.replace(f, part=(i, k)) for f in files for i in range(k)]
+    n = min(n_tasks, len(items))
+    return [items[i::n] for i in range(n)]
+
+
 @ray.remote
-def _exchange_split(keys: list[str], n_parts: int, pre_map, tbl: pa.Table, *extra):
-    """Map side: one input block -> ``n_parts`` key-hashed slices."""
+def _exchange_split(keys: list[str], n_parts: int, pre_map, tbl, *extra):
+    """Map side: one input -> ``n_parts`` key-hashed slices."""
+    if isinstance(tbl, list):  # FileSlices this task reads itself
+        tbls = [pre_map(f.read(), *f.extra) if pre_map else f.read() for f in tbl]
+        tbl = pa.concat_tables(tbls, promote_options="default")
     # Ray emits zero-row blocks with a BLANK schema between some
-    # operators; they carry nothing to route. With a pre_map, typed
-    # empties must carry the POST-map schema so the reduce concat sees
-    # one consistent schema (blank 0-column empties are filtered there
-    # either way). An input with extra args always goes through pre_map.
-    if pre_map is not None and (extra or tbl.num_columns):
+    # operators: nothing to route, and the reduce filters them. A typed
+    # empty, or one with extra args, goes through pre_map so it carries
+    # the POST-map schema the reduce concat expects.
+    elif pre_map is not None and (extra or tbl.num_columns):
         tbl = pre_map(tbl, *extra)
     if tbl.num_rows == 0:
         parts = [tbl.slice(0, 0)] * n_parts
@@ -139,20 +176,27 @@ def _exchange_split(keys: list[str], n_parts: int, pre_map, tbl: pa.Table, *extr
 
 
 @ray.remote
-def _exchange_reduce(bucket_fn, *parts: pa.Table) -> pa.Table:
-    """Reduce side: one partition's slices -> ``bucket_fn`` output."""
+def _exchange_reduce(bucket_fn, path: str | None, *parts: pa.Table):
+    """Reduce side: one partition's slices -> ``bucket_fn`` output, or,
+    given a ``path``, its row count after writing it there (a zero-row
+    output writes no file)."""
+    out = _reduce(bucket_fn, parts)
+    if path is not None and out.num_rows:
+        pq.write_table(out, path)
+    return out if path is None else out.num_rows
+
+
+def _reduce(bucket_fn, parts) -> pa.Table:
     live = [p for p in parts if p.num_rows]
     if live:
         return _to_block(bucket_fn(pa.concat_tables(live, promote_options="default")))
     t = max(parts, key=lambda p: p.num_columns)
     if t.num_columns == 0:
         return t  # every input block was schema-less empty
-    # EMPTY partition (n_parts > occupied partitions — a tiny stage on a
-    # big cluster): every bucket_fn here is a filter/grouper/joiner for
-    # which empty-in -> empty-out is the correct answer, but not all fns
-    # tolerate an empty frame (schema probes like g.iloc[0] raise). Give
-    # the fn a chance to emit its typed empty schema; fall back to a
-    # zero-column empty block, which Ray drops on concat.
+    # EMPTY partition: empty-in -> empty-out is the answer of every
+    # bucket_fn here, but not all tolerate an empty frame (g.iloc[0]
+    # raises). Let the fn emit its typed empty schema; else a zero-column
+    # empty block, which Ray drops on concat.
     try:
         return _to_block(bucket_fn(t))
     except (IndexError, KeyError, ValueError):
@@ -160,9 +204,7 @@ def _exchange_reduce(bucket_fn, *parts: pa.Table) -> pa.Table:
         # max-of-empty, missing side column)
         return t.select([])
     except Exception:
-        # anything else is likely a real bucket_fn defect on typed-empty
-        # input — keep the empty-out contract but make the swallow
-        # observable instead of silent
+        # likely a real bucket_fn defect: keep empty-out, but say so
         import logging
         import traceback
 
@@ -180,74 +222,39 @@ def exchange_refs(
     bucket_fn,
     n_parts: int,
     pre_map: "callable | None" = None,
+    out_dir: str | None = None,
 ) -> list:
-    """The raw-task hash exchange over Arrow block refs: every block
-    splits into ``n_parts`` content-keyed slices (``hash_split`` of
-    ``keys``, so outputs are invariant to block layout), and one reduce
-    task per partition concats its slices and runs the Arrow-in
-    ``bucket_fn`` (Arrow or pandas out). Returns the ``n_parts`` output
-    block refs without waiting on them, so callers chain exchanges with
-    no Ray Data job in between. ``pre_map`` (Arrow -> Arrow) runs inside
-    the split tasks. An input may also be a tuple ``(block_ref, *extra)``:
-    its split task calls ``pre_map(block, *extra)``, each ref in
-    ``extra`` resolved to its object. No input refs -> no output refs."""
+    """The raw-task hash exchange: every input splits into ``n_parts``
+    content-keyed slices (``hash_split`` of ``keys``, so outputs are
+    invariant to input layout), and one reduce task per partition
+    concats its slices and runs the Arrow-in ``bucket_fn`` (Arrow or
+    pandas out). ``pre_map`` (Arrow -> Arrow) runs inside the split
+    tasks. Each input is one split task: an Arrow block ref; a tuple
+    ``(block_ref, *extra)``, for ``pre_map(block, *extra)`` with each
+    ref in ``extra`` resolved; or a list of ``FileSlice``s
+    (``file_inputs``), each read, pre-mapped with its own ``extra`` and
+    concatenated in the task. Returns the ``n_parts`` output block refs
+    without waiting on them, so exchanges chain with no Ray Data job in
+    between; given ``out_dir``, each reduce task writes its output to
+    ``out_dir/part-<p>.parquet`` instead (a zero-row partition writes no
+    file), and the refs hold row counts, for ``wait_all``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     n_parts = int(n_parts)
     EXCHANGE_STATS["exchange"] += 1
     if not refs:
-        return []
+        return []  # no inputs, no refs
     split = _exchange_split.options(num_returns=n_parts)
     splits = [
         split.remote(keys, n_parts, pre_map, *(r if isinstance(r, tuple) else (r,))) for r in refs
     ]
     if n_parts == 1:
         splits = [[s] for s in splits]
-    return [_exchange_reduce.remote(bucket_fn, *[s[p] for s in splits]) for p in range(n_parts)]
-
-
-@ray.remote
-def _read_block(path: str, columns, filter, n_slices: int):
-    """One committed parquet file -> ``n_slices`` row slices."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=columns, filters=filter).replace_schema_metadata(None)
-    if n_slices == 1:
-        return t
-    step = -(-t.num_rows // n_slices)
-    return tuple(t.slice(i * step, step) for i in range(n_slices))
-
-
-def read_refs(files: list[str], columns=None, filter=None, min_blocks: int = 1) -> list:
-    """Arrow block refs of committed parquet files: one read task per
-    file (``filter`` is a ``pyarrow.dataset`` expression, its columns
-    need not be read; schema metadata is dropped). With fewer files
-    than ``min_blocks`` each task returns that many row slices, so a
-    row-expanding exchange over a one-file stage still fans out. No
-    Ray Data job: the refs feed ``exchange_refs`` directly."""
-    if not files:
-        return []
-    n = -(-min_blocks // len(files))
-    task = _read_block.options(num_returns=n)
-    refs = [task.remote(f, columns, filter, n) for f in files]
-    return refs if n == 1 else [r for rs in refs for r in rs]
-
-
-@ray.remote
-def _write_block(tbl: pa.Table, path: str) -> None:
-    if tbl.num_rows:
-        import pyarrow.parquet as pq
-
-        pq.write_table(tbl, path)
-
-
-def write_refs(refs: list, out_dir: str) -> None:
-    """One write task per block ref into ``out_dir``; a zero-row block
-    writes no file."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"part-{i:05d}.parquet") for i in range(len(refs))]
-    wait_all([_write_block.remote(r, p) for r, p in zip(refs, paths)])
+    paths = [None] * n_parts
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        paths = [os.path.join(out_dir, f"part-{p:05d}.parquet") for p in range(n_parts)]
+    reduce = _exchange_reduce.remote
+    return [reduce(bucket_fn, paths[p], *[s[p] for s in splits]) for p in range(n_parts)]
 
 
 def open_parquet(path: str):
@@ -257,8 +264,6 @@ def open_parquet(path: str):
     chunk it loads). The file must not be truncated or rewritten while
     it is open: a mapped read past a cut end raises SIGBUS in the
     reading process, not an I/O error."""
-    import pyarrow.parquet as pq
-
     return pq.ParquetFile(path, memory_map=True)
 
 
@@ -280,10 +285,6 @@ class PartWriter:
         if not tbl.num_rows:
             return
         if self.writer is None:
-            import os
-
-            import pyarrow.parquet as pq
-
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
             self.writer = pq.ParquetWriter(self.path, tbl.schema, compression=self.compression)
         self.writer.write_table(tbl)
@@ -310,8 +311,6 @@ def rewrite_files(files: list[str], columns: list[str], out_dir: str, prefix: st
     in that order, one row group at a time, to
     ``out_dir/<prefix>-<i>.parquet`` (a zero-row file writes none);
     -> the task refs, for ``wait_all``."""
-    import os
-
     return [
         _rewrite_file.remote(f, columns, os.path.join(out_dir, f"{prefix}-{i:05d}.parquet"))
         for i, f in enumerate(files)
@@ -344,18 +343,19 @@ def exchange_apply(
     ``key`` reach the same ``bucket_fn`` call), built from plain Ray
     tasks: the input is materialized (one Ray Data job), its block refs
     go through ``exchange_refs``, and the output refs become a Dataset
-    again. Callers that already hold block refs (``read_refs``, the
-    image pipeline's shuffle stages) skip both ends through
-    ``bucketed_apply``'s refs form. Ray Data's only keyed exchange is
-    its sort, whose fixed coordination (~2-3 s per job) dominates
-    small-to-mid shuffles and which measured ~2x slower on the sf0.1
-    banding shuffle (5.1 s vs 2.6 s at 32 CPUs) and 2.7x slower on a
-    400 MB shuffle 4x the size of the object store (45.2 s vs 16.9 s at
-    2 CPUs): the exchange's split slices spill like any task output, so
-    it is the one engine at every size. When ``n_parts`` is not given
-    it is ``exchange_width`` of ``est_bytes`` (else the MATERIALIZED
-    input bytes) and the cluster's CPUs. Skewed keys cost one oversized
-    partition.
+    again. The image pipeline's shuffle stages skip both ends: their
+    split tasks read committed files and their reduce tasks write them
+    (``exchange_refs``). Ray Data's only keyed exchange is its sort,
+    whose fixed coordination (~2-3 s per job) dominates small-to-mid
+    shuffles and which measured ~2x slower on the sf0.1 banding shuffle
+    (5.1 s vs 2.6 s at 32 CPUs) and 2.7x slower on a 400 MB shuffle 4x
+    the size of the object store (45.2 s vs 16.9 s at 2 CPUs): the
+    exchange's split slices spill like any task output, so it is the
+    one engine at every size. When ``n_parts`` is not given it is
+    ``exchange_width`` of ``est_bytes`` (else the MATERIALIZED input
+    bytes) and the cluster's CPUs: a small input gets one partition
+    per ~4 MiB, however many CPUs there are. Skewed keys cost one
+    oversized partition.
 
     ``arrow_fn``: hand ``bucket_fn`` the Arrow partition instead of a
     pandas frame. REQUIRED when any column holds per-side null padding
@@ -364,14 +364,11 @@ def exchange_apply(
     first).
 
     ``pre_map``: an Arrow-table->Arrow-table row-EXPANDING transform
-    fused INTO the split tasks (r4 verdict #3). The banding stage's key
-    expansion multiplies rows 68x; running it as its own map stage
-    materializes the expanded table into plasma once (write + read ~170
-    MB at sf0.1) before the split pass reads it again. Fused, each
-    split task expands only its own small input block transiently and
-    ships the split outputs directly — the expanded table NEVER exists
-    as a whole in the object store (measured: sf0.1 banding stage 5.7 s
-    -> ~2 s at 32 CPUs). ``est_bytes`` then sizes n_parts (the
+    fused INTO the split tasks (r4 verdict #3): each split task expands
+    only its own input transiently and ships the split outputs, so the
+    expanded table (68x rows in the banding stage) never exists as a
+    whole in the object store (measured: sf0.1 banding stage 5.7 s ->
+    ~2 s at 32 CPUs). ``est_bytes`` then sizes n_parts (the
     materialized pre-map input no longer predicts shuffle volume)."""
     keys = [key] if isinstance(key, str) else list(key)
     mat = ds.materialize()
@@ -404,6 +401,8 @@ def bucketed_apply(
     arrow_fn: bool = False,
     est_bytes: int | None = None,
     pre_map: "callable | None" = None,
+    n_parts: int | None = None,
+    out_dir: str | None = None,
 ) -> rd.Dataset:
     """Hash-partition rows by ``key`` and apply ``bucket_fn`` (pandas
     in/out, or Arrow in with ``arrow_fn=True``) to each WHOLE co-located
@@ -421,19 +420,17 @@ def bucketed_apply(
     64-bit keys above 2^53 — the fn must filter sides in Arrow first.
 
     The engine is the raw-task exchange at every size: a Dataset goes
-    through ``exchange_apply`` (-> Dataset); a list of Arrow block refs
-    (``read_refs``, or an earlier exchange's output) goes straight to
-    ``exchange_refs`` (-> refs), with no Ray Data job. ``est_bytes``
-    sizes the exchange width in both forms.
-    """
+    through ``exchange_apply`` (-> Dataset; ``n_parts`` is its width,
+    else ``exchange_width`` of ``est_bytes``); a list of
+    ``exchange_refs`` inputs goes straight to it on ``n_parts``
+    partitions (-> refs, or row counts given ``out_dir``)."""
     keys = [key] if isinstance(key, str) else list(key)
     if not isinstance(ds, list):
         return exchange_apply(
-            ds, keys, bucket_fn, arrow_fn=arrow_fn, pre_map=pre_map, est_bytes=est_bytes
+            ds, keys, bucket_fn, n_parts, arrow_fn=arrow_fn, pre_map=pre_map, est_bytes=est_bytes
         )
     fn = bucket_fn if arrow_fn else (lambda t: bucket_fn(t.to_pandas()))
-    n_parts = exchange_width(est_bytes or 0, available_cpus())
-    return exchange_refs(ds, keys, fn, n_parts, pre_map)
+    return exchange_refs(ds, keys, fn, n_parts, pre_map, out_dir)
 
 
 def bucketed_group_apply(ds: rd.Dataset, key: str | list[str], group_fn) -> rd.Dataset:

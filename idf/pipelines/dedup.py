@@ -18,11 +18,14 @@ on object refs:
     -> per read unit: one task tags keep/quarantine against the
        broadcast DELETE ids and writes both sides      [apply]
 
-Every refs stage reads its committed input with one task per file
-(``ops.read_refs``), chains ``ops.exchange_refs``, and hands its output
-block refs to the run manifest, which writes one file per non-empty
-block. The exchange is the one shuffle engine at every size: its
-slices spill through the object store. Above ``BROADCAST_MAX_IDS``
+Every refs stage sizes its ``ops.exchange_refs`` by its input bytes
+(``ops.exchange_width``): the split tasks read the committed input
+files themselves and the reduce tasks write one file per non-empty
+partition (in ``clusters`` the co-partitioning exchange reads and the
+emit exchange writes), so the stage launches one task per partition at
+each end and records both counts (``exchange_parts``, ``split_tasks``)
+in its metrics. The exchange is the one shuffle engine at every size:
+its slices spill through the object store. Above ``BROADCAST_MAX_IDS``
 DELETE ids apply tags with a ``hash_join`` over Ray Data reads; Lance
 and loose-file sources hash and apply with Ray Data.
 
@@ -44,7 +47,7 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.stages.apply import apply_plan
-from idf.stages.candidates import band_edges, dedup_edges, distinct_hashes
+from idf.stages.candidates import band_edges, band_shuffle_factor, dedup_edges, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest, write_output
@@ -150,7 +153,9 @@ def run_dedup(
         vt = pads.dataset(hashes_dir).to_table(columns=["verify", "status"])
         v = vt["verify"].combine_chunks().to_numpy(zero_copy_only=False)
         n_ok = pc.sum(pc.equal(vt["status"], "ok")).as_py() or 0
-        sampled = int((v > 0).sum())
+        # verified = decoded and compared (1 match, 2 mismatch); a null
+        # `bytes` cell (3) was sampled but never decoded
+        sampled = int(((v == 1) | (v == 2)).sum())
         mismatched = int((v == 2).sum())
         no_bytes = int((v == 3).sum())
         if sampled == 0 and cfg.phash_verify_fraction > 0.0:
@@ -226,23 +231,31 @@ def run_dedup(
         if no_bytes > cfg.phash_verify_max_mismatch:
             raise RuntimeError(
                 f"precomputed-phash verification failed: {no_bytes} of "
-                f"{sampled} sampled rows have a null `bytes` cell, so their "
-                f"phash could not be checked (tolerance "
+                f"{sampled + no_bytes} sampled rows have a null `bytes` cell, so "
+                f"their phash could not be checked (tolerance "
                 f"{cfg.phash_verify_max_mismatch}); the input table's bytes "
                 "column is missing images"
             )
 
-    # The shuffle stages below read a committed stage as block refs (one
-    # read task per file) and run on refs from read to write: no Ray
-    # Data job between the hashes and apply stages. The lineage bytes
-    # size each stage's exchange.
-    from idf.ops import available_cpus, read_refs
+    # The shuffle stages below run on plain tasks, no Ray Data job
+    # between the hashes and apply stages: the split tasks read the
+    # committed input files themselves and the reduce tasks write the
+    # stage's files, so no read or write wave of its own runs and only
+    # row counts return to the driver. The lineage bytes size each
+    # exchange (``exchange_width``), and at most that many split tasks
+    # read the input; the build records both in the stage metrics (read
+    # at commit, so a resumed run records none).
+    from idf.ops import FileSlice, available_cpus, exchange_width, file_inputs
 
-    def _stage_input(name, columns, filter=None, min_blocks=1):
+    def _stage_input(name, columns, metrics, filter=None, factor=1, fan_out=False):
         parts = man.state["stages"][name]["partitions"]
-        files = [os.path.join(man.stage_dir(name), p["file"]) for p in parts]
-        in_bytes = sum(p["bytes"] for p in parts)
-        return read_refs(files, columns, filter, min_blocks), in_bytes
+        files = [
+            FileSlice(os.path.join(man.stage_dir(name), p["file"]), columns, filter) for p in parts
+        ]
+        n_parts = exchange_width(factor * sum(p["bytes"] for p in parts), available_cpus())
+        inputs = file_inputs(files, n_parts, slice_rows=fan_out)
+        metrics.update(exchange_parts=n_parts, split_tasks=len(inputs))
+        return inputs, n_parts
 
     # 2. exact-hash collapse over the int64 phash column only — id
     # strings stay out of the shuffle; dist-0 membership is recovered
@@ -250,6 +263,8 @@ def run_dedup(
     # (one pyarrow column scan + pc.unique, ~0.1s where the Ray job
     # costs ~1s of fixed overhead); the distributed combiner+distinct
     # past it — the same cc_driver_max_edges guard as the CC stage.
+    distinct_metrics: dict = {}
+
     def _build_distinct():
         files = [p["file"] for p in man.state["stages"]["hashes"]["partitions"]]
         n_rows = sum(p["rows"] for p in man.state["stages"]["hashes"]["partitions"])
@@ -258,12 +273,12 @@ def run_dedup(
                 columns=["phash"], filter=ok_filter
             )
             return pa.table({"phash": pc.unique(tbl["phash"].combine_chunks())})
-        src, in_bytes = _stage_input("hashes", ["phash"], filter=ok_filter)
-        return distinct_hashes(src, est_bytes=in_bytes)
+        src, n = _stage_input("hashes", ["phash"], distinct_metrics, filter=ok_filter)
+        return lambda tmp: wait_all(distinct_hashes(src, n, out_dir=tmp))
 
     import pyarrow as pa
 
-    distinct_dir = man.run_stage("distinct_hashes", _build_distinct)
+    distinct_dir = man.run_stage("distinct_hashes", _build_distinct, metrics=distinct_metrics)
 
     # 3. candidate edges: pigeonhole banding is exact (recall 1.0
     # within the radius), so it is the one edge source. It runs in
@@ -274,18 +289,21 @@ def run_dedup(
     # sf0.1/32cpu). CC runs on the hash graph; image membership joins
     # back through the hashes table inside the CC stage.
     #
-    # The distinct stage's driver fast path writes ONE small file, so
-    # one read block would run the key expansion (68 output rows per
-    # hash — the pipeline's widest map) as a single serial task:
-    # measured 3.5 s of the 32-CPU edge wall, pure first-touch
-    # allocation on one core. Reading it as row slices (two per CPU)
-    # lets the expansion fan out (a split read measured 6.8 s -> 3.4 s
-    # best-of-3 on the sf0.1 banding stage at 32 CPUs).
-    def _build_band():
-        src, in_bytes = _stage_input("distinct_hashes", ["phash"], min_blocks=2 * available_cpus())
-        return band_edges(src, cfg, int_pairs=True, in_bytes=in_bytes)
+    # The exchange is sized by the EXPANDED bytes (band_shuffle_factor:
+    # 68 key rows per hash), and the split fans out to that width: the
+    # distinct stage's driver fast path writes ONE small file, and one
+    # split task would run the expansion — the pipeline's widest map —
+    # serially on one core (measured 3.5 s of the 32-CPU edge wall at
+    # sf0.1; a split read measured 6.8 s -> 3.4 s best-of-3). Each split
+    # task reads its own row slice of the file.
+    band_metrics: dict = {}
 
-    raw_edges_dir = man.run_stage("edges_band", _build_band)
+    def _build_band():
+        factor = band_shuffle_factor(cfg)
+        src, n = _stage_input("distinct_hashes", ["phash"], band_metrics, factor=factor, fan_out=True)
+        return lambda tmp: wait_all(band_edges(src, cfg, int_pairs=True, n_parts=n, out_dir=tmp))
+
+    raw_edges_dir = man.run_stage("edges_band", _build_band, metrics=band_metrics)
 
     # 3b. pair-dedup of the raw edges — only when the raw list is big
     # enough that shrinking it (~25x at sf0.1) pays for its own shuffle.
@@ -294,13 +312,15 @@ def run_dedup(
     # deterministically on resume (parquet footer row counts).
     from idf.stages.cc import count_edge_rows
 
+    dedup_metrics: dict = {}
+
     def _build_edge_dedup():
-        src, in_bytes = _stage_input("edges_band", ["phash_a", "phash_b", "dist"])
-        return dedup_edges(src, int_pairs=True, est_bytes=in_bytes)
+        src, n = _stage_input("edges_band", ["phash_a", "phash_b", "dist"], dedup_metrics)
+        return lambda tmp: wait_all(dedup_edges(src, int_pairs=True, n_parts=n, out_dir=tmp))
 
     edges_dir = raw_edges_dir
     if count_edge_rows([raw_edges_dir]) > cfg.edge_dedup_min_rows:
-        edges_dir = man.run_stage("edges_band_dedup", _build_edge_dedup)
+        edges_dir = man.run_stage("edges_band_dedup", _build_edge_dedup, metrics=dedup_metrics)
 
     # 4. connected components over the INT phash graph -> clusters.
     #    Exact-dup (dist-0) membership needs no edges at all: every ok
@@ -314,7 +334,7 @@ def run_dedup(
     cc_metrics: dict = {}
 
     def _build_clusters():
-        out = connected_components(cfg, [edges_dir], hashes_dir)
+        out = connected_components(cfg, [edges_dir], hashes_dir, metrics=cc_metrics)
         cc_metrics.update(
             cc_route=CC_STATS["route"],
             labelprop_rounds=CC_STATS["labelprop_rounds"],

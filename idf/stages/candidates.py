@@ -50,17 +50,19 @@ def _unique_phash(t: pa.Table) -> pa.Table:
     return pa.table({"phash": pc.unique(t["phash"].combine_chunks())})
 
 
-def distinct_hashes(hashes_ok, est_bytes: int | None = None):
+def distinct_hashes(hashes_ok, n_parts: int | None = None, out_dir: str | None = None):
     """Global DISTINCT over the phash column — the exact-duplicate
     collapse: identical images become ONE banding node, so hash floods
     (flat images) cost one row, not a quadratic bucket.
 
-    One keyed shuffle whose split side runs a per-block ``pc.unique``
-    combiner first, so only block-distinct hashes cross it; the reduce
+    One keyed shuffle whose split side runs a per-input ``pc.unique``
+    combiner first, so only input-distinct hashes cross it; the reduce
     is the same unique. ``hashes_ok`` is a Dataset (-> Dataset) or the
-    block refs of the ok hashes (-> refs, ``ops.bucketed_apply``'s refs
-    form). The per-image id strings never enter this stage; image
-    membership is recovered by the CC stage's hashes-table join."""
+    ``exchange_refs`` inputs of the ok hashes on ``n_parts`` partitions
+    (-> refs, or row counts after writing into ``out_dir``;
+    ``ops.bucketed_apply``). The per-image id strings never enter this
+    stage; image membership is recovered by the CC stage's hashes-table
+    join."""
     from idf.ops import bucketed_apply
 
     return bucketed_apply(
@@ -68,8 +70,9 @@ def distinct_hashes(hashes_ok, est_bytes: int | None = None):
         "phash",
         _unique_phash,
         arrow_fn=True,
-        est_bytes=est_bytes,
         pre_map=_unique_phash,
+        n_parts=n_parts,
+        out_dir=out_dir,
     )
 
 
@@ -342,14 +345,18 @@ def band_edges(
     cfg: DedupConfig,
     collapse_identical: bool = True,
     int_pairs: bool = False,
-    in_bytes: int | None = None,
+    n_parts: int | None = None,
+    out_dir: str | None = None,
 ):
     """Distinct-hash table -> verified candidate edges via banding.
 
-    ``distinct`` is a Dataset (-> Dataset) or block refs (-> refs; the
-    image pipeline). ``in_bytes``: the input's size (a committed stage's
-    lineage bytes); a Dataset input without it uses its metadata
-    estimate. Times ``band_shuffle_factor`` it sizes the exchange width.
+    ``distinct`` is a Dataset (-> Dataset) or the ``exchange_refs``
+    inputs of the image pipeline on ``n_parts`` partitions (-> refs, or
+    row counts after writing into ``out_dir``). A Dataset's exchange
+    width comes from its metadata size estimate times
+    ``band_shuffle_factor``: the expanded banding table is the
+    pipeline's LARGEST intermediate, and the materialized pre-map input
+    does not predict its size.
 
     Pass ``collapse_identical=False`` when the input was NOT
     exact-collapsed and the full pair set (incl. dist-0 pairs) is the
@@ -371,17 +378,17 @@ def band_edges(
         if int_pairs
         else make_bucket_pairs_fn(cfg.radius, cfg.bucket_cap, collapse_identical)
     )
-    # The expanded banding table is the pipeline's LARGEST intermediate
-    # and the materialized pre-map input does not predict its size, so
-    # the exchange width comes from the expansion arithmetic.
-    if in_bytes is None and not isinstance(distinct, list):
+    est = None
+    if not isinstance(distinct, list):
         in_bytes = _estimate_bytes(distinct)
-    est = None if in_bytes is None else in_bytes * band_shuffle_factor(cfg)
+        est = None if in_bytes is None else in_bytes * band_shuffle_factor(cfg)
     # pre_map fusion (r4 verdict #3): the 68x key expansion runs INSIDE
     # the exchange's split tasks, so the expanded table — the pipeline's
     # largest intermediate — never materializes into the object store as
     # a whole (measured 5.7 s -> ~2 s for this stage at sf0.1/32 CPUs).
-    return bucketed_apply(distinct, "key", fn, est_bytes=est, pre_map=expander)
+    return bucketed_apply(
+        distinct, "key", fn, est_bytes=est, pre_map=expander, n_parts=n_parts, out_dir=out_dir
+    )
 
 
 def _min_dist_fn(keys: list[str]):
@@ -392,7 +399,9 @@ def _min_dist_fn(keys: list[str]):
     return fn
 
 
-def dedup_edges(edges, int_pairs: bool = False, est_bytes: int | None = None):
+def dedup_edges(
+    edges, int_pairs: bool = False, n_parts: int | None = None, out_dir: str | None = None
+):
     """J3: distinct (id_a, id_b), keeping min dist — one pair-keyed
     shuffle whose reduce is one Arrow ``group_by`` (pair keys are
     high-cardinality).
@@ -402,13 +411,16 @@ def dedup_edges(edges, int_pairs: bool = False, est_bytes: int | None = None):
     output shrinks it ~25x and keeps the serial CC input
     tiny — one extra parallel shuffle buys a much smaller sequential
     stage. The shuffle is ``bucketed_apply``'s exchange (``edges`` as
-    block refs -> refs, or a Dataset -> Dataset). ``int_pairs``: the
-    pair key is (phash_a, phash_b) — the image pipeline's int-edge
-    schema."""
+    ``exchange_refs`` inputs on ``n_parts`` partitions -> refs, or row
+    counts after writing into ``out_dir``; a Dataset -> Dataset).
+    ``int_pairs``: the pair key is (phash_a, phash_b) — the image
+    pipeline's int-edge schema."""
     from idf.ops import bucketed_apply
 
     keys = ["phash_a", "phash_b"] if int_pairs else ["id_a", "id_b"]
-    return bucketed_apply(edges, keys, _min_dist_fn(keys), arrow_fn=True, est_bytes=est_bytes)
+    return bucketed_apply(
+        edges, keys, _min_dist_fn(keys), arrow_fn=True, n_parts=n_parts, out_dir=out_dir
+    )
 
 
 def pair_distance_histogram(edges: rd.Dataset) -> pd.DataFrame:

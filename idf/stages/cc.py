@@ -33,6 +33,7 @@ graphs.
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -169,26 +170,21 @@ def _superstep(static: pa.Table, labels: pa.Table | None, n_parts: int, *msgs: n
     )
 
 
-def _propagate(
-    edges: list, rows: list, key: str | None, n_parts: int, max_iters: int
-) -> tuple[list, list]:
+def _propagate(inputs: list, key: str | None, n_parts: int, max_iters: int) -> tuple[list, list]:
     """Min-label propagation to fixpoint -> ``(static, labels)``, one
     ref each per partition: ``static`` from the one co-partitioning
-    ``exchange_refs`` over the edge blocks (symmetrized inside its split
-    tasks) and the ``rows`` blocks keyed on their int ``key``;
-    ``labels`` the final ``(node, label)`` tables. Each round is one
-    ``_superstep`` task per partition; the driver gets only their
-    changed counts. A graph still changing after ``max_iters`` rounds
-    raises ``RuntimeError`` after ``CC_STATS`` records the rounds: its
-    labels would split components."""
+    ``exchange_refs`` over ``inputs``, each edge source tagged 0 and
+    each row source tagged 1 for ``_tag_side`` (edges are symmetrized
+    inside the split tasks, rows keyed on their int ``key``); ``labels``
+    the final ``(node, label)`` tables. Each round is one ``_superstep``
+    task per partition; the driver gets only their changed counts. A
+    graph still changing after ``max_iters`` rounds raises
+    ``RuntimeError`` after ``CC_STATS`` records the rounds: its labels
+    would split components."""
     from idf.ops import exchange_refs
 
     static = exchange_refs(
-        [(r, 0) for r in edges] + [(r, 1) for r in rows],
-        "src",
-        _static_block,
-        n_parts,
-        pre_map=functools.partial(_tag_side, key=key),
+        inputs, "src", _static_block, n_parts, pre_map=functools.partial(_tag_side, key=key)
     )
     step = _superstep.options(num_returns=2 + n_parts)
     outs = [step.remote(s, None, n_parts) for s in static]
@@ -254,7 +250,7 @@ def components_labelprop(edges, max_iters: int = 50, est_bytes: int | None = Non
         est_bytes = 2 * (edges.size_bytes() or 0)  # the symmetrized side
         edges = edges.to_arrow_refs()
     n_parts = exchange_width(est_bytes or 0, available_cpus())
-    _, labels = _propagate(edges, [], None, n_parts, max_iters)
+    _, labels = _propagate([(r, 0) for r in edges], None, n_parts, max_iters)
     if as_refs:
         return labels
     if not CC_STATS["labelprop_rounds"]:
@@ -273,7 +269,8 @@ def label_components(
     from idf.ops import available_cpus, exchange_width
 
     n_parts = exchange_width(est_bytes, available_cpus())
-    static, labels = _propagate(edges, rows, key, n_parts, max_iters)
+    inputs = [(r, 0) for r in edges] + [(r, 1) for r in rows]
+    static, labels = _propagate(inputs, key, n_parts, max_iters)
     task = ray.remote(_label_rows)
     return [task.remote(s, lab, key, out, {}) for s, lab in zip(static, labels)]
 
@@ -349,7 +346,7 @@ def _cc_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
 
 
 def components_phash_labelprop(
-    phash_edge_dirs: list[str], hashes_dir: str, max_iters: int = 50
+    phash_edge_dirs: list[str], hashes_dir: str, max_iters: int = 50, metrics: dict | None = None
 ):
     """Distributed CC over the INT phash graph + membership expansion —
     the scale path when the edge list exceeds driver memory
@@ -363,15 +360,26 @@ def components_phash_labelprop(
        the graph keys its own group (the unedged exact-duplicate case)
     3. per component: drop singletons, cluster_id = min image_id
 
-    Two exchanges and R+1 superstep waves in all. The stage reads both
-    inputs with one task per file and runs on block refs from read to
-    the returned output refs, with no Ray Data job; the edge + hashes
-    file bytes size both exchanges."""
+    Two exchanges and R+1 superstep waves in all, with no Ray Data job:
+    the co-partitioning split tasks read the edge and hashes files
+    themselves, and the emit exchange's reduce tasks write the
+    clusters. The edge + hashes file bytes size both exchanges, and
+    ``metrics`` gets their width (``exchange_parts``) and the split
+    tasks of the file-reading one (``split_tasks``). Propagation runs
+    here; the returned writer runs the emit exchange into a stage's
+    ``.tmp`` directory."""
     import os
 
     import pyarrow.dataset as pads
 
-    from idf.ops import available_cpus, exchange_refs, exchange_width, read_refs
+    from idf.ops import (
+        FileSlice,
+        available_cpus,
+        exchange_refs,
+        exchange_width,
+        file_inputs,
+        wait_all,
+    )
 
     edge_files = _parquet_files(phash_edge_dirs)
     hash_files = _parquet_files([hashes_dir])
@@ -379,11 +387,20 @@ def components_phash_labelprop(
         sum(os.path.getsize(f) for f in edge_files + hash_files), available_cpus()
     )
     ok = pads.field("status") == "ok"
-    edges = read_refs(edge_files, columns=["phash_a", "phash_b"])
-    hashes = read_refs(hash_files, columns=["image_id", "phash"], filter=ok)
-    static, labels = _propagate(edges, hashes, "phash", n_parts, max_iters)
+    inputs = file_inputs(
+        [FileSlice(f, ["phash_a", "phash_b"], extra=(0,)) for f in edge_files]
+        + [FileSlice(f, ["image_id", "phash"], ok, extra=(1,)) for f in hash_files],
+        n_parts,
+    )
+    if metrics is not None:
+        metrics.update(exchange_parts=n_parts, split_tasks=len(inputs))
+    static, labels = _propagate(inputs, "phash", n_parts, max_iters)
     keyed = functools.partial(_label_rows, key="phash", out="__key", carry={"image_id": pa.string()})
-    return exchange_refs(list(zip(static, labels)), "__key", _emit_clusters, n_parts, pre_map=keyed)
+    return lambda tmp: wait_all(
+        exchange_refs(
+            list(zip(static, labels)), "__key", _emit_clusters, n_parts, keyed, out_dir=tmp
+        )
+    )
 
 
 def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.Table:
@@ -483,24 +500,25 @@ def count_edge_rows(dirs: list[str]) -> int:
 
 
 def connected_components(
-    cfg, phash_edge_dirs: list[str], hashes_dir: str
-) -> list | pa.Table:
+    cfg, phash_edge_dirs: list[str], hashes_dir: str, metrics: dict | None = None
+) -> pa.Table | Callable[[str], None]:
     """Clusters over the int phash graph, by edge count: the driver
     route while ``count_edge_rows <= cfg.cc_driver_max_edges`` (``<=``
     keeps a zero-edge graph on the driver even at a limit of 0),
     distributed labelprop above it.
 
     The driver route returns a local ``pa.Table`` (the manifest writes
-    it with pyarrow directly — no Ray job); labelprop returns block refs.
-    Both routes are looked up by module attribute at call time, so a
-    wrapper installed on the module (perfbench/trace.py) sees the call.
-    ``CC_STATS`` records the route taken; the driver kernel always runs
-    to its fixpoint, in 0 labelprop rounds."""
+    it with pyarrow directly — no Ray job); labelprop returns a writer
+    of the stage's ``.tmp`` directory and fills ``metrics`` with its
+    exchange plan. Both routes are looked up by module attribute at call
+    time, so a wrapper installed on the module (perfbench/trace.py) sees
+    the call. ``CC_STATS`` records the route taken; the driver kernel
+    always runs to its fixpoint, in 0 labelprop rounds."""
     if count_edge_rows(phash_edge_dirs) <= cfg.cc_driver_max_edges:
         CC_STATS.update(route="driver", labelprop_rounds=0, converged=True)
         return components_phash_driver(phash_edge_dirs, hashes_dir)
     CC_STATS["route"] = "labelprop"
-    return components_phash_labelprop(phash_edge_dirs, hashes_dir)
+    return components_phash_labelprop(phash_edge_dirs, hashes_dir, metrics=metrics)
 
 
 def cluster_size_histogram(clusters: rd.Dataset) -> "pd.DataFrame":

@@ -832,8 +832,8 @@ def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int
     marks the row decodable — rows the corpus honestly flags (corrupt
     probes get w<=0, alien formats skip:fmt, null phash) are outside
     the trust contract, not mismatches. An eligible row with a null
-    ``bytes`` cell has nothing to decode: it counts as verified and as
-    no_bytes (the in-batch verify's outcome 3), never as a mismatch."""
+    ``bytes`` cell has nothing to decode: it counts as no_bytes (the
+    in-batch verify's outcome 3), never as verified or mismatched."""
     import pyarrow.compute as pc
 
     fmt_ok = pc.is_in(pc.utf8_lower(pc.cast(t["fmt"], pa.string())), value_set=_FMT_SET)
@@ -858,11 +858,11 @@ def _verify_loaded_table(t: pa.Table, hasher, batch_rows: int) -> tuple[int, int
         dec = hasher(sub)
         ok = dec["status"].to_numpy(zero_copy_only=False) == "ok"
         got = dec["phash"].to_numpy(zero_copy_only=False)
-        m_ok = eligible[lo : lo + len(sub)]
+        m_ok = eligible[lo : lo + len(sub)] & ~no_bytes[lo : lo + len(sub)]
         e = exp[lo : lo + len(sub)]
         n_v += int(m_ok.sum())
         # mismatch: metadata said ok but decode failed, or hash differs
-        n_m += int((m_ok & ~no_bytes[lo : lo + len(sub)] & (~ok | (got != e))).sum())
+        n_m += int((m_ok & (~ok | (got != e))).sum())
     return n_v, n_m, int((eligible & no_bytes).sum())
 
 

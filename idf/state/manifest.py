@@ -33,12 +33,11 @@ def write_output(out, tmp: str, partition_cols: list[str] | None = None) -> None
     """Write what a stage's ``build`` returned into its ``tmp`` directory:
 
     - a callable is a writer: ``out(tmp)`` writes its own files (the
-      plain-task stages, whose tasks read and write in place, so
-      nothing but a row count crosses the object store);
+      plain-task stages, whose tasks read and write in place, and the
+      shuffle stages, whose reduce tasks write one file per non-empty
+      partition, so nothing but a row count crosses the object store);
     - a local Arrow/pandas table is one pyarrow write (driver fast
       paths skip a whole Ray ``from_arrow`` -> write job);
-    - a list of Arrow block refs is one write task per block (a
-      zero-row block writes no file; the exchange stages);
     - a Dataset is one Ray Data write job (``partition_cols``
       hive-partitions it)."""
     if callable(out):
@@ -48,10 +47,6 @@ def write_output(out, tmp: str, partition_cols: list[str] | None = None) -> None
         os.makedirs(tmp, exist_ok=True)
         table = pa.Table.from_pandas(out, preserve_index=False) if isinstance(out, pd.DataFrame) else out
         pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
-    elif isinstance(out, list):
-        from idf.ops import write_refs
-
-        write_refs(out, tmp)
     else:
         out.write_parquet(tmp, partition_cols=partition_cols)
 
@@ -88,7 +83,7 @@ class RunManifest:
     def run_stage(
         self,
         name: str,
-        build: Callable[[], rd.Dataset | pa.Table | list | Callable[[str], None]],
+        build: Callable[[], rd.Dataset | pa.Table | Callable[[str], None]],
         metrics: dict | None = None,
         empty_schema: pa.Schema | None = None,
     ) -> str:
@@ -97,8 +92,8 @@ class RunManifest:
         directory (read it back with ``ray.data.read_parquet``).
 
         ``build`` returns anything ``write_output`` takes: a Dataset,
-        a local table, a list of block refs, or a writer that fills the
-        ``.tmp`` directory itself.
+        a local table, or a writer that fills the ``.tmp`` directory
+        itself.
 
         ``empty_schema``: a zero-row output commits one zero-row file of
         this schema instead of an empty directory, so readers of the

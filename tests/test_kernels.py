@@ -121,6 +121,27 @@ class TestHamming:
         x = np.array([[0, 1], [3, 2**64 - 1]], dtype=np.uint64)
         assert popcount64(x).tolist() == [[0, 1], [2, 64]]
 
+    def test_popcount_matches_bin_count(self):
+        """The SWAR popcount equals ``bin(x).count("1")`` on random
+        uint64 values, 0, all-ones and every single bit, in any array
+        shape (0-d, empty, 1-d, 3-d, non-contiguous)."""
+        rng = np.random.default_rng(5)
+        x = np.concatenate(
+            [
+                rng.integers(0, 2**64, size=4000, dtype=np.uint64),
+                np.array([0, 2**64 - 1], dtype=np.uint64),
+                np.uint64(1) << np.arange(64, dtype=np.uint64),
+            ]
+        )
+        want = np.array([bin(int(v)).count("1") for v in x])
+        got = popcount64(x)
+        assert got.dtype == np.int32 and (got == want).all()
+        cube = x[:4050].reshape(3, 27, 50)
+        assert (popcount64(cube) == want[:4050].reshape(3, 27, 50)).all()
+        assert (popcount64(x[::-3]) == want[::-3]).all()
+        assert popcount64(x[:0]).shape == (0,)
+        assert popcount64(np.uint64(2**64 - 1)) == 64 and popcount64(x[5]).shape == ()
+
     def test_pairwise(self):
         a = np.array([0, 1, 3], dtype=np.uint64)
         b = np.array([0, 2**64 - 1], dtype=np.uint64)

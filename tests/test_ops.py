@@ -227,9 +227,15 @@ def test_exchange_apply_hot_key_skew(ray_session, rng):
 @pytest.mark.parametrize(
     "size_bytes,ncpu,want",
     [
-        (10_000, 1, 2),
-        (10_000, 4, 8),
-        (10_000, 32, 8),
+        (10_000, 1, 1),
+        (10_000, 4, 1),
+        (10_000, 32, 1),
+        (4 << 20, 4, 2),
+        ((4 << 22) - 1, 4, 4),
+        ((4 << 22) + 1, 4, 8),
+        ((1 << 22) + 1, 1, 2),
+        ((32 << 22) + 1, 32, 64),
+        (17_000_000, 4, 8),
         (40 << 20, 1, 11),
         (64 << 20, 1, 2),
         (64 << 20, 4, 8),
@@ -239,8 +245,11 @@ def test_exchange_apply_hot_key_skew(ray_session, rng):
     ],
 )
 def test_exchange_width(size_bytes, ncpu, want):
-    """Two partitions per CPU, capped at 8 below 64 MiB with ~4 MiB per
-    partition; from 64 MiB on, at most ~256 MiB per partition."""
+    """Sized by the bytes: below 64 MiB one partition per ~4 MiB while
+    that fits in the CPUs (a small input gets one partition however
+    many CPUs there are), and two per CPU, or more, from just past
+    ``ncpu x 4 MiB`` on; from 64 MiB on, two per CPU and at most ~256
+    MiB per partition."""
     from idf.ops import exchange_width
 
     assert exchange_width(size_bytes, ncpu) == want

@@ -230,12 +230,60 @@ def test_labelprop_equals_driver_cc(ray_session, small_images_table, tmp_path_fa
         "cc_route": "labelprop",
         "labelprop_rounds": CC_STATS["labelprop_rounds"],
         "converged": True,
+        "exchange_parts": 1,
+        "split_tasks": 1,
     }
     # a resumed run rebuilds nothing and records nothing new
     CC_STATS.update(route=None, labelprop_rounds=None, converged=None)
     man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=False)
     assert man2.state["stages"]["clusters"]["metrics"] == metrics
     assert CC_STATS["route"] is None
+
+
+TASK_PLAN_STAGES = ("distinct_hashes", "edges_band", "edges_band_dedup", "clusters")
+
+
+def test_shuffle_stages_record_task_plan(
+    ray_session, small_images_table, tmp_path, monkeypatch
+):
+    """Each refs stage records its exchange width (``exchange_parts``)
+    and the split tasks that read its input (``split_tasks``). The
+    small corpus at 1 CPU needs one of each in every stage; an
+    estimated band size past ``ncpu x 4 MiB`` widens ``edges_band`` to
+    two partitions per CPU, and its split fans out to that width. Both
+    runs reach the oracle's plan."""
+    import idf.ops as ops
+    import idf.pipelines.dedup as dedup_mod
+
+    def stage_metrics(run_dir):
+        with open(os.path.join(run_dir, "manifest.json")) as f:
+            stages = json.load(f)["stages"]
+        return {s: stages[s]["metrics"] for s in TASK_PLAN_STAGES}
+
+    monkeypatch.setattr(ops, "available_cpus", lambda default=4: 1)
+    run_dir = str(tmp_path / "one_cpu")
+    run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
+    for name, m in stage_metrics(run_dir).items():
+        assert (m["exchange_parts"], m["split_tasks"]) == (1, 1), (name, m)
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+    monkeypatch.undo()
+
+    ncpu = ops.available_cpus()
+    run_dir = str(tmp_path / "wide")
+
+    def past_width(cfg):
+        # an expansion factor that puts the band estimate just past
+        # ncpu x 4 MiB, whatever the distinct stage's size
+        d = os.path.join(run_dir, "distinct_hashes")
+        size = sum(os.path.getsize(os.path.join(d, f)) for f in os.listdir(d))
+        return ncpu * (4 << 20) // size + 1
+
+    monkeypatch.setattr(dedup_mod, "band_shuffle_factor", past_width)
+    run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
+    monkeypatch.undo()
+    band = stage_metrics(run_dir)["edges_band"]
+    assert band["exchange_parts"] == 2 * ncpu and band["split_tasks"] == 2 * ncpu, band
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
 
 
 def test_edge_dedup_path_same_clusters(ray_session, small_images_table, tmp_path_factory):
@@ -877,37 +925,57 @@ def test_apply_resume_after_failure_between_renames(
     _assert_apply_matches_plan(small_images_table, run_dir)
 
 
-def _fail_clusters_write(monkeypatch):
-    """The refs write of the clusters stage writes its first block, then
-    fails (a crash part-way through the per-block write tasks)."""
-    import idf.ops as ops
+def _fail_after_part_written(stage: str):
+    """-> an injector that fails ``stage`` after its reduce tasks wrote
+    at least one part file into ``<stage>.tmp`` (a crash once the
+    shuffle's writes are under way). A patch does not reach the Ray
+    workers, so the driver fails: ``ops.wait_all`` waits for the write
+    tasks, then raises."""
 
-    write_refs = ops.write_refs
+    def inject(monkeypatch, run_dir):
+        import idf.ops as ops
 
-    def failing(refs, out_dir):
-        if os.path.basename(out_dir) == "clusters.tmp":
-            write_refs(refs[:1], out_dir)
-            assert os.listdir(out_dir)
-            raise RuntimeError("induced failure in the clusters write")
-        return write_refs(refs, out_dir)
+        wait_all = ops.wait_all
 
-    monkeypatch.setattr(ops, "write_refs", failing)
+        def failing(refs):
+            out = wait_all(refs)
+            tmp = os.path.join(run_dir, stage + ".tmp")
+            if os.path.isdir(tmp) and os.listdir(tmp):
+                assert all(f.startswith("part-") for f in os.listdir(tmp))
+                raise RuntimeError(f"induced failure in the {stage} write")
+            return out
+
+        monkeypatch.setattr(ops, "wait_all", failing)
+
+    return inject
 
 
 @pytest.mark.parametrize(
     "failing,lost,done,cfg",
     [
         ("band_edges", "edges_band", ["hashes", "distinct_hashes"], {}),
+        (
+            _fail_after_part_written("edges_band"),
+            "edges_band",
+            ["hashes", "distinct_hashes"],
+            {},
+        ),
         ("dedup_edges", "edges_band_dedup", ["hashes", "distinct_hashes", "edges_band"], {}),
         (
-            _fail_clusters_write,
+            _fail_after_part_written("clusters"),
             "clusters",
             ["hashes", "distinct_hashes", "edges_band", "edges_band_dedup"],
             {"cc_driver_max_edges": 0},
         ),
         ("distinct_hashes", "distinct_hashes", ["hashes"], {"cc_driver_max_edges": 0}),
     ],
-    ids=["band_edges", "dedup_edges", "clusters_refs_write", "distributed_distinct"],
+    ids=[
+        "band_edges",
+        "edges_band_write",
+        "dedup_edges",
+        "clusters_refs_write",
+        "distributed_distinct",
+    ],
 )
 def test_resume_after_edge_stage_failure(
     ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done, cfg
@@ -927,7 +995,7 @@ def test_resume_after_edge_stage_failure(
     cfg = DedupConfig(use_precomputed_phash=False, edge_dedup_min_rows=0, **cfg)
     run_dir = str(tmp_path / "run")
     if callable(failing):
-        failing(monkeypatch)
+        failing(monkeypatch, run_dir)
     else:
         monkeypatch.setattr(dedup_mod, failing, boom)
     with pytest.raises(RuntimeError, match="induced failure"):
@@ -1039,7 +1107,8 @@ def test_parquet_run_plans_no_ray_data_job(
     assert planned == []
     assert seen["hashes"] is types.FunctionType, seen  # a writer
     if cfg is SCALE_OUT:
-        assert all(seen[s] is list for s in SHUFFLE_STAGES), seen
+        # writers: each shuffle's reduce tasks write the stage's files
+        assert all(seen[s] is types.FunctionType for s in SHUFFLE_STAGES), seen
     if do_apply:
         assert seen["apply"] is types.FunctionType, seen
         _assert_apply_matches_plan(imgs, run_dir)

@@ -151,6 +151,8 @@ def test_null_bytes_sample_is_not_a_mismatch(ray_session, small_images_table, tm
     assert (m["phash_verify_mismatch"], m["phash_verify_no_bytes"]) == (0, 1)
     verify = read_stage(str(tmp_path / "run"), "hashes").to_pandas()["verify"]
     assert (verify == 3).sum() == 1 and (verify == 2).sum() == 0
+    # the null row was sampled but never decoded: not verified
+    assert m["phash_verified"] == (verify == 1).sum() == (verify > 0).sum() - 1
 
 
 def test_null_bytes_sample_over_tolerance_names_bytes(ray_session, small_images_table, tmp_path):
@@ -608,14 +610,7 @@ def test_lance_fragment_verify_pass(ray_session, sized_images_table):
         dataset_factory=factory,
     )
     t = pq.read_table(path)
-    n_eligible = sum(
-        1
-        for w, h, f, p in zip(
-            t["w"].to_pylist(), t["h"].to_pylist(), t["fmt"].to_pylist(), t["phash"].to_pylist()
-        )
-        if w and w > 0 and h and h > 0 and p is not None
-        and str(f).lower() in ("jpg", "jpeg", "png", "bmp")
-    )
+    n_eligible = _n_eligible(t)
     assert vr["phash_verified"] == n_eligible
     assert vr["phash_verify_mismatch"] == 0
 
@@ -744,6 +739,19 @@ def test_lance_poisoned_phash_fails_gate(ray_session, sized_images_table, tmp_pa
         )
 
 
+def _n_eligible(t: pa.Table) -> int:
+    """Rows inside the verify trust contract: an accepted format, a
+    positive size in the metadata and a phash."""
+    return sum(
+        1
+        for w, h, f, p in zip(
+            t["w"].to_pylist(), t["h"].to_pylist(), t["fmt"].to_pylist(), t["phash"].to_pylist()
+        )
+        if w and w > 0 and h and h > 0 and p is not None
+        and str(f).lower() in ("jpg", "jpeg", "png", "bmp")
+    )
+
+
 def _bytes_free_null_bytes_run(kind, sized_images_table, tmp_path, monkeypatch, **cfg):
     """-> a ``run(resume=False)`` that runs ``run_dedup`` of the sized
     corpus with one decodable row's bytes cell nulled, through the
@@ -788,10 +796,15 @@ def test_bytes_free_null_bytes_is_not_a_mismatch(
         kind, sized_images_table, tmp_path, monkeypatch, phash_verify_max_mismatch=1
     )
     m = run().summary()["hashes"]["metrics"]
-    assert m["phash_verified"] > 0
+    # fraction 1.0 samples every eligible row; the null one is not verified
+    assert m["phash_verified"] == _n_eligible(pq.read_table(sized_images_table)) - 1
     assert (m["phash_verify_mismatch"], m["phash_verify_no_bytes"]) == (0, 1)
     m2 = run(resume=True).summary()["hashes"]["metrics"]
-    assert (m2["phash_verify_mismatch"], m2["phash_verify_no_bytes"]) == (0, 1)
+    assert (m2["phash_verified"], m2["phash_verify_mismatch"], m2["phash_verify_no_bytes"]) == (
+        m["phash_verified"],
+        0,
+        1,
+    )
 
 
 @pytest.mark.parametrize("kind", ["parquet", "lance"])
