@@ -14,6 +14,7 @@ its input first; no Ray Data groupby, sort or repartition runs here.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
 from typing import Iterable
 
@@ -125,9 +126,11 @@ class FileSlice:
     """A committed parquet file, or row slice ``part = (i, n)`` (the
     i-th of n equal slices) of it, as an exchange input that the split
     task reads itself: no read wave and no block refs before the split.
-    ``columns`` and ``filter`` (a ``pyarrow.dataset`` expression whose
-    columns need not be read) as for ``pq.read_table``; ``extra`` is
-    handed to ``pre_map`` after the table."""
+    ``columns`` and ``filter`` (whole files only; a ``pyarrow.dataset``
+    expression whose columns need not be read) as for ``pq.read_table``;
+    ``extra`` goes to ``pre_map`` after the table. A row slice decodes
+    only the row groups it overlaps, so n slices decode a file about
+    once (pyarrow's writer cuts row groups at 1Mi rows)."""
 
     path: str
     columns: list | None = None
@@ -136,10 +139,17 @@ class FileSlice:
     extra: tuple = ()
 
     def read(self) -> pa.Table:
-        t = pq.read_table(self.path, columns=self.columns, filters=self.filter, memory_map=True)
         i, n = self.part
-        step = -(-t.num_rows // n)
-        return t.slice(i * step, step).replace_schema_metadata(None)
+        if n == 1:
+            t = pq.read_table(self.path, columns=self.columns, filters=self.filter, memory_map=True)
+            return t.replace_schema_metadata(None)
+        with open_parquet(self.path) as f:
+            ends = np.cumsum([f.metadata.row_group(g).num_rows for g in range(f.num_row_groups)])
+            step = -(-f.metadata.num_rows // n)
+            lo, hi = min(i * step, f.metadata.num_rows), min((i + 1) * step, f.metadata.num_rows)
+            g0, g1 = np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi) + 1
+            t = f.read_row_groups(range(g0, min(g1, len(ends))), columns=self.columns)
+        return t.slice(lo - (ends[g0 - 1] if g0 else 0), hi - lo).replace_schema_metadata(None)
 
 
 def file_inputs(files: list[FileSlice], n_tasks: int, slice_rows: bool = False) -> list:
@@ -149,6 +159,8 @@ def file_inputs(files: list[FileSlice], n_tasks: int, slice_rows: bool = False) 
     into row slices, so a row-expanding ``pre_map`` over a one-file
     stage still fans out to ``n_tasks``."""
     k = -(-n_tasks // len(files)) if slice_rows and files else 1
+    if k > 1 and any(f.filter is not None for f in files):
+        raise ValueError("a row slice takes no filter")
     items = [dataclasses.replace(f, part=(i, k)) for f in files for i in range(k)]
     n = min(n_tasks, len(items))
     return [items[i::n] for i in range(n)]
@@ -205,13 +217,9 @@ def _reduce(bucket_fn, parts) -> pa.Table:
         return t.select([])
     except Exception:
         # likely a real bucket_fn defect: keep empty-out, but say so
-        import logging
-        import traceback
-
         logging.getLogger(__name__).warning(
-            "exchange: bucket_fn raised on typed-empty partition "
-            "(returning empty block):\n%s",
-            traceback.format_exc(),
+            "exchange: bucket_fn raised on typed-empty partition (returning empty block)",
+            exc_info=True,
         )
         return t.select([])
 
@@ -335,6 +343,7 @@ def exchange_apply(
     arrow_fn: bool = False,
     pre_map: "callable | None" = None,
     est_bytes: int | None = None,
+    min_parts: int = 1,
 ) -> rd.Dataset:
     """Raw-Ray two-phase hash exchange + whole-partition apply: the
     Dataset form of ``exchange_refs``.
@@ -343,19 +352,14 @@ def exchange_apply(
     ``key`` reach the same ``bucket_fn`` call), built from plain Ray
     tasks: the input is materialized (one Ray Data job), its block refs
     go through ``exchange_refs``, and the output refs become a Dataset
-    again. The image pipeline's shuffle stages skip both ends: their
-    split tasks read committed files and their reduce tasks write them
-    (``exchange_refs``). Ray Data's only keyed exchange is its sort,
-    whose fixed coordination (~2-3 s per job) dominates small-to-mid
-    shuffles and which measured ~2x slower on the sf0.1 banding shuffle
-    (5.1 s vs 2.6 s at 32 CPUs) and 2.7x slower on a 400 MB shuffle 4x
-    the size of the object store (45.2 s vs 16.9 s at 2 CPUs): the
-    exchange's split slices spill like any task output, so it is the
-    one engine at every size. When ``n_parts`` is not given it is
-    ``exchange_width`` of ``est_bytes`` (else the MATERIALIZED input
-    bytes) and the cluster's CPUs: a small input gets one partition
-    per ~4 MiB, however many CPUs there are. Skewed keys cost one
-    oversized partition.
+    again; the image pipeline's shuffle stages skip both ends (their
+    split tasks read files, their reduce tasks write them). Ray Data's
+    sort, its only keyed exchange, measured ~2x slower on the sf0.1
+    banding shuffle (5.1 s vs 2.6 s at 32 CPUs) and 2.7x slower on a
+    400 MB shuffle 4x the object store (45.2 s vs 16.9 s at 2 CPUs).
+    ``n_parts`` defaults to ``exchange_width`` of ``est_bytes`` (else
+    the MATERIALIZED input bytes) and the cluster's CPUs, and at least
+    ``min_parts``. Skewed keys cost one oversized partition.
 
     ``arrow_fn``: hand ``bucket_fn`` the Arrow partition instead of a
     pandas frame. REQUIRED when any column holds per-side null padding
@@ -390,7 +394,7 @@ def exchange_apply(
         return rd.from_arrow(_to_block(fn(empty_in)))
     if n_parts is None:
         size = est_bytes if est_bytes is not None else (mat.size_bytes() or 0)
-        n_parts = exchange_width(size, available_cpus())
+        n_parts = max(min_parts, exchange_width(size, available_cpus()))
     return rd.from_arrow_refs(exchange_refs(refs, keys, fn, n_parts, pre_map))
 
 
@@ -406,13 +410,9 @@ def bucketed_apply(
 ) -> rd.Dataset:
     """Hash-partition rows by ``key`` and apply ``bucket_fn`` (pandas
     in/out, or Arrow in with ``arrow_fn=True``) to each WHOLE co-located
-    partition.
-
-    All rows with equal keys land in the same partition, so any per-key
-    computation done inside ``bucket_fn`` (vectorized groupby/merge) is
-    globally correct. This is the engine's salting primitive: shuffles
-    are keyed on a bounded partition id (bounded scheduling units,
-    bounded skew from distinct-key count) rather than on raw keys.
+    partition: all rows with equal keys land in the same partition, so
+    any per-key computation inside ``bucket_fn`` is globally correct.
+    Shuffles are keyed on a bounded partition id, not on raw keys.
 
     ``arrow_fn=True`` is REQUIRED whenever any input column carries
     per-side null padding (tagged unions): a whole-partition pandas
@@ -440,7 +440,10 @@ def bucketed_group_apply(ds: rd.Dataset, key: str | list[str], group_fn) -> rd.D
     key — ruinous overhead when keys are numerous and tiny (LSH
     buckets, per-cluster groups). Here the exchange co-locates keys by
     hash partition and ``group_fn`` runs per real key-group via a local
-    pandas groupby inside the reduce task.
+    pandas groupby inside the reduce task. That is a Python call per key,
+    work the bytes do not predict: it keeps two partitions per CPU, up
+    to 8, however small the input (one partition measured 0.25 -> 0.94
+    s on ``orders_min_group_size`` at sf0.01 on 4 CPUs).
     """
     keys = [key] if isinstance(key, str) else list(key)
 
@@ -452,7 +455,7 @@ def bucketed_group_apply(ds: rd.Dataset, key: str | list[str], group_fn) -> rd.D
             return out if out is not None else pd.DataFrame()
         return pd.concat(outs, ignore_index=True)
 
-    return bucketed_apply(ds, key, apply_bucket)
+    return exchange_apply(ds, keys, apply_bucket, min_parts=min(8, 2 * available_cpus()))
 
 
 # ---------------------------------------------------------------------------

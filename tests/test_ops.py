@@ -169,6 +169,27 @@ def test_bucketed_group_apply_per_group(tables):
     assert dict(zip(out["k"], out["vmax"])) == pytest.approx(dict(want))
 
 
+def test_bucketed_group_apply_keeps_two_partitions_per_cpu(ray_session, monkeypatch):
+    """A per-key Python loop's work is not predicted by the bytes: a
+    tiny input still gets ``min(8, 2·ncpu)`` partitions, where
+    ``bucketed_apply`` on the same input sizes by bytes (one)."""
+    import idf.ops as ops
+
+    widths = []
+    exchange_refs = ops.exchange_refs
+
+    def record(refs, keys, fn, n_parts, *args, **kw):
+        widths.append(n_parts)
+        return exchange_refs(refs, keys, fn, n_parts, *args, **kw)
+
+    monkeypatch.setattr(ops, "exchange_refs", record)
+    ds = rd.from_pandas(pd.DataFrame({"k": [1, 1, 2], "v": [3, 4, 5]}))
+    out = bucketed_group_apply(ds, "k", lambda g: g.head(1)).to_pandas()
+    assert sorted(out["k"]) == [1, 2]
+    assert len(bucketed_apply(ds, "k", lambda g: g).to_pandas()) == 3
+    assert widths == [min(8, 2 * ops.available_cpus()), 1]
+
+
 def test_exchange_apply_per_key_sum_matches_pandas(ray_session, rng):
     """The raw-task hash exchange co-locates every key in one partition:
     a per-key aggregate computed per partition equals pandas' global
@@ -382,6 +403,40 @@ def test_img_caption_exact_groups(ray_session):
     # groups: {a,b} canon 'a'; {d(null), e('')} canon 'd'; 'c' singleton drops
     assert list(got["image_id"]) == ["a", "b", "d", "e"]
     assert list(got["caption_group"]) == ["a", "a", "d", "d"]
+
+
+def test_file_slice_reads_only_its_row_groups(tmp_path, monkeypatch):
+    """Row slices of a file cover its rows once, in order, each with the
+    file's projected schema (a slice past the last row is empty), and
+    each decodes only the row groups its rows overlap, not the whole
+    file. A row slice takes no filter."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from idf.ops import FileSlice, file_inputs
+
+    path = str(tmp_path / "t.parquet")
+    t = pa.table({"a": np.arange(1000), "b": np.arange(1000) * 2})
+    pq.write_table(t, path, row_group_size=100)
+    groups = []
+    read_row_groups = pq.ParquetFile.read_row_groups
+
+    def record(self, row_groups, **kw):
+        groups.append(list(row_groups))
+        return read_row_groups(self, row_groups, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", record)
+    assert FileSlice(path, ["a"]).read().equals(t.select(["a"]))
+    for n in (2, 3, 7, 10, 1001):
+        groups.clear()
+        parts = [FileSlice(path, ["a"], part=(i, n)).read() for i in range(n)]
+        assert pa.concat_tables(parts).equals(t.select(["a"]))
+        assert all(p.schema.names == ["a"] for p in parts)
+        step = -(-1000 // n)
+        assert len(groups) == n
+        assert all(len(g) <= -(-step // 100) + 1 for g in groups)
+    with pytest.raises(ValueError):
+        file_inputs([FileSlice(path, ["a"], pc.field("b") > 4)], 4, slice_rows=True)
 
 
 def test_open_parquet_reads_like_a_plain_parquet_file(tmp_path):
