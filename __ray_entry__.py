@@ -20,6 +20,12 @@ _STOPWORD_SQL = None  # filled lazily from idf.functions.text
 # ---------------------------------------------------------------------------
 # image pipeline plumbing (synthetic corpus per sf, cached + resumable)
 
+# A cached run resumes its committed stages, so it records the stage
+# output format it was built with and is rebuilt in place when that
+# changes: bump this when a stage writes other rows for the same corpus
+# (e1: each band pair is written once).
+_RUN_FORMAT = "e1"
+
 
 def _img_run(sf_dir: str) -> str:
     """Generate (once) the synthetic images table for this sf and run the
@@ -30,7 +36,12 @@ def _img_run(sf_dir: str) -> str:
 
     images = ensure_images_cache(sf_dir)
     run_dir = f"/tmp/idf_cache/run_{CACHE_TAG}_sf{sf_from_dir(sf_dir)}"
-    run_dedup(images, run_dir, DedupConfig(), resume=True)
+    marker = os.path.join(run_dir, ".format")
+    current = os.path.exists(marker) and open(marker).read() == _RUN_FORMAT
+    run_dedup(images, run_dir, DedupConfig(), resume=current)
+    if not current:
+        with open(marker, "w") as f:
+            f.write(_RUN_FORMAT)
     return run_dir
 
 
@@ -199,8 +210,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         run = _img_run(sf)
         files = sorted(glob.glob(os.path.join(run, "edges_band", "*.parquet")))
-        ed = rd.read_parquet(files, columns=["phash_a", "phash_b"])
-        return pair_distance_histogram(ed)
+        return pair_distance_histogram(rd.read_parquet(files, columns=["dist"]))
 
     def img_apply(sf):
         import pyarrow as pa

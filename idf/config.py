@@ -42,10 +42,10 @@ class DedupConfig:
     # edges) — cheap for any head node; labelprop is for edge lists
     # that genuinely exceed one machine.
     cc_driver_max_edges: int = 50_000_000
-    # edge dedup (J3): the same pair surfaces from ~37 band keys, so a
-    # pair-keyed dedup shuffle shrinks CC's input ~25x — but it is pure
-    # overhead when the raw edge list already fits the driver CC (which
-    # is duplicate-invariant). Auto: dedup only above this raw count.
+    # No effect: the band stage writes each pair once, so there is no
+    # edge-dedup stage left to gate. The field stays only because the
+    # perfbench scale_out workload (perfbench/pipeline.py) still builds
+    # DedupConfig(edge_dedup_min_rows=0); drop it with that line.
     edge_dedup_min_rows: int = 20_000_000
     # normalize real-JPEG rows by their own APP1 Exif orientation when
     # no orientation column overrides. OFF by default: the shipped

@@ -524,9 +524,7 @@ def simhash_pairs(
         ),
         batch_format="pyarrow",
     )
-    from idf.stages.candidates import dedup_edges
-
-    edges = dedup_edges(band_edges(hashes, cfg, collapse_identical=False))
+    edges = band_edges(hashes, cfg)  # each pair once, dist-0 pairs included
 
     def _orient(t: pa.Table) -> pa.Table:
         # edge ids are strings ordered lexicographically; restore int order

@@ -8,9 +8,10 @@ on object refs:
   per read unit (plan_read_tasks, pruned columns)
     -> one read+decode+hash task, writing its own file [hashes]
     -> per-block unique -> exchange(phash) unique     [distinct_hashes]
-    -> key expansion in the split -> exchange(key)    [edges_band]
-    (-> exchange(pair) min dist, above edge_dedup_min_rows)
-                                                      [edges_band_dedup]
+       (driver pc.unique up to DISTINCT_DRIVER_MAX_ROWS)
+    -> key expansion in the split -> exchange(key),
+       each pair written once, by the partition holding
+       its smallest shared band key                   [edges_band]
     -> edges+hashes co-partition exchange(phash), one
        superstep task per partition per labelprop round,
        label in place -> emit exchange(component)       [clusters]
@@ -47,10 +48,15 @@ import ray.data as rd
 
 from idf.config import DedupConfig
 from idf.stages.apply import apply_plan
-from idf.stages.candidates import band_edges, band_shuffle_factor, dedup_edges, distinct_hashes
+from idf.stages.candidates import band_edges, band_shuffle_factor, distinct_hashes
 from idf.stages.cc import connected_components
 from idf.stages.plan import plan_stage
 from idf.state.manifest import RunManifest, write_output
+
+# The exact-hash collapse runs on the driver (one column scan +
+# ``pc.unique``) up to this many hash rows, and as a distributed
+# combiner + exchange past it.
+DISTINCT_DRIVER_MAX_ROWS = 50_000_000
 
 
 def _read(path: str, **kw) -> rd.Dataset:
@@ -259,16 +265,16 @@ def run_dedup(
 
     # 2. exact-hash collapse over the int64 phash column only — id
     # strings stay out of the shuffle; dist-0 membership is recovered
-    # by the CC stage's hashes join. Driver fast path below the guard
-    # (one pyarrow column scan + pc.unique, ~0.1s where the Ray job
-    # costs ~1s of fixed overhead); the distributed combiner+distinct
-    # past it — the same cc_driver_max_edges guard as the CC stage.
+    # by the CC stage's hashes join. Driver fast path up to
+    # DISTINCT_DRIVER_MAX_ROWS hash rows (one pyarrow column scan +
+    # pc.unique, ~0.1s where the Ray job costs ~1s of fixed overhead);
+    # the distributed combiner+distinct past it.
     distinct_metrics: dict = {}
 
     def _build_distinct():
         files = [p["file"] for p in man.state["stages"]["hashes"]["partitions"]]
         n_rows = sum(p["rows"] for p in man.state["stages"]["hashes"]["partitions"])
-        if n_rows <= cfg.cc_driver_max_edges:
+        if n_rows <= DISTINCT_DRIVER_MAX_ROWS:
             tbl = pads.dataset([os.path.join(hashes_dir, f) for f in files]).to_table(
                 columns=["phash"], filter=ok_filter
             )
@@ -287,7 +293,9 @@ def run_dedup(
     # (phash_a, phash_b, dist) int pairs — ~2.6x fewer shuffle bytes
     # and no per-bucket string factorize (measured 1.7x at
     # sf0.1/32cpu). CC runs on the hash graph; image membership joins
-    # back through the hashes table inside the CC stage.
+    # back through the hashes table inside the CC stage. Each pair is
+    # written once (by the partition holding its smallest shared band
+    # key), so CC reads the stage as it is, with no pair-dedup shuffle.
     #
     # The exchange is sized by the EXPANDED bytes (band_shuffle_factor:
     # 68 key rows per hash), and the split fans out to that width: the
@@ -303,24 +311,7 @@ def run_dedup(
         src, n = _stage_input("distinct_hashes", ["phash"], band_metrics, factor=factor, fan_out=True)
         return lambda tmp: wait_all(band_edges(src, cfg, int_pairs=True, n_parts=n, out_dir=tmp))
 
-    raw_edges_dir = man.run_stage("edges_band", _build_band, metrics=band_metrics)
-
-    # 3b. pair-dedup of the raw edges — only when the raw list is big
-    # enough that shrinking it (~25x at sf0.1) pays for its own shuffle.
-    # CC is duplicate-invariant (union/min-label), so below the
-    # threshold the raw edges feed CC directly. The decision re-derives
-    # deterministically on resume (parquet footer row counts).
-    from idf.stages.cc import count_edge_rows
-
-    dedup_metrics: dict = {}
-
-    def _build_edge_dedup():
-        src, n = _stage_input("edges_band", ["phash_a", "phash_b", "dist"], dedup_metrics)
-        return lambda tmp: wait_all(dedup_edges(src, int_pairs=True, n_parts=n, out_dir=tmp))
-
-    edges_dir = raw_edges_dir
-    if count_edge_rows([raw_edges_dir]) > cfg.edge_dedup_min_rows:
-        edges_dir = man.run_stage("edges_band_dedup", _build_edge_dedup, metrics=dedup_metrics)
+    edges_dir = man.run_stage("edges_band", _build_band, metrics=band_metrics)
 
     # 4. connected components over the INT phash graph -> clusters.
     #    Exact-dup (dist-0) membership needs no edges at all: every ok

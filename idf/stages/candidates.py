@@ -21,9 +21,11 @@ predicate is always ``hamming(phash_a, phash_b) <= radius`` exact
    16-bit segment, every segment key within ``e = ceil(floor(r/m)/2)``
    bit flips; two hashes within Hamming r share >= 1 key (proof in
    DedupConfig.expansion_radius). groupby(key) buckets then pair-emit
-   with exact verification. Recall 1.0 by construction, so banding is
-   the only candidate source: any other source gated by the same
-   verify predicate can only re-find pairs banding already emits.
+   with exact verification, and a pair is written only by the bucket
+   call that holds its smallest shared key, so the edge list holds each
+   pair once at every exchange width. Recall 1.0 by construction, so
+   banding is the only candidate source: any other source gated by the
+   same verify predicate can only re-find pairs banding already emits.
 
 Oversized buckets are processed in bounded chunks (exact, never
 truncated).
@@ -34,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from idf.config import DedupConfig
@@ -45,8 +48,6 @@ from idf.kernels.hamming import popcount64
 
 
 def _unique_phash(t: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-
     return pa.table({"phash": pc.unique(t["phash"].combine_chunks())})
 
 
@@ -134,91 +135,73 @@ _EMPTY_EDGES = {
     "phash_a": np.int64,
     "phash_b": np.int64,
 }
+_EMPTY_INT_EDGES = {"phash_a": np.int64, "phash_b": np.int64, "dist": np.int32}
 
 
-def _empty_edges() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in _EMPTY_EDGES.items()})
+def _empty(cols: dict) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
 
 
-def make_bucket_pairs_fn(radius: int, cap: int, collapse_identical: bool = True):
-    """Whole-bucket pair emitter over (key, image_id, phash) rows.
+def _bucket_pairs(keys: np.ndarray, nodes: np.ndarray, hashes: np.ndarray, cfg: DedupConfig):
+    """The verified pairs of one reduce call's band-key rows, each once.
 
     All-numpy kernel (r1 was a pandas object-string self-merge that
-    burned ~1300 CPU-seconds at sf0.1 — 20x this version): ids are
-    factorized to per-bucket int codes ONCE (sorted-unique, so code
-    order == lexicographic id order), collision groups come from one
-    lexsort + boundary diff, intra-group pairs are generated by the
-    stride trick (pair (i, i+d) for d = 1..group_size-1, vectorized
-    across ALL groups per stride), and pair dedup is one np.unique on
-    packed code pairs. Groups larger than ``cap`` fall back to the
-    chunked exact kernel. Never truncates.
+    burned ~1300 CPU-seconds at sf0.1 — 20x this version). Rows are
+    (int64 band key, int64 node id, its uint64 hash); one lexsort by
+    (key, node) makes each bucket a contiguous run and drops repeated
+    (key, node) rows. Intra-bucket pairs come from the stride trick
+    (pair (i, i+d) for d = 1..size-1, vectorized across ALL buckets per
+    stride: total work sum(c_g * max_c) is within ~2x of the true pair
+    count when buckets are small); buckets past ``cfg.bucket_cap`` go to
+    the chunked exact kernel. Never truncates. A pair surfacing from
+    several keys is kept once, and only if this call holds its smallest
+    shared band key (``_owned_pairs``). ``keys`` is not empty.
+    -> (node_a, node_b, dist) with node_a < node_b."""
+    order = np.lexsort((nodes, keys))
+    keys, nodes, hashes = keys[order], nodes[order], hashes[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (nodes[1:] != nodes[:-1])
+    keys, nodes, hashes = keys[first], nodes[first], hashes[first]
+    n, cap = len(keys), cfg.bucket_cap
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    gid = np.repeat(np.arange(len(starts)), counts)
+    out_i, out_j = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for d in range(1, int(min(cap, counts.max()))):
+        i = np.flatnonzero((gid[:-d] == gid[d:]) & (counts[gid[:-d]] <= cap))
+        i = i[popcount64(hashes[i] ^ hashes[i + d]) <= cfg.radius]
+        out_i.append(i)
+        out_j.append(i + d)
+    for s, c in zip(starts[counts > cap], counts[counts > cap]):
+        ii, jj = _chunk_pairs(hashes[s : s + c], cfg.radius, cap)
+        out_i.append(s + ii)
+        out_j.append(s + jj)
+    i, j = np.concatenate(out_i), np.concatenate(out_j)
+    a, b = np.minimum(nodes[i], nodes[j]), np.maximum(nodes[i], nodes[j])
+    o = np.lexsort((b, a))
+    i, j, a, b = i[o], j[o], a[o], b[o]
+    f = np.ones(len(a), dtype=bool)
+    f[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    f[f] = _owned_pairs(hashes[i[f]], hashes[j[f]], keys[starts], cfg)
+    return a[f], b[f], popcount64(hashes[i[f]] ^ hashes[j[f]])
 
-    ``collapse_identical``: drop same-(key, phash) duplicates, keeping
-    the min id — ONLY valid when a collapse stage already emitted the
-    dist-0 edges for identical hashes (the image pipeline). Callers
-    that need the full pair set (simhash_pairs) pass False."""
+
+def make_bucket_pairs_fn(cfg: DedupConfig):
+    """Whole-bucket pair emitter over (key, image_id, phash) rows: ids
+    are factorized to per-call int codes ONCE (sorted-unique, so code
+    order == lexicographic id order), and ``_bucket_pairs`` runs on the
+    codes. Emits (id_a, id_b, dist, phash_a, phash_b) with id_a < id_b;
+    ids sharing a hash pair up at dist 0."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
-            return _empty_edges()
+            return _empty(_EMPTY_EDGES)
         uniq_ids, codes = np.unique(g["image_id"].to_numpy(dtype=object), return_inverse=True)
-        codes = codes.astype(np.int64)
-        keys = g["key"].to_numpy(np.int64)
         hashes = g["phash"].to_numpy(np.int64).view(np.uint64)
         # each image has ONE phash: code -> hash map for the edge output
         hash_of_code = np.zeros(len(uniq_ids), dtype=np.uint64)
         hash_of_code[codes] = hashes
-
-        # sort by (key, phash, code): groups become contiguous runs and
-        # identical (key, phash) rows adjacent with the min id first
-        order = np.lexsort((codes, hashes.view(np.int64), keys))
-        keys, hashes, codes = keys[order], hashes[order], codes[order]
-        if collapse_identical:
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = (keys[1:] != keys[:-1]) | (hashes[1:] != hashes[:-1])
-            keys, hashes, codes = keys[first], hashes[first], codes[first]
-        n = len(keys)
-        if n < 2:
-            return _empty_edges()
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        counts = np.diff(np.r_[starts, n])
-        gid = np.repeat(np.arange(len(starts)), counts)  # group index per row
-
-        out_a, out_b, out_d = [], [], []
-        small_max = int(min(cap, counts.max()))
-        # stride trick over small groups: total work sum(c_g * max_c) is
-        # within ~2x of the true pair count when groups are small
-        for d in range(1, small_max):
-            if d >= n:
-                break
-            i = np.flatnonzero((gid[:-d] == gid[d:]) & (counts[gid[:-d]] <= cap))
-            if len(i) == 0:
-                continue
-            j = i + d
-            dist = popcount64(hashes[i] ^ hashes[j])
-            keep = dist <= radius
-            if keep.any():
-                ca, cb = codes[i[keep]], codes[j[keep]]
-                out_a.append(np.minimum(ca, cb))
-                out_b.append(np.maximum(ca, cb))
-                out_d.append(dist[keep])
-        # oversized groups: chunked exact kernel (rare; skew-capped)
-        for gi in np.flatnonzero(counts > cap):
-            s, c = starts[gi], counts[gi]
-            sub = _emit_pairs_codes(codes[s : s + c], hashes[s : s + c], radius, cap)
-            if sub is not None:
-                out_a.append(sub[0])
-                out_b.append(sub[1])
-                out_d.append(sub[2])
-        if not out_a:
-            return _empty_edges()
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        dist = np.concatenate(out_d)
-        # dedup pairs surfacing from several keys: unique on packed codes
-        packed = (a << np.int64(32)) | b
-        _, idx = np.unique(packed, return_index=True)
-        a, b, dist = a[idx], b[idx], dist[idx]
+        a, b, dist = _bucket_pairs(g["key"].to_numpy(np.int64), codes.astype(np.int64), hashes, cfg)
         return pd.DataFrame(
             {
                 "id_a": uniq_ids[a],
@@ -234,103 +217,70 @@ def make_bucket_pairs_fn(radius: int, cap: int, collapse_identical: bool = True)
     return fn
 
 
-_EMPTY_INT_EDGES = {"phash_a": np.int64, "phash_b": np.int64, "dist": np.int32}
-
-
-def _empty_int_edges() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in _EMPTY_INT_EDGES.items()})
-
-
-def make_bucket_pairs_int_fn(radius: int, cap: int):
+def make_bucket_pairs_int_fn(cfg: DedupConfig):
     """Whole-bucket pair emitter over (key, phash) rows — the int-only
     twin of ``make_bucket_pairs_fn`` for inputs where the hash IS the
-    node identity (post-exact-collapse image pipeline). Same stride
-    kernel, but no string factorize: dedup, grouping and pair identity
-    all run on the int64 hashes directly. Emits (phash_a, phash_b,
-    dist) with phash_a < phash_b (dist-0 pairs are impossible by
-    construction — equal hashes were collapsed upstream)."""
+    node identity (post-exact-collapse image pipeline): no string
+    factorize, ``_bucket_pairs`` runs on the int64 hashes directly.
+    Emits (phash_a, phash_b, dist) with phash_a < phash_b (dist-0 pairs
+    are impossible by construction — equal hashes were collapsed
+    upstream)."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
-            return _empty_int_edges()
-        keys = g["key"].to_numpy(np.int64)
+            return _empty(_EMPTY_INT_EDGES)
         hashes = g["phash"].to_numpy(np.int64)
-        order = np.lexsort((hashes, keys))
-        keys, hashes = keys[order], hashes[order]
-        first = np.ones(len(keys), dtype=bool)  # drop duplicate (key, phash)
-        first[1:] = (keys[1:] != keys[:-1]) | (hashes[1:] != hashes[:-1])
-        keys, hashes = keys[first], hashes[first]
-        hu = hashes.view(np.uint64)
-        n = len(keys)
-        if n < 2:
-            return _empty_int_edges()
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        counts = np.diff(np.r_[starts, n])
-        gid = np.repeat(np.arange(len(starts)), counts)
-        out_a, out_b, out_d = [], [], []
-        small_max = int(min(cap, counts.max()))
-        for d in range(1, small_max):
-            if d >= n:
-                break
-            i = np.flatnonzero((gid[:-d] == gid[d:]) & (counts[gid[:-d]] <= cap))
-            if len(i) == 0:
-                continue
-            j = i + d
-            dist = popcount64(hu[i] ^ hu[j])
-            keep = dist <= radius
-            if keep.any():
-                ha, hb = hashes[i[keep]], hashes[j[keep]]
-                out_a.append(np.minimum(ha, hb))
-                out_b.append(np.maximum(ha, hb))
-                out_d.append(dist[keep])
-        for gi in np.flatnonzero(counts > cap):
-            s, c = starts[gi], counts[gi]
-            sub = _emit_pairs_codes(hashes[s : s + c], hu[s : s + c], radius, cap)
-            if sub is not None:
-                out_a.append(sub[0])
-                out_b.append(sub[1])
-                out_d.append(sub[2])
-        if not out_a:
-            return _empty_int_edges()
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        dist = np.concatenate(out_d)
-        # pair dedup across band keys within the bucket: lexsort on the
-        # two int columns (no 32-bit packing — hashes use all 64 bits)
-        o = np.lexsort((b, a))
-        a, b, dist = a[o], b[o], dist[o]
-        f = np.ones(len(a), dtype=bool)
-        f[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return pd.DataFrame(
-            {"phash_a": a[f], "phash_b": b[f], "dist": dist[f].astype(np.int32)}
-        )
+        a, b, dist = _bucket_pairs(g["key"].to_numpy(np.int64), hashes, hashes.view(np.uint64), cfg)
+        return pd.DataFrame({"phash_a": a, "phash_b": b, "dist": dist.astype(np.int32)})
 
     return fn
 
 
-def _emit_pairs_codes(codes: np.ndarray, hashes_u64: np.ndarray, radius: int, cap: int):
-    """Chunked exact pairwise verify for one oversized group; returns
-    (code_a, code_b, dist) arrays with code_a < code_b, or None."""
-    k = len(codes)
-    if k < 2:
-        return None
-    chunk = max(64, min(k, cap * cap // max(k, 1)))
-    out_a, out_b, out_d = [], [], []
+def _owned_pairs(a: np.ndarray, b: np.ndarray, call_keys: np.ndarray, cfg: DedupConfig):
+    """Mask of the verified pairs ``(a, b)`` (uint64 hashes) whose
+    smallest shared band key is in ``call_keys``, this reduce call's
+    sorted unique keys. That key ``k*`` is the smallest ``(s <<
+    seg_bits) | v`` with ``v`` within ``e`` flips of segment ``s`` of
+    both hashes: both endpoints emit it, the exchange puts its whole
+    bucket in one call, and the kernel verifies the pair there — so
+    keeping a pair only where ``k*`` is local writes it exactly once,
+    whatever the exchange width. Brute force over the expansion masks,
+    segment by segment, for the pairs no earlier segment settled."""
+    seg_bits = cfg.segment_bits()
+    e = cfg.expansion_radius()
+    masks = _expansion_masks(seg_bits, e)
+    seg_mask = np.uint64((1 << seg_bits) - 1)
+    none = np.uint64(1 << seg_bits)  # past every segment value
+    k_star = np.full(len(a), -1, dtype=np.int64)
+    todo = np.arange(len(a))
+    for s in range(cfg.n_segments):
+        shift = np.uint64(s * seg_bits)
+        sa = (a[todo] >> shift) & seg_mask
+        sb = (b[todo] >> shift) & seg_mask
+        best = np.full(len(todo), none)
+        for m in masks:
+            v = sa ^ m
+            best = np.where(popcount64(v ^ sb) <= e, np.minimum(best, v), best)
+        hit = best != none
+        k_star[todo[hit]] = (s << seg_bits) | best[hit].astype(np.int64)
+        todo = todo[~hit]
+        if not len(todo):
+            break
+    return np.isin(k_star, call_keys)
+
+
+def _chunk_pairs(hashes: np.ndarray, radius: int, cap: int):
+    """Chunked exact pairwise verify for one oversized bucket of uint64
+    hashes -> its row pairs ``(i, j)`` within ``radius``, i < j."""
+    k = len(hashes)
+    chunk = max(64, min(k, cap * cap // k))
+    out_i, out_j = [], []
     for i0 in range(0, k, chunk):
-        i1 = min(k, i0 + chunk)
-        xor = hashes_u64[i0:i1, None] ^ hashes_u64[None, :]
-        d = popcount64(xor)
-        ii, jj = np.nonzero(d <= radius)
-        keep = (ii + i0) < jj  # upper triangle only
-        ii, jj = ii[keep], jj[keep]
-        if len(ii):
-            ca, cb = codes[ii + i0], codes[jj]
-            out_a.append(np.minimum(ca, cb))
-            out_b.append(np.maximum(ca, cb))
-            out_d.append(d[ii, jj])
-    if not out_a:
-        return None
-    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_d)
+        ii, jj = np.nonzero(popcount64(hashes[i0 : i0 + chunk, None] ^ hashes[None, :]) <= radius)
+        keep = ii + i0 < jj  # upper triangle only
+        out_i.append(ii[keep] + i0)
+        out_j.append(jj[keep])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def band_shuffle_factor(cfg: DedupConfig) -> int:
@@ -343,7 +293,6 @@ def band_shuffle_factor(cfg: DedupConfig) -> int:
 def band_edges(
     distinct,
     cfg: DedupConfig,
-    collapse_identical: bool = True,
     int_pairs: bool = False,
     n_parts: int | None = None,
     out_dir: str | None = None,
@@ -358,9 +307,9 @@ def band_edges(
     pipeline's LARGEST intermediate, and the materialized pre-map input
     does not predict its size.
 
-    Pass ``collapse_identical=False`` when the input was NOT
-    exact-collapsed and the full pair set (incl. dist-0 pairs) is the
-    output contract (e.g. simhash_pairs).
+    Every verified pair (incl. dist-0 pairs of distinct ids) is written
+    once, by the reduce call that holds its smallest shared band key, so
+    the output needs no pair dedup at any exchange width.
 
     ``int_pairs=True`` (the image pipeline): the exact collapse made
     id <-> phash 1:1, so the stage ships only (key, phash) through the
@@ -373,11 +322,7 @@ def band_edges(
     from idf.ops import _estimate_bytes, bucketed_apply
 
     expander = BandExpander(cfg, with_ids=not int_pairs)
-    fn = (
-        make_bucket_pairs_int_fn(cfg.radius, cfg.bucket_cap)
-        if int_pairs
-        else make_bucket_pairs_fn(cfg.radius, cfg.bucket_cap, collapse_identical)
-    )
+    fn = make_bucket_pairs_int_fn(cfg) if int_pairs else make_bucket_pairs_fn(cfg)
     est = None
     if not isinstance(distinct, list):
         in_bytes = _estimate_bytes(distinct)
@@ -391,79 +336,29 @@ def band_edges(
     )
 
 
-def _min_dist_fn(keys: list[str]):
-    def fn(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys, use_threads=False).aggregate([("dist", "min")])
-        return g.select([*keys, "dist_min"]).rename_columns([*keys, "dist"])
-
-    return fn
-
-
-def dedup_edges(
-    edges, int_pairs: bool = False, n_parts: int | None = None, out_dir: str | None = None
-):
-    """J3: distinct (id_a, id_b), keeping min dist — one pair-keyed
-    shuffle whose reduce is one Arrow ``group_by`` (pair keys are
-    high-cardinality).
-
-    In the image pipeline the same pair surfaces from MANY band keys
-    (~37x duplication measured at sf0.1), so deduping the edge stage's
-    output shrinks it ~25x and keeps the serial CC input
-    tiny — one extra parallel shuffle buys a much smaller sequential
-    stage. The shuffle is ``bucketed_apply``'s exchange (``edges`` as
-    ``exchange_refs`` inputs on ``n_parts`` partitions -> refs, or row
-    counts after writing into ``out_dir``; a Dataset -> Dataset).
-    ``int_pairs``: the pair key is (phash_a, phash_b) — the image
-    pipeline's int-edge schema."""
-    from idf.ops import bucketed_apply
-
-    keys = ["phash_a", "phash_b"] if int_pairs else ["id_a", "id_b"]
-    return bucketed_apply(
-        edges, keys, _min_dist_fn(keys), arrow_fn=True, n_parts=n_parts, out_dir=out_dir
-    )
-
-
 def pair_distance_histogram(edges: rd.Dataset) -> pd.DataFrame:
     """(hamming_dist, n_pairs): distribution of Hamming distances over
-    the DISTINCT verified candidate pairs — the one-look diagnostic of a
+    the verified candidate pairs — the one-look diagnostic of a
     radius/threshold choice (mass near the radius boundary means the
     threshold is doing work; reference analog: Hamming.java's
     ``Long.bitCount(a ^ b)``, the quantity its BK-tree ranges over).
 
-    100-TB shape: pairs are normalized to (lo, hi) and deduped
-    IN-BATCH before the one pair-keyed exchange (the same partial-
-    distinct discipline as exact dedup), each bucket re-dedupes its
-    co-located pairs and emits a <=65-row distance histogram partial,
-    and the driver sums one such histogram per exchange partition.
-    """
-    from idf.ops import bucketed_apply
+    ``edges`` carries a ``dist`` column and holds each pair once, as
+    ``band_edges`` writes it: each block emits a <=65-row histogram of
+    its ``dist`` column, and the driver sums them."""
 
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        a = df["phash_a"].to_numpy(dtype=np.int64)
-        b = df["phash_b"].to_numpy(dtype=np.int64)
-        out = pd.DataFrame(
-            {"pair_lo": np.minimum(a, b), "pair_hi": np.maximum(a, b)}
-        )
-        return out.drop_duplicates()
-
-    def bucket_hist(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates()
-        x = g["pair_lo"].to_numpy(dtype=np.int64).view(np.uint64)
-        y = g["pair_hi"].to_numpy(dtype=np.int64).view(np.uint64)
-        d = popcount64(np.bitwise_xor(x, y))
-        vals, cnts = np.unique(d, return_counts=True)
-        return pd.DataFrame(
+    def block_hist(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(t["dist"].combine_chunks())
+        return pa.table(
             {
-                "hamming_dist": vals.astype(np.int64),
-                "n_pairs": cnts.astype(np.int64),
+                "hamming_dist": vc.field("values").cast(pa.int64()),
+                "n_pairs": vc.field("counts"),
             }
         )
 
-    h = bucketed_apply(
-        edges.map_batches(norm, batch_format="pandas"),
-        ["pair_lo", "pair_hi"],
-        bucket_hist,
-    ).to_pandas()  # bounded: partitions x <=65 rows
+    h = edges.select_columns(["dist"]).map_batches(
+        block_hist, batch_format="pyarrow", batch_size=None
+    ).to_pandas()  # bounded: blocks x <=65 rows
+    h = h.reindex(columns=["hamming_dist", "n_pairs"])  # no block: no columns
     out = h.groupby("hamming_dist", sort=True)["n_pairs"].sum().reset_index()
-    out["n_pairs"] = out["n_pairs"].astype(np.int64)
-    return out
+    return out.astype({"hamming_dist": np.int64, "n_pairs": np.int64})

@@ -414,28 +414,17 @@ def components_phash_driver(phash_edge_dirs: list[str], hashes_dir: str) -> pa.T
     with no candidate edges still forms a cluster when >= 2 ok images
     share it (the exact-duplicate case); singleton groups drop
     (Commands.java:149-151 analog). cluster_id = min member image_id,
-    identical to ``components_phash_labelprop``'s output."""
+    identical to ``components_phash_labelprop``'s output.
+
+    The edges are read as they are: the band stage writes each pair
+    once, and the kernel is duplicate-invariant besides."""
     import pyarrow.dataset as pads
 
     files = _parquet_files(phash_edge_dirs)
     if files:
         te = pads.dataset(files).to_table(columns=["phash_a", "phash_b"])
-        # the raw edge list repeats each pair ~once per band key it
-        # surfaced from (~37x at sf0.1); dedup keeps label propagation
-        # + factorize on the ~distinct graph. Done entirely in Arrow C++
-        # (min/max_element_wise + hash-group-by distinct): Arrow's
-        # memory pool reuses already-faulted pages, where the numpy
-        # equivalent's fresh allocations page-fault at ~11 MB/s under
-        # this hypervisor's storms (measured 26s numpy vs 0.2s Arrow on
-        # 4.9M edges; CC output is order-invariant so group_by's
-        # nondeterministic row order is fine).
-        lo_a = pc.min_element_wise(te["phash_a"], te["phash_b"])
-        hi_a = pc.max_element_wise(te["phash_a"], te["phash_b"])
-        dist = (
-            pa.table({"a": lo_a, "b": hi_a}).group_by(["a", "b"], use_threads=True).aggregate([])
-        )
-        ha = dist["a"].to_numpy(zero_copy_only=False)
-        hb = dist["b"].to_numpy(zero_copy_only=False)
+        ha = te["phash_a"].to_numpy()
+        hb = te["phash_b"].to_numpy()
     else:
         ha = hb = np.array([], dtype=np.int64)
     codes, nodes = _factorize_sorted(np.concatenate([ha, hb]))

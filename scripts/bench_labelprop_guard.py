@@ -7,7 +7,10 @@ path the guard would dispatch to at 100-TB edge volumes — running with
 ``cc_driver_max_edges=0`` takes the *same* branch in
 ``connected_components`` (idf/stages/cc.py) as any graph with
 ``count_edge_rows > cc_driver_max_edges``, so it is the honest
-single-box stand-in for an above-guard run.
+single-box stand-in for an above-guard run. Only the CC route changes:
+the exact-hash collapse has a row bound of its own
+(``idf.pipelines.dedup.DISTINCT_DRIVER_MAX_ROWS``), so both runs take
+the same distinct route and the pipeline walls differ by CC alone.
 
 Records, as one JSON line:
   - full-pipeline wall + clusters-stage wall for both CC routes

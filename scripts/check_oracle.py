@@ -3,7 +3,8 @@
 Runs every ``queries()`` entry at the given sf dir and, where an
 ``oracle_sql()`` entry exists, compares row count, column names and an
 order-insensitive value hash against DuckDB over the same parquet
-tables. Usage: python scripts/check_oracle.py [sf_dir] [name ...]
+tables; the ``img_*`` oracles read the pipeline run of that sf dir.
+Usage: python scripts/check_oracle.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
@@ -69,8 +70,12 @@ def main() -> int:
         if os.path.exists(p):
             con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{p}'")
 
+    from idf.synth import sf_from_dir
+
     qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
+    # oracle_sql() pins the image oracles to the sf0.01 run; here they
+    # read the run of the sf dir being checked
+    oracles = {**entrymod.oracle_sql(), **entrymod.img_oracle_sql(str(sf_from_dir(sf_dir)))}
     failures = 0
     for name, fn in qs.items():
         if only and name not in only:

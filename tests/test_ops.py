@@ -337,23 +337,25 @@ def test_cluster_size_histogram(ray_session):
 
 
 def test_pair_distance_histogram(ray_session):
-    """(a,b)/(b,a) and cross-source repeats collapse to one pair; the
-    distance is Long.bitCount(a ^ b) on the int64 bit pattern."""
+    """The histogram counts the ``dist`` column of once-only, oriented
+    edges, as ``band_edges`` writes them: one partial per block, summed
+    on the driver. Distances are Long.bitCount(a ^ b) on the int64 bit
+    pattern, up to 64."""
     import pandas as pd
     import ray.data as rd
 
+    from idf.kernels.hamming import hamming_distance
     from idf.stages.candidates import pair_distance_histogram
 
+    a = np.array([3, 2, -1, 7, 5], dtype=np.int64)
+    b = np.array([11, 5, 0, 7 ^ (1 << 62), 9], dtype=np.int64)
+    assert (a < b).all()
     pdf = pd.DataFrame(
-        {
-            "phash_a": [0b1011, 0b0011, 5, -1, 7],
-            "phash_b": [0b0011, 0b1011, 5 ^ 0b111, 0, 7 ^ (1 << 62)],
-        }
+        {"phash_a": a, "phash_b": b, "dist": hamming_distance(a.view(np.uint64), b.view(np.uint64))}
     )
     got = pair_distance_histogram(rd.from_pandas(pdf).repartition(3))
-    # pairs: {3,11} d=1 (deduped from two orderings); {5,2} d=3;
-    # {-1,0} d=64; {7, 7^2^62} d=1
-    want = pd.DataFrame({"hamming_dist": [1, 3, 64], "n_pairs": [2, 1, 1]})
+    # {3,11} d=1; {2,5} d=3; {-1,0} d=64; {7, 7^2^62} d=1; {5,9} d=2
+    want = pd.DataFrame({"hamming_dist": [1, 2, 3, 64], "n_pairs": [2, 1, 1, 1]})
     pd.testing.assert_frame_equal(
         got, want.astype({"hamming_dist": "int64", "n_pairs": "int64"})
     )

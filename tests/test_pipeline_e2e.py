@@ -160,7 +160,7 @@ def test_manifest_metrics(run):
     assert s["hashes"]["status"] == "committed"
     assert s["hashes"]["metrics"]["status_counts"].get("ok", 0) > 0
     assert all("wall_sec" in v for v in s.values() if v.get("status") == "committed")
-    # one edge stage, and no edge dedup below edge_dedup_min_rows
+    # one edge stage, read by CC as it is
     assert {k for k, v in s.items() if v.get("status") == "committed"} == {
         "hashes", "distinct_hashes", "edges_band", "clusters", "plan",
         "apply_keep", "apply_quarantine",
@@ -240,7 +240,7 @@ def test_labelprop_equals_driver_cc(ray_session, small_images_table, tmp_path_fa
     assert CC_STATS["route"] is None
 
 
-TASK_PLAN_STAGES = ("distinct_hashes", "edges_band", "edges_band_dedup", "clusters")
+TASK_PLAN_STAGES = ("distinct_hashes", "edges_band", "clusters")
 
 
 def test_shuffle_stages_record_task_plan(
@@ -251,7 +251,8 @@ def test_shuffle_stages_record_task_plan(
     small corpus at 1 CPU needs one of each in every stage; an
     estimated band size past ``ncpu x 4 MiB`` widens ``edges_band`` to
     two partitions per CPU, and its split fans out to that width. Both
-    runs reach the oracle's plan."""
+    runs reach the oracle's plan, and both write the same band edges:
+    each pair once, whatever the exchange width."""
     import idf.ops as ops
     import idf.pipelines.dedup as dedup_mod
 
@@ -261,11 +262,14 @@ def test_shuffle_stages_record_task_plan(
         return {s: stages[s]["metrics"] for s in TASK_PLAN_STAGES}
 
     monkeypatch.setattr(ops, "available_cpus", lambda default=4: 1)
+    _force_distributed_distinct(monkeypatch)
     run_dir = str(tmp_path / "one_cpu")
     run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
     for name, m in stage_metrics(run_dir).items():
         assert (m["exchange_parts"], m["split_tasks"]) == (1, 1), (name, m)
     assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+    narrow_edges = _edge_rows(run_dir)
+    assert narrow_edges and len(set(narrow_edges)) == len(narrow_edges)
     monkeypatch.undo()
 
     ncpu = ops.available_cpus()
@@ -279,35 +283,19 @@ def test_shuffle_stages_record_task_plan(
         return ncpu * (4 << 20) // size + 1
 
     monkeypatch.setattr(dedup_mod, "band_shuffle_factor", past_width)
+    _force_distributed_distinct(monkeypatch)
     run_dedup(small_images_table, run_dir, DedupConfig(**SCALE_OUT), resume=False, do_apply=False)
     monkeypatch.undo()
     band = stage_metrics(run_dir)["edges_band"]
     assert band["exchange_parts"] == 2 * ncpu and band["split_tasks"] == 2 * ncpu, band
     assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+    assert _edge_rows(run_dir) == narrow_edges
 
 
-def test_edge_dedup_path_same_clusters(ray_session, small_images_table, tmp_path_factory):
-    """Forcing the large-scale edge-dedup stages (edge_dedup_min_rows=0)
-    leaves the cluster partition unchanged — CC is duplicate-invariant,
-    the dedup shuffle only shrinks its input."""
-    base_dir = str(tmp_path_factory.mktemp("nodedup"))
-    ded_dir = str(tmp_path_factory.mktemp("dedup"))
-    run_dedup(small_images_table, base_dir, DedupConfig(), resume=False, do_apply=False)
-    man = run_dedup(
-        small_images_table,
-        ded_dir,
-        DedupConfig(edge_dedup_min_rows=0),
-        resume=False,
-        do_apply=False,
-    )
-    assert man.is_committed("edges_band_dedup")  # the path actually ran
-    part_a = _partition(
-        read_stage(base_dir, "clusters").to_pandas()[["cluster_id", "image_id"]].itertuples(index=False)
-    )
-    part_b = _partition(
-        read_stage(ded_dir, "clusters").to_pandas()[["cluster_id", "image_id"]].itertuples(index=False)
-    )
-    assert part_a == part_b
+def _edge_rows(run_dir: str) -> list[tuple]:
+    """The sorted (phash_a, phash_b, dist) rows of a run's band stage."""
+    t = read_stage(run_dir, "edges_band").to_pandas()
+    return sorted(zip(t["phash_a"].tolist(), t["phash_b"].tolist(), t["dist"].tolist()))
 
 
 def test_elect_keeper_mtime_key():
@@ -743,9 +731,18 @@ def _assert_apply_matches_plan(imgs: str, run_dir: str) -> None:
     assert got["apply_keep"] == [r for r in rows if r[0] not in deletes]
 
 
-# the perfbench scale_out config: distributed distinct, the edge-dedup
-# shuffle and labelprop CC, all on block refs below the exchange gate
-SCALE_OUT = {"cc_driver_max_edges": 0, "edge_dedup_min_rows": 0}
+# the perfbench scale_out config: labelprop CC on block refs; tests add
+# the distributed distinct with ``_force_distributed_distinct``
+SCALE_OUT = {"cc_driver_max_edges": 0}
+
+
+def _force_distributed_distinct(monkeypatch) -> None:
+    """Send the exact-hash collapse past its driver fast path."""
+    import idf.pipelines.dedup as dedup_mod
+
+    monkeypatch.setattr(dedup_mod, "DISTINCT_DRIVER_MAX_ROWS", 0)
+
+
 EDGE_CORPUS_CASES = [
     pytest.param(kind, cfg, id=kind if not cfg else f"scale_out-{kind}")
     for cfg in ({}, SCALE_OUT)
@@ -768,7 +765,7 @@ def _assert_no_empty_stage_files(man) -> None:
 
 
 @pytest.mark.parametrize("kind,cfg", EDGE_CORPUS_CASES)
-def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
+def test_apply_edge_corpora(ray_session, tmp_path, monkeypatch, kind, cfg):
     """The one-pass apply partitions degenerate corpora exactly, on both
     routes: no DELETE (quarantine commits empty), one keeper among
     identical copies, and no rows at all — with the default config and
@@ -780,6 +777,8 @@ def test_apply_edge_corpora(ray_session, tmp_path, kind, cfg):
     imgs = str(tmp_path / "images.parquet")
     pq.write_table(table, imgs)
     run_dir = str(tmp_path / "run")
+    if cfg:
+        _force_distributed_distinct(monkeypatch)
     man = run_dedup(imgs, run_dir, DedupConfig(**cfg), resume=False, do_apply=True)
     assert all(man.is_committed(s) for s in APPLY_STAGES)
     _assert_no_empty_stage_files(man)
@@ -951,53 +950,52 @@ def _fail_after_part_written(stage: str):
 
 
 @pytest.mark.parametrize(
-    "failing,lost,done,cfg",
+    "failing,lost,done,scale_out",
     [
-        ("band_edges", "edges_band", ["hashes", "distinct_hashes"], {}),
+        ("band_edges", "edges_band", ["hashes", "distinct_hashes"], False),
         (
             _fail_after_part_written("edges_band"),
             "edges_band",
             ["hashes", "distinct_hashes"],
-            {},
+            False,
         ),
-        ("dedup_edges", "edges_band_dedup", ["hashes", "distinct_hashes", "edges_band"], {}),
         (
             _fail_after_part_written("clusters"),
             "clusters",
-            ["hashes", "distinct_hashes", "edges_band", "edges_band_dedup"],
-            {"cc_driver_max_edges": 0},
+            ["hashes", "distinct_hashes", "edges_band"],
+            True,
         ),
-        ("distinct_hashes", "distinct_hashes", ["hashes"], {"cc_driver_max_edges": 0}),
+        ("distinct_hashes", "distinct_hashes", ["hashes"], True),
     ],
     ids=[
         "band_edges",
         "edges_band_write",
-        "dedup_edges",
         "clusters_refs_write",
         "distributed_distinct",
     ],
 )
 def test_resume_after_edge_stage_failure(
-    ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done, cfg
+    ray_session, small_images_table, tmp_path, monkeypatch, failing, lost, done, scale_out
 ):
     """A failure inside a shuffle stage leaves every earlier stage
     committed and the failed one uncommitted; resume reuses the earlier
     stages as they are (same recorded wall), rebuilds from the failed
-    stage on, and reaches the oracle's plan. ``edge_dedup_min_rows=0``
-    puts the dedup stage on the path; ``cc_driver_max_edges=0`` puts
-    the distributed distinct and labelprop CC (both on block refs) on
-    it."""
+    stage on, and reaches the oracle's plan. ``scale_out`` puts the
+    distributed distinct and labelprop CC (both on block refs) on the
+    path, in the failing run and in the resumed one."""
     import idf.pipelines.dedup as dedup_mod
 
     def boom(*a, **kw):
         raise RuntimeError(f"induced failure in {failing}")
 
-    cfg = DedupConfig(use_precomputed_phash=False, edge_dedup_min_rows=0, **cfg)
+    cfg = DedupConfig(use_precomputed_phash=False, **(SCALE_OUT if scale_out else {}))
     run_dir = str(tmp_path / "run")
     if callable(failing):
         failing(monkeypatch, run_dir)
     else:
         monkeypatch.setattr(dedup_mod, failing, boom)
+    if scale_out:
+        _force_distributed_distinct(monkeypatch)
     with pytest.raises(RuntimeError, match="induced failure"):
         run_dedup(small_images_table, run_dir, cfg, resume=False, do_apply=False)
     monkeypatch.undo()
@@ -1006,8 +1004,10 @@ def test_resume_after_edge_stage_failure(
     assert not man.is_committed(lost)
     walls = {s: man.summary()[s]["wall_sec"] for s in done}
 
+    if scale_out:
+        _force_distributed_distinct(monkeypatch)
     man2 = run_dedup(small_images_table, run_dir, cfg, resume=True, do_apply=True)
-    assert man2.is_committed(lost) and man2.is_committed("edges_band_dedup")
+    assert man2.is_committed(lost)
     assert {s: man2.summary()[s]["wall_sec"] for s in done} == walls
     assert not os.path.exists(man2.stage_dir(lost) + ".tmp")
     assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
@@ -1026,7 +1026,7 @@ def _plan_rows(run_dir: str) -> list[tuple]:
     )
 
 
-SHUFFLE_STAGES = ("distinct_hashes", "edges_band", "edges_band_dedup", "clusters")
+SHUFFLE_STAGES = ("distinct_hashes", "edges_band", "clusters")
 
 
 def _record_build_results(monkeypatch) -> dict:
@@ -1101,6 +1101,8 @@ def test_parquet_run_plans_no_ray_data_job(
 
         monkeypatch.setattr(owner, attr, refuse)
     seen = _record_build_results(monkeypatch)
+    if cfg is SCALE_OUT:
+        _force_distributed_distinct(monkeypatch)
     run_dir = str(tmp_path / "run")
     man = run_dedup(imgs, run_dir, DedupConfig(**cfg), resume=False, do_apply=do_apply)
     monkeypatch.undo()

@@ -412,30 +412,68 @@ def _hashes_at_every_distance(radius: int, n_segments: int, n_base: int = 50) ->
     return np.unique(np.asarray(out, dtype=np.uint64))
 
 
+def _per_partition(keyed: pa.Table, n_parts: int, fn) -> pd.DataFrame:
+    """``fn`` on each exchange partition of the band-key rows ``keyed``,
+    placed by ``ops.hash_split`` on ``key`` as the band exchange places
+    them; the outputs joined."""
+    from idf.ops import hash_split
+
+    order, bounds = hash_split(keyed.select(["key"]), n_parts)
+    outs = [fn(keyed.take(order[bounds[p] : bounds[p + 1]]).to_pandas()) for p in range(n_parts)]
+    return pd.concat(outs, ignore_index=True)
+
+
 @pytest.mark.parametrize(
-    "radius,n_segments", [(1, 4), (3, 4), (10, 4), (19, 4), (10, 8), (19, 8)]
+    "radius,n_segments,with_ids,cap",
+    [
+        pytest.param(r, m, False, 4096, id=f"{r}-{m}")
+        for r, m in ((1, 4), (3, 4), (10, 4), (19, 4), (10, 8), (19, 8))
+    ]
+    + [
+        pytest.param(10, 4, False, 8, id="chunked"),
+        pytest.param(10, 4, True, 4096, id="ids"),
+        pytest.param(10, 4, True, 8, id="ids-chunked"),
+    ],
 )
-def test_banding_emits_exactly_the_brute_force_pair_set(radius, n_segments):
+def test_banding_emits_exactly_the_brute_force_pair_set(radius, n_segments, with_ids, cap):
     """Banding recall is 1.0 by construction (DedupConfig.expansion_radius):
     the verified pairs of the expanded key buckets are exactly the
     brute-force ``popcount(a ^ b) <= radius`` pairs over the distinct
     hashes. Banding is the image pipeline's only candidate-edge source
-    because of this; the cases span e = 0, 1, 2 and m = 4, 8."""
+    because of this; the cases span e = 0, 1, 2 and m = 4, 8. Each pair
+    is written once at every exchange width: only the partition that
+    holds its smallest shared band key keeps it. The same holds on the
+    chunked kernel (buckets past a small ``bucket_cap``) and on the id
+    kernel, whose input is not exact-collapsed: there ids sharing a
+    hash pair up at dist 0."""
     from idf.config import DedupConfig
     from idf.kernels.hamming import popcount64
-    from idf.stages.candidates import BandExpander, make_bucket_pairs_int_fn
+    from idf.stages.candidates import BandExpander, make_bucket_pairs_fn, make_bucket_pairs_int_fn
 
     h = _hashes_at_every_distance(radius, n_segments)
-    cfg = DedupConfig(radius=radius, n_segments=n_segments)
+    cfg = DedupConfig(radius=radius, n_segments=n_segments, bucket_cap=cap)
+    if with_ids:
+        h = np.concatenate([h, h[:7]])  # 7 hashes held by two ids each
     ii, jj = np.triu_indices(len(h), k=1)
     dist = popcount64(h[ii] ^ h[jj])
     near = dist <= radius
-    a, b = h[ii[near]].view(np.int64), h[jj[near]].view(np.int64)
-    want = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), dist[near].tolist()))
+    if with_ids:
+        ids = np.array([f"img{i:05d}" for i in range(len(h))], dtype=object)
+        want = set(zip(ids[ii[near]].tolist(), ids[jj[near]].tolist(), dist[near].tolist()))
+        tbl = pa.table({"id_a": pa.array(ids, pa.string()), "phash": h.view(np.int64)})
+        fn, cols = make_bucket_pairs_fn(cfg), ["id_a", "id_b", "dist"]
+    else:
+        a, b = h[ii[near]].view(np.int64), h[jj[near]].view(np.int64)
+        want = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), dist[near].tolist()))
+        tbl = pa.table({"phash": h.view(np.int64)})
+        fn, cols = make_bucket_pairs_int_fn(cfg), ["phash_a", "phash_b", "dist"]
     assert len(want) >= 50  # at least one near pair per base
 
-    keyed = BandExpander(cfg, with_ids=False)(pa.table({"phash": h.view(np.int64)})).to_pandas()
-    got = make_bucket_pairs_int_fn(radius, cfg.bucket_cap)(keyed)
-    assert (got["phash_a"] < got["phash_b"]).all()
-    assert set(zip(got["phash_a"].tolist(), got["phash_b"].tolist(), got["dist"].tolist())) == want
-    assert len(got) == len(want)  # no pair emitted twice
+    keyed = BandExpander(cfg, with_ids=with_ids)(tbl)
+    if cap < 4096:
+        assert pd.Series(keyed["key"].to_numpy()).value_counts().max() > cap  # chunked kernel runs
+    for n_parts in (1, 3, 7):
+        got = _per_partition(keyed, n_parts, fn)
+        rows = list(zip(*(got[c].tolist() for c in cols)))
+        assert set(rows) == want, n_parts
+        assert len(rows) == len(want), n_parts  # no pair written twice
