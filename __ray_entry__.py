@@ -14,8 +14,6 @@ import os
 from collections.abc import Callable
 from typing import Any
 
-_STOPWORD_SQL = None  # filled lazily from idf.functions.text
-
 
 # ---------------------------------------------------------------------------
 # image pipeline plumbing (synthetic corpus per sf, cached + resumable)
@@ -135,11 +133,9 @@ def _emb(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    import pyarrow.dataset as pads
     import ray.data as rd
 
     from idf.functions.ann import cosine_pairs, cosine_topk, ivf_pairs, ivf_topk
-    from idf.functions.relational import leakfree_split
     from idf.functions.text import (
         fingerprint_md5,
         hash_split,
@@ -159,6 +155,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from idf.functions.text_dedup import (
         dedup_docs_map,
         exact_dedup_docs,
+        leakfree_split,
         minhash_lsh_pairs,
         ngram_jaccard_pairs,
         simhash_docs,
@@ -166,7 +163,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         substring_dup_positions,
         substring_dup_spans,
     )
-    from idf.ops import count_by, elect_top1, filter_min_group_size, hash_join
 
     # -- image dedup pipeline. img_clusters/img_plan/img_apply have
     #    DuckDB oracles over engine-written stage parquet (see
@@ -255,332 +251,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
         thumbs = image_thumbnails(images, max_side=32)
         return thumbs.select_columns(["image_id", "w", "h", "status"])
-
-    def __media_audio():
-        import pyarrow as pa
-
-        from idf.functions.media import audio_features, synth_audio_table
-
-        # REAL RIFF/PCM decode (idf/codecs/wav.py); scalar features are
-        # codec-verified in tests/test_media.py (rows-only here: SQL
-        # cannot parse WAV bytes)
-        out = audio_features(rd.from_arrow(synth_audio_table(64)))
-        return out.map_batches(
-            lambda t: pa.table(
-                {
-                    "media_id": t["media_id"],
-                    "n_features": pa.array(
-                        [len(v) for v in t["features"].to_pylist()], pa.int64()
-                    ),
-                    "n_samples": t["n_samples"],
-                    "rms": t["rms"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-
-    def __media_video():
-        from idf.functions.media import synth_video_table, video_frames
-
-        # REAL YUV4MPEG2 random-access frame decode (idf/codecs/y4m.py)
-        return video_frames(rd.from_arrow(synth_video_table(32)), every_n=30).select_columns(
-            ["media_id", "frame_idx", "w", "h", "mean_luma"]
-        )
-
-    # -- relational parity ops on the driver tables (SQL-checkable)
-    def orders_top1_per_cust(sf):
-        orders = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_custkey", "o_orderkey", "o_totalprice", "o_orderdate"],
-        )
-        ranked = elect_top1(
-            orders,
-            "o_custkey",
-            ["o_totalprice", "o_orderdate", "o_orderkey"],
-            [False, True, True],
-        )
-        return ranked.filter(expr="__rank == 0").select_columns(
-            ["o_custkey", "o_orderkey", "o_totalprice"]
-        )
-
-    def orders_min_group_size(sf):
-        orders = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"), columns=["o_custkey", "o_orderkey"]
-        )
-        return filter_min_group_size(orders, "o_custkey", 8)
-
-    def cust_orders_by_nation(sf):
-        cust = rd.read_parquet(
-            os.path.join(sf, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-        )
-        orders = rd.read_parquet(os.path.join(sf, "orders.parquet"), columns=["o_custkey"])
-        # customer is the SMALL side (150k rows/sf): broadcast the
-        # custkey->nationkey map once instead of an all-to-all hash_join
-        # (r2 verdict #6). count() here is parquet-metadata-only; past
-        # the guard (cluster-scale customer) fall back to the co-group.
-        if cust.count() <= 2_000_000:
-            from idf.ops import broadcast_lookup
-
-            m = dict(
-                zip(*(cust.to_pandas()[c] for c in ("c_custkey", "c_nationkey")))
-            )
-            looked = broadcast_lookup(orders, "o_custkey", m, "c_nationkey")
-            inner = looked.map_batches(
-                lambda df: df[df["c_nationkey"].notna()].astype({"c_nationkey": "int64"}),
-                batch_format="pandas",
-            )
-            return count_by(inner, "c_nationkey", alias="n_orders")
-        joined = hash_join(
-            orders.map_batches(
-                lambda t: t.rename_columns(["c_custkey"]), batch_format="pyarrow"
-            ),
-            cust,
-            on="c_custkey",
-        )
-        return count_by(joined, "c_nationkey", alias="n_orders")
-
-    def supplier_top_per_nation(sf):
-        sup = rd.read_parquet(
-            os.path.join(sf, "supplier.parquet"),
-            columns=["s_suppkey", "s_nationkey", "s_acctbal"],
-        )
-        ranked = elect_top1(
-            sup, "s_nationkey", ["s_acctbal", "s_suppkey"], [False, True]
-        )
-        return ranked.filter(expr="__rank == 0").select_columns(
-            ["s_nationkey", "s_suppkey", "s_acctbal"]
-        )
-
-    def events_by_type(sf):
-        ev = rd.read_parquet(os.path.join(sf, "events.parquet"), columns=["event_type"])
-        return count_by(ev, "event_type", alias="n")
-
-    # -- temporal / relational training-data ops (r2): tumbling windows,
-    #    sessionization, as-of enrichment, range join, Q1-style combiner
-    def events_window_agg(sf):
-        from idf.functions.relational import window_agg
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["event_type", "ts", "value"]
-        )
-        return window_agg(ev, every="1h")
-
-    def events_sessions(sf):
-        from idf.functions.relational import sessionize
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["user_id", "ts", "event_id"]
-        )
-        return sessionize(ev, gap="30min")
-
-    def events_sessions_salted(sf):
-        # the hot-user two-phase path (shuffle on (user, 1d-period),
-        # merge fragment summaries) against the SAME SQL oracle as
-        # events_sessions: salting is an implementation detail and the
-        # output must be hash-identical
-        from idf.functions.relational import sessionize
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["user_id", "ts", "event_id"]
-        )
-        return sessionize(ev, gap="30min", salt="1d")
-
-    def events_funnel(sf):
-        from idf.functions.relational import funnel
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"),
-            columns=["user_id", "ts", "event_type"],
-        )
-        return funnel(ev, stages=("view", "click", "purchase"))
-
-    def events_transitions(sf):
-        from idf.functions.relational import transitions
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"),
-            columns=["user_id", "ts", "event_id", "event_type"],
-        )
-        return transitions(ev)
-
-    def events_top_paths(sf):
-        from idf.functions.relational import top_paths
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"),
-            columns=["user_id", "ts", "event_id", "event_type"],
-        )
-        return top_paths(ev, k=20)
-
-    def events_retention(sf):
-        from idf.functions.relational import retention
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["user_id", "ts"]
-        )
-        return retention(ev, horizon_days=14)
-
-    def events_asof_orders(sf):
-        from idf.functions.relational import events_asof_orders as _asof
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["event_id", "user_id", "ts"]
-        )
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        )
-        return _asof(ev, od)
-
-    def events_sample_per_user(sf):
-        from idf.functions.relational import sample_per_key
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["user_id", "event_id"]
-        )
-        return sample_per_key(ev, key_col="user_id", order_col="event_id", k=3)
-
-    def nation_revenue(sf):
-        from idf.functions.relational import nation_revenue_by_year
-
-        cust = rd.read_parquet(
-            os.path.join(sf, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-        )
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        )
-        li = rd.read_parquet(
-            os.path.join(sf, "lineitem.parquet"),
-            columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        )
-        na = rd.read_parquet(os.path.join(sf, "nation.parquet"))
-        return nation_revenue_by_year(cust, od, li, na)
-
-    def region_revenue(sf):
-        from idf.functions.relational import region_revenue_by_year
-
-        cust = rd.read_parquet(
-            os.path.join(sf, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-        )
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        )
-        li = rd.read_parquet(
-            os.path.join(sf, "lineitem.parquet"),
-            columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        )
-        na = rd.read_parquet(os.path.join(sf, "nation.parquet"))
-        re = rd.read_parquet(os.path.join(sf, "region.parquet"))
-        return region_revenue_by_year(cust, od, li, na, re)
-
-    def part_revenue(sf):
-        from idf.functions.relational import part_type_revenue
-
-        li = rd.read_parquet(
-            os.path.join(sf, "lineitem.parquet"),
-            columns=["l_partkey", "l_extendedprice", "l_discount"],
-        )
-        pt = rd.read_parquet(
-            os.path.join(sf, "part.parquet"), columns=["p_partkey", "p_type"]
-        )
-        return part_type_revenue(li, pt)
-
-    def cust_no_orders(sf):
-        from idf.functions.relational import customers_without_orders
-
-        cust = rd.read_parquet(os.path.join(sf, "customer.parquet"))
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_custkey", "o_totalprice"],
-        )
-        return customers_without_orders(cust, od, min_totalprice=300000.0)
-
-    def cust_bloom_members(sf):
-        """Bloom-filter semi-join: customers whose key hits the filter
-        built over high-value orders' custkeys — true members plus the
-        md5 family's DETERMINISTIC false positives, which is what makes
-        the whole filter (not just the exact join) oracle-checkable."""
-        from idf.functions.membership import bloom_semi_join_keys
-
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_custkey", "o_totalprice"],
-        ).filter(expr="o_totalprice > 150000")
-        cu = rd.read_parquet(
-            os.path.join(sf, "customer.parquet"), columns=["c_custkey"]
-        )
-        return bloom_semi_join_keys(
-            od, "o_custkey", cu, "c_custkey", m=1 << 17, k=4, mode="md5"
-        )
-
-    def events_hll_users(sf):
-        """HyperLogLog distinct-user sketch: the driver checks the exact
-        integer REGISTER table; the float estimate is pytest-gated."""
-        from idf.functions.sketch import hll_registers
-
-        ev = rd.read_parquet(os.path.join(sf, "events.parquet"), columns=["user_id"])
-        return hll_registers(ev, "user_id", p=8)
-
-    def orders_rfm(sf):
-        from idf.functions.relational import rfm
-
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"),
-            columns=["o_custkey", "o_orderdate", "o_totalprice"],
-        )
-        return rfm(od)
-
-    def lineitem_price_quantiles(sf):
-        from idf.functions.relational import grouped_quantiles
-
-        li = rd.read_parquet(
-            os.path.join(sf, "lineitem.parquet"),
-            columns=["l_returnflag", "l_extendedprice"],
-        )
-        return grouped_quantiles(li)
-
-    def events_json_k(sf):
-        from idf.functions.relational import json_field
-
-        ev = rd.read_parquet(
-            os.path.join(sf, "events.parquet"), columns=["event_id", "props"]
-        )
-        return json_field(ev, col="props", field="k", out_col="k")
-
-    def orders_price_band(sf):
-        from idf.ops import range_lookup
-
-        od = rd.read_parquet(
-            os.path.join(sf, "orders.parquet"), columns=["o_orderkey", "o_totalprice"]
-        )
-        banded = range_lookup(
-            od,
-            "o_totalprice",
-            edges=[0.0, 50_000.0, 150_000.0, 300_000.0, 1e18],
-            labels=["small", "medium", "large", "huge"],
-        )
-        return banded.select_columns(["o_orderkey", "band"])
-
-    def lineitem_pricing_summary(sf):
-        from idf.functions.relational import pricing_summary
-
-        # explicit column prune at the READ (r2 verdict #9) — only the
-        # seven summary inputs leave storage
-        li = rd.read_parquet(
-            os.path.join(sf, "lineitem.parquet"),
-            columns=[
-                "l_returnflag",
-                "l_linestatus",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_tax",
-                "l_shipdate",
-            ],
-        )
-        return pricing_summary(li)
 
     # -- web-surface ops (S9/S10, app/WebServer.java) over engine output.
     #    Both derive their small side DETERMINISTICALLY from md5 of the
@@ -693,36 +363,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "img_caption_exact": img_caption_exact,
         "img_fetch": img_fetch,
         "img_thumbs": img_thumbs,
-        # multimodal (rows-only: SQL cannot parse WAV/y4m bytes): REAL
-        # RIFF/PCM and YUV4MPEG2 decodes over deterministic synthetic
-        # media tables; features are codec-verified in tests/test_media.py
-        "media_audio_features": lambda sf: __media_audio(),
-        "media_video_frames": lambda sf: __media_video(),
-        "orders_top1_per_cust": orders_top1_per_cust,
-        "orders_min_group_size": orders_min_group_size,
-        "cust_orders_by_nation": cust_orders_by_nation,
-        "supplier_top_per_nation": supplier_top_per_nation,
-        "events_by_type": events_by_type,
-        "events_window_agg": events_window_agg,
-        "events_sessions": events_sessions,
-        "events_sessions_salted": events_sessions_salted,
-        "events_funnel": events_funnel,
-        "events_retention": events_retention,
-        "events_transitions": events_transitions,
-        "events_top_paths": events_top_paths,
-        "events_asof_orders": events_asof_orders,
-        "events_json_k": events_json_k,
-        "orders_price_band": orders_price_band,
-        "lineitem_pricing_summary": lineitem_pricing_summary,
-        "events_sample_per_user": events_sample_per_user,
-        "nation_revenue": nation_revenue,
-        "region_revenue": region_revenue,
-        "part_revenue": part_revenue,
-        "cust_no_orders": cust_no_orders,
-        "cust_bloom_members": cust_bloom_members,
-        "events_hll_users": events_hll_users,
-        "orders_rfm": orders_rfm,
-        "lineitem_price_quantiles": lineitem_price_quantiles,
         "doc_repetition": lambda sf: repetition_stats(_docs(sf)),
         "doc_hash_split": lambda sf: hash_split(_docs(sf)),
         "doc_leakfree_split": lambda sf: leakfree_split(_docs(sf)),
@@ -1232,301 +872,6 @@ def oracle_sql() -> dict[str, str]:
     stop_list = ", ".join(f"'{w}'" for w in _STOPWORDS)
     return {
         **img_oracle_sql("0.01"),
-        "orders_top1_per_cust": """
-            SELECT o_custkey, o_orderkey, o_totalprice FROM (
-              SELECT o_custkey, o_orderkey, o_totalprice,
-                     row_number() OVER (
-                       PARTITION BY o_custkey
-                       ORDER BY o_totalprice DESC, o_orderdate ASC, o_orderkey ASC
-                     ) AS rn
-              FROM orders
-            ) WHERE rn = 1
-        """,
-        "orders_min_group_size": """
-            SELECT o_custkey, o_orderkey FROM orders
-            QUALIFY count(*) OVER (PARTITION BY o_custkey) >= 8
-        """,
-        "cust_orders_by_nation": """
-            SELECT c_nationkey, count(*) AS n_orders
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            GROUP BY c_nationkey
-        """,
-        "events_by_type": "SELECT event_type, count(*) AS n FROM events GROUP BY event_type",
-        "supplier_top_per_nation": """
-            SELECT s_nationkey, s_suppkey, s_acctbal FROM (
-              SELECT s_nationkey, s_suppkey, s_acctbal,
-                     row_number() OVER (PARTITION BY s_nationkey
-                                        ORDER BY s_acctbal DESC, s_suppkey ASC) AS rn
-              FROM supplier
-            ) WHERE rn = 1
-        """,
-        # stage i resolves as the user's earliest stage-i event strictly
-        # after the resolved stage-(i-1) time — the same chain funnel()
-        # computes per bucket (merge + groupby-min per stage)
-        "events_funnel": """
-            WITH f AS (
-              SELECT user_id, ts, event_type FROM events
-              WHERE event_type IN ('view', 'click', 'purchase')
-            ),
-            s1 AS (SELECT user_id, min(ts) AS t FROM f
-                   WHERE event_type = 'view' GROUP BY user_id),
-            s2 AS (SELECT f.user_id, min(f.ts) AS t FROM f JOIN s1 USING (user_id)
-                   WHERE f.event_type = 'click' AND f.ts > s1.t GROUP BY f.user_id),
-            s3 AS (SELECT f.user_id, min(f.ts) AS t FROM f JOIN s2 USING (user_id)
-                   WHERE f.event_type = 'purchase' AND f.ts > s2.t GROUP BY f.user_id)
-            SELECT * FROM (
-              SELECT 1 AS stage, 'view' AS stage_name,
-                     (SELECT count(*) FROM s1) AS n_users
-              UNION ALL
-              SELECT 2, 'click', (SELECT count(*) FROM s2)
-              UNION ALL
-              SELECT 3, 'purchase', (SELECT count(*) FROM s3)
-            ) ORDER BY stage
-        """,
-        "events_transitions": """
-            SELECT type_from, type_to, count(*) AS n FROM (
-              SELECT event_type AS type_from,
-                     lead(event_type) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                     ) AS type_to
-              FROM events)
-            WHERE type_to IS NOT NULL
-            GROUP BY type_from, type_to
-        """,
-        # session rule identical to events_sessions (strict 30-min gap,
-        # (ts, event_id) order); path = types joined '>' per session,
-        # top-20 by (n desc, path asc)
-        "events_top_paths": """
-            WITH g AS (
-              SELECT user_id, ts, event_id, event_type,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                          OR epoch_us(ts) - epoch_us(lag(ts) OVER w) > 1800000000
-                          THEN 1 ELSE 0 END AS brk
-              FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), s AS (
-              SELECT user_id, ts, event_id, event_type,
-                     CAST(sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                          ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-              FROM g
-            ), p AS (
-              SELECT string_agg(event_type, '>' ORDER BY ts, event_id) AS path
-              FROM s GROUP BY user_id, session_id
-            )
-            SELECT path, count(*) AS n FROM p
-            GROUP BY path ORDER BY n DESC, path LIMIT 20
-        """,
-        # distinct-day semantics; DATE minus DATE is integer days in
-        # DuckDB, matching retention()'s (.dt.days) int64
-        "events_retention": """
-            WITH ud AS (
-              SELECT DISTINCT user_id, CAST(ts AS DATE) AS d FROM events
-            ),
-            fd AS (SELECT user_id, min(d) AS d0 FROM ud GROUP BY user_id)
-            SELECT (d - d0) AS offset_days, count(*) AS n_users
-            FROM ud JOIN fd USING (user_id)
-            WHERE (d - d0) <= 14
-            GROUP BY 1 ORDER BY 1
-        """,
-        # exact integer-cents sums (see idf/functions/relational.py:
-        # plain sum(double) is summation-order-dependent and flakes the
-        # %.17g value hash; inputs verified free of .5 rounding ties)
-        "events_window_agg": """
-            SELECT event_type, time_bucket(INTERVAL '1 hour', ts) AS window_start,
-                   count(*) AS n,
-                   CAST(sum(CAST(round(value*100) AS BIGINT)) AS DOUBLE)/100 AS sum_value
-            FROM events GROUP BY 1, 2
-        """,
-        "events_sessions": """
-            WITH g AS (
-              SELECT user_id, ts, event_id,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                          OR epoch_us(ts) - epoch_us(lag(ts) OVER w) > 1800000000
-                          THEN 1 ELSE 0 END AS brk
-              FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), s AS (
-              SELECT user_id, ts,
-                     CAST(sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                          ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-              FROM g
-            )
-            SELECT user_id, session_id, count(*) AS n_events,
-                   min(ts) AS session_start, max(ts) AS session_end
-            FROM s GROUP BY 1, 2
-        """,
-        "events_sessions_salted": """
-            WITH g AS (
-              SELECT user_id, ts, event_id,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                          OR epoch_us(ts) - epoch_us(lag(ts) OVER w) > 1800000000
-                          THEN 1 ELSE 0 END AS brk
-              FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), s AS (
-              SELECT user_id, ts,
-                     CAST(sum(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                          ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-              FROM g
-            )
-            SELECT user_id, session_id, count(*) AS n_events,
-                   min(ts) AS session_start, max(ts) AS session_end
-            FROM s GROUP BY 1, 2
-        """,
-        "events_asof_orders": """
-            SELECT event_id, asof_orderkey FROM (
-              SELECT e.event_id, o.o_orderkey AS asof_orderkey,
-                     row_number() OVER (PARTITION BY e.event_id
-                                        ORDER BY o.o_orderdate DESC, o.o_orderkey DESC) AS rn
-              FROM events e JOIN orders o
-                ON o.o_custkey = e.user_id AND o.o_orderdate <= e.ts
-            ) WHERE rn = 1
-        """,
-        "events_json_k": """
-            SELECT event_id, json_extract(props, '$.k')::BIGINT AS k FROM events
-        """,
-        "orders_price_band": """
-            WITH bands(lo, hi, band) AS (VALUES
-              (0.0, 50000.0, 'small'), (50000.0, 150000.0, 'medium'),
-              (150000.0, 300000.0, 'large'), (300000.0, 1e18, 'huge'))
-            SELECT o_orderkey, band FROM orders JOIN bands
-              ON o_totalprice >= lo AND o_totalprice < hi
-        """,
-        # same exact integer discounted-mills as pricing_summary
-        "nation_revenue": """
-            SELECT n.n_name, CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
-                   count(*) AS n_orders,
-                   CAST(sum(rev.dmills) AS BIGINT) AS revenue_dmills
-            FROM (
-              SELECT l_orderkey,
-                     CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS BIGINT) AS dmills
-              FROM lineitem GROUP BY l_orderkey
-            ) rev
-            JOIN orders o ON o.o_orderkey = rev.l_orderkey
-            JOIN customer c ON c.c_custkey = o.o_custkey
-            JOIN nation n ON n.n_nationkey = c.c_nationkey
-            GROUP BY 1, 2
-        """,
-        "region_revenue": """
-            SELECT r.r_name, CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
-                   count(*) AS n_orders,
-                   CAST(sum(rev.dmills) AS BIGINT) AS revenue_dmills
-            FROM (
-              SELECT l_orderkey,
-                     CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                         AS BIGINT)) AS BIGINT) AS dmills
-              FROM lineitem GROUP BY l_orderkey
-            ) rev
-            JOIN orders o ON o.o_orderkey = rev.l_orderkey
-            JOIN customer c ON c.c_custkey = o.o_custkey
-            JOIN nation n ON n.n_nationkey = c.c_nationkey
-            JOIN region r ON r.r_regionkey = n.n_regionkey
-            GROUP BY 1, 2
-        """,
-        "part_revenue": """
-            SELECT p.p_type,
-                   count(*) AS n_lineitems,
-                   CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 10000)
-                       AS BIGINT)) AS BIGINT) AS revenue_dmills
-            FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-            GROUP BY p.p_type
-        """,
-        "cust_no_orders": """
-            SELECT c_custkey, c_nationkey FROM customer
-            WHERE c_custkey NOT IN
-              (SELECT o_custkey FROM orders WHERE o_totalprice > 300000)
-        """,
-        # Exact SQL twin of the m=2^17/k=4 md5 Bloom filter: position_i
-        # = md5_number_lower(i||':'||key) % m replicates the engine's
-        # md5_low64 bit-for-bit, so the false-positive set (not just the
-        # true members) is identical by construction.
-        "cust_bloom_members": """
-            WITH ks AS (SELECT unnest(range(4)) AS i),
-            build_pos AS (
-              SELECT DISTINCT
-                md5_number_lower(i::VARCHAR || ':' || o_custkey::VARCHAR)
-                  % 131072 AS pos
-              FROM orders, ks WHERE o_totalprice > 150000
-            ),
-            probe AS (
-              SELECT c_custkey, i,
-                md5_number_lower(i::VARCHAR || ':' || c_custkey::VARCHAR)
-                  % 131072 AS pos
-              FROM customer, ks
-            )
-            SELECT c_custkey FROM probe JOIN build_pos USING (pos)
-            GROUP BY c_custkey HAVING count(DISTINCT i) = 4
-            ORDER BY c_custkey
-        """,
-        # HLL register table, exact: bucket = top 8 bits of md5-low64,
-        # rank = leading zeros of the low 56 bits + 1 (bin() length);
-        # max is order-invariant so the partials merge deterministically
-        "events_hll_users": """
-            WITH h AS (
-              SELECT DISTINCT md5_number_lower(user_id::VARCHAR) AS hv
-              FROM events
-            ),
-            parts AS (
-              SELECT hv >> 56 AS bucket,
-                     hv & ((1::UBIGINT << 56) - 1) AS suffix
-              FROM h
-            )
-            SELECT bucket::BIGINT AS bucket,
-                   max(CASE WHEN suffix = 0 THEN 57
-                            ELSE 57 - length(bin(suffix)) END)::BIGINT AS max_rank
-            FROM parts GROUP BY 1 ORDER BY 1
-        """,
-        # rank = md5 of the event id's decimal string — identical on
-        # both sides (hashlib hex == DuckDB md5), so the draw is exactly
-        # reproducible; ties impossible (event_id unique)
-        "events_sample_per_user": """
-            SELECT user_id, event_id FROM (
-              SELECT user_id, event_id,
-                     row_number() OVER (
-                       PARTITION BY user_id
-                       ORDER BY md5(CAST(event_id AS VARCHAR)), event_id
-                     ) AS rn
-              FROM events)
-            WHERE rn <= 3
-        """,
-        # recency in whole days between DATE-floored order days; the
-        # corpus-wide ref day is the same max over the same dates on
-        # both sides; monetary is the module's exact integer-cents sum
-        "orders_rfm": """
-            SELECT o_custkey,
-                   CAST(date_diff('day', CAST(max(o_orderdate) AS DATE),
-                        (SELECT CAST(max(o_orderdate) AS DATE) FROM orders))
-                     AS BIGINT) AS recency_days,
-                   count(*) AS frequency,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-                     AS monetary_cents
-            FROM orders GROUP BY o_custkey
-        """,
-        # quantile_disc picks the element at sorted index ceil(q*n)-1
-        # (verified incl. integer-crossing q*n in tests); the engine
-        # replicates that rule over its exact integer-cents histogram,
-        # and both sides emit round(x*100) cents so the hash is
-        # float-free (inputs verified free of .5 rounding ties)
-        "lineitem_price_quantiles": " UNION ALL ".join(
-            f"""
-            SELECT l_returnflag, CAST({q} AS DOUBLE) AS q,
-                   CAST(round(quantile_disc(l_extendedprice, {q}) * 100) AS BIGINT)
-                     AS value_cents
-            FROM lineitem GROUP BY l_returnflag
-            """
-            for q in (0.01, 0.25, 0.5, 0.75, 0.9, 0.99)
-        ),
-        "lineitem_pricing_summary": """
-            SELECT l_returnflag, l_linestatus,
-              sum(l_quantity) AS sum_qty,
-              CAST(sum(CAST(round(l_extendedprice*100) AS BIGINT)) AS DOUBLE)/100 AS sum_base_price,
-              CAST(sum(CAST(round(l_extendedprice*(1-l_discount)*10000) AS BIGINT)) AS DOUBLE)/10000 AS sum_disc_price,
-              CAST(sum(CAST(round(l_extendedprice*(1-l_discount)*(1+l_tax)*1000000) AS BIGINT)) AS DOUBLE)/1000000 AS sum_charge,
-              sum(l_quantity)/count(*) AS avg_qty,
-              CAST(sum(CAST(round(l_extendedprice*100) AS BIGINT)) AS DOUBLE)/100/count(*) AS avg_price,
-              CAST(sum(CAST(round(l_discount*100) AS BIGINT)) AS DOUBLE)/100/count(*) AS avg_disc,
-              count(*) AS count_order
-            FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'
-            GROUP BY 1, 2
-        """,
         "doc_hash_split": """
             SELECT doc_id, CASE WHEN substr(md5(CAST(doc_id AS VARCHAR)),1,2) < '1a'
                    THEN 'test' ELSE 'train' END AS split FROM documents

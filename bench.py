@@ -114,56 +114,19 @@ def run_bench() -> dict:
         rd.range(num_cpus * 2, override_num_blocks=num_cpus * 2).map_batches(
             lambda t: t, batch_format="pyarrow"
         ).count()
-        for tbl in ("documents.parquet", "embeddings.parquet", "events.parquet"):
+        for tbl in ("documents.parquet", "embeddings.parquet"):
             rd.read_parquet(os.path.join(sf_dir, tbl)).map_batches(
                 lambda t: pa.table({"n": [len(t)]}), batch_format="pyarrow"
             ).sum("n")
 
     from idf.functions.ann import dedup_embeddings_map, lsh_pairs
-    from idf.functions.relational import (
-        events_asof_orders,
-        funnel,
-        grouped_quantiles,
-        retention,
-        sessionize,
-        top_paths,
-    )
     from idf.functions.text import contamination, tfidf_topk
     from idf.functions.text_dedup import dedup_docs_map, substring_dup_spans
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
     emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    ev = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id", "user_id", "ts"]
-    )
-    od = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    )
-    ev_typed = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "event_type"]
-    )
-    ev_paths = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_extendedprice"],
-    )
-    from idf.functions.membership import bloom_semi_join_keys
-
-    cu = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
-    )
     named = [
         ("doc_minhash_pairs", lambda: minhash_lsh_pairs(docs, tau=0.8).count()),
-        (
-            "cust_bloom_members",
-            lambda: bloom_semi_join_keys(
-                od.select_columns(["o_custkey"]), "o_custkey", cu, "c_custkey", mode="fast"
-            ).count(),
-        ),
         ("doc_ngram_pairs", lambda: ngram_jaccard_pairs(docs, tau=0.6).count()),
         ("doc_substring_spans", lambda: substring_dup_spans(docs, min_len=30).count()),
         ("doc_dedup_map", lambda: dedup_docs_map(docs, tau=0.8).count()),
@@ -173,14 +136,8 @@ def run_bench() -> dict:
             "emb_dedup_map",
             lambda: dedup_embeddings_map(emb, tau=0.4, n_bits=8, n_tables=4).count(),
         ),
-        ("events_asof_orders", lambda: events_asof_orders(ev, od).count()),
-        ("events_sessions", lambda: sessionize(ev).count()),
         ("doc_tfidf_topk", lambda: tfidf_topk(docs, k=5).count()),
         ("doc_contamination", lambda: contamination(docs).count()),
-        ("events_funnel", lambda: len(funnel(ev_typed))),
-        ("events_top_paths", lambda: len(top_paths(ev_paths))),
-        ("events_retention", lambda: len(retention(ev_typed))),
-        ("lineitem_price_quantiles", lambda: len(grouped_quantiles(li))),
     ]
     # best-of-N per query, same protocol as the headline
     q_reps = int(os.environ.get("GRAFT_BENCH_REPS", "2"))

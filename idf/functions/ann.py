@@ -24,6 +24,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from idf.kernels.minhash import mix64
 from idf.ops import bucketed_group_apply
 
 
@@ -341,16 +342,6 @@ def cosine_pairs(embeddings: rd.Dataset, tau: float = 0.9, n_shards: int = 8) ->
     return bucketed_apply(expanded, "pairkey", _pairs_bucket)
 
 
-def _mix64(x: np.ndarray, seed: int) -> np.ndarray:
-    """splitmix64 finalizer over uint64 — a content-keyed uniform hash
-    for deterministic sampling."""
-    with np.errstate(over="ignore"):
-        z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.uint64(seed + 1)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def train_ivf_centroids(
     embeddings: rd.Dataset, n_centroids: int, seed: int = 42, iters: int = 10
 ) -> np.ndarray:
@@ -377,7 +368,7 @@ def train_ivf_centroids(
         if thresh is None:
             return t
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = _mix64(ids.view(np.uint64), seed) <= thresh
+        keep = mix64(ids.view(np.uint64), seed) <= thresh
         return t.filter(pa.array(keep))
 
     sample = (
@@ -442,7 +433,7 @@ def train_ivf_centroids_local(
         df = b.to_pandas()
         if thresh is not None:
             ids = df["vec_id"].to_numpy(np.int64)
-            df = df[_mix64(ids.view(np.uint64), seed) <= thresh]
+            df = df[mix64(ids.view(np.uint64), seed) <= thresh]
         if len(df):
             frames.append(df)
     import pandas as pd
@@ -618,7 +609,7 @@ def lsh_hyperplanes(dim: int, n_bits: int, n_tables: int, seed: int = 7) -> np.n
     literals in the DuckDB oracle (%.17r round-trips float64 exactly).
     """
     idx = np.arange(n_tables * n_bits * dim, dtype=np.uint64)
-    u = _mix64(idx, seed)
+    u = mix64(idx, seed)
     vals = (u >> np.uint64(11)).astype(np.float64) * (2.0**-52) - 1.0
     return vals.reshape(n_tables, n_bits, dim)
 

@@ -2,7 +2,8 @@
 
 Five dedup modes, as required by the task brief:
 
-- exact: hash-partitioned first-per-text (SQL-checkable)
+- exact: hash-partitioned first-per-text (SQL-checkable), and the
+  duplicate-group-aware train/test split built on the same grouping
 - n-gram Jaccard: EXACT near-dup pairs via shared-shingle candidate
   generation + distributed intersection counting (SQL-checkable —
   recall is 1.0 because any pair with J >= tau > 0 shares a shingle)
@@ -31,12 +32,44 @@ from idf.kernels.minhash import (
     md5_low64,
     shingle_hashes,
 )
-from idf.ops import available_cpus, exact_dedup, hash_join
+from idf.ops import available_cpus, bucketed_group_apply, exact_dedup, hash_join
 
 
 def exact_dedup_docs(docs: rd.Dataset) -> rd.Dataset:
     """(doc_id, text): one representative (min doc_id) per distinct text."""
     return exact_dedup(docs.select_columns(["doc_id", "text"]), key="text", order_col="doc_id")
+
+
+def leakfree_split(ds: rd.Dataset, test_hex: str = "33") -> rd.Dataset:
+    """Duplicate-group-aware train/test split: every exact-duplicate
+    group of documents lands WHOLLY in one split, so train never leaks
+    a test document's text. Canonical member = min doc_id per text
+    group; split decided by md5(canonical). The shuffle ships a 16-byte
+    fingerprint of the text, never the text itself (the 100-TB-safe
+    key).
+    """
+    import hashlib
+
+    def add_fp(df: pd.DataFrame) -> pd.DataFrame:
+        fp = df["text"].fillna("").map(lambda s: hashlib.md5(s.encode()).hexdigest())
+        return pd.DataFrame({"doc_id": df["doc_id"], "__fp": fp})
+
+    def per_group(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64), "split": []})
+        canon = int(g["doc_id"].min())
+        s = (
+            "test"
+            if hashlib.md5(str(canon).encode()).hexdigest()[:2] < test_hex
+            else "train"
+        )
+        return pd.DataFrame({"doc_id": g["doc_id"], "split": s})
+
+    fps = ds.map_batches(add_fp, batch_format="pandas")
+    out = bucketed_group_apply(fps, "__fp", per_group)
+    return out.map_batches(
+        lambda df: df[["doc_id", "split"]], batch_format="pandas"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +879,6 @@ def substring_dup_spans(
     boilerplate-heavy corpora at scale — it switches to the bucketed
     doc_id shuffle, same auto-guard pattern as driver_max_edges/apply."""
     from idf.kernels.suffix import merge_window_spans
-    from idf.ops import bucketed_group_apply
 
     pos = substring_dup_positions(docs, min_len).materialize()
 

@@ -225,6 +225,16 @@ def _mix64_(x: np.ndarray, tmp: np.ndarray) -> None:
     x ^= tmp
 
 
+def mix64(x: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded splitmix64 over uint64: a content-keyed uniform hash for
+    deterministic sampling (the phash verify sample, the IVF training
+    sample) and for the LSH hyperplane stream. Returns a new array."""
+    with np.errstate(over="ignore"):
+        z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15) * np.uint64(seed + 1)
+    _mix64_(z, np.empty_like(z))
+    return z
+
+
 def band_keys(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     """(n, k) signatures -> (n, n_bands) int64 band keys.
 

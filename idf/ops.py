@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
-from typing import Iterable
 
 import numpy as np
 import pandas as pd
@@ -48,18 +47,6 @@ def _estimate_bytes(ds: rd.Dataset):
     the plan when metadata is missing)."""
     try:
         return ds._logical_plan.dag.infer_metadata().size_bytes
-    except Exception:
-        return None
-
-
-def _estimate_rows(ds: rd.Dataset):
-    """Metadata-only ROW-count estimate, or None — same contract as
-    :func:`_estimate_bytes`. Row counts are the right currency for
-    per-key-rows gates (a projection changes bytes/row but not rows);
-    note Ray drops this metadata after ``select_columns``, so callers
-    must probe the PRE-projection dataset."""
-    try:
-        return ds._logical_plan.dag.infer_metadata().num_rows
     except Exception:
         return None
 
@@ -443,7 +430,8 @@ def bucketed_group_apply(ds: rd.Dataset, key: str | list[str], group_fn) -> rd.D
     pandas groupby inside the reduce task. That is a Python call per key,
     work the bytes do not predict: it keeps two partitions per CPU, up
     to 8, however small the input (one partition measured 0.25 -> 0.94
-    s on ``orders_min_group_size`` at sf0.01 on 4 CPUs).
+    s on a per-customer group filter over the sf0.01 orders table, 4
+    CPUs).
     """
     keys = [key] if isinstance(key, str) else list(key)
 
@@ -492,7 +480,7 @@ def hash_join(
     driver materialization — the portable pattern recommended for Ray
     Data versions without a native ``Dataset.join``. Skewed keys cost
     one oversized group; callers with a known-small side should prefer
-    ``broadcast_semi_join`` / ``broadcast_lookup`` instead (A6 analog,
+    a ``get_broadcast`` map-side lookup instead (A6 analog,
     app/Commands.java:290-299).
     """
     keys = [on] if isinstance(on, str) else list(on)
@@ -551,126 +539,6 @@ def strip_schema_metadata(ds: rd.Dataset) -> rd.Dataset:
     )
 
 
-def asof_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    left_by: str,
-    right_by: str,
-    left_on: str,
-    right_on: str,
-    tiebreak: list[str] | None = None,
-    how: str = "inner",
-) -> rd.Dataset:
-    """Distributed backward as-of join.
-
-    For each left row, attach the single right row sharing the by-key
-    whose ``right_on`` is the LARGEST value <= ``left_on``; ties on
-    ``right_on`` break toward the largest ``tiebreak`` columns
-    (lexicographic), so the result is deterministic. Ray Data has no
-    native as-of join; this is the shuffle composition the task brief
-    calls for: both sides tagged + co-grouped on a hash bucket of the
-    by-key (ONE all-to-all), then a vectorized ``pandas.merge_asof``
-    per bucket. Skew bound = rows per by-key bucket, same as
-    ``hash_join``; neither side is ever materialized on the driver.
-
-    ``how="inner"`` drops left rows with no match (the only mode with
-    an exact SQL analog: join + QUALIFY row_number()=1).
-    """
-    tiebreak = list(tiebreak or [])
-    lschema, rschema = left.schema(), right.schema()
-    lcols, rcols = list(lschema.names), list(rschema.names)
-    if set(lcols) & set(rcols):
-        raise ValueError("asof_join requires disjoint column names")
-    ltypes = dict(zip(lcols, map(_as_arrow_type, lschema.types)))
-    rtypes = dict(zip(rcols, map(_as_arrow_type, rschema.types)))
-    all_cols = lcols + rcols
-    all_types = {**ltypes, **rtypes}
-
-    def _prep(side: int, by_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            cols = {
-                c: (t[c] if c in t.column_names else pa.nulls(len(t), all_types[c]))
-                for c in all_cols
-            }
-            cols["__side"] = pa.array(np.full(len(t), side, dtype=np.int8))
-            # unified co-location key: each side contributes its own
-            # by-column VALUE, so hashing it routes both sides together
-            cols["__asof_key"] = t[by_col]
-            return pa.table(cols).replace_schema_metadata(None)
-
-        return fn
-
-    tagged = left.map_batches(_prep(0, left_by), batch_format="pyarrow").union(
-        right.map_batches(_prep(1, right_by), batch_format="pyarrow")
-    )
-
-    def _merge(t: pa.Table) -> pd.DataFrame:
-        import pyarrow.compute as pc
-
-        # per-side Arrow filter BEFORE pandas: the padded columns are
-        # null only on the other side's rows, so each slice converts
-        # with its true dtypes (no int64 -> float64 promotion)
-        lg = t.filter(pc.equal(t["__side"], 0)).select(lcols).to_pandas()
-        rg = t.filter(pc.equal(t["__side"], 1)).select(rcols).to_pandas()
-        if lg.empty:
-            return pd.merge_asof(
-                lg,
-                rg.iloc[0:0],
-                left_on=left_on,
-                right_on=right_on,
-                left_by=left_by,
-                right_by=right_by,
-            )
-        lg = lg.sort_values(left_on, kind="mergesort")
-        # sorted by right_on primary; merge_asof picks the LAST among
-        # equal right_on values -> ascending tiebreak = max wins
-        rg = rg.sort_values([right_on] + tiebreak, kind="mergesort")
-        out = pd.merge_asof(
-            lg,
-            rg,
-            left_on=left_on,
-            right_on=right_on,
-            left_by=left_by,
-            right_by=right_by,
-            direction="backward",
-        )
-        if how == "inner":
-            out = out[out[right_on].notna()]
-        return out
-
-    # one exchange keyed on the unified by-value column
-    return exchange_apply(tagged, "__asof_key", _merge, arrow_fn=True)
-
-
-def range_lookup(
-    ds: rd.Dataset, col: str, edges, labels, out_col: str = "band"
-) -> rd.Dataset:
-    """Broadcast range join: assign each row the band whose
-    ``[edges[i], edges[i+1])`` interval contains ``col``.
-
-    The small side (sorted interval edges + labels) ships once via
-    ``ray.put``; each batch does one vectorized ``np.searchsorted`` —
-    the right 100-TB shape for a range join whose build side fits in
-    memory (the general big-big interval join is sort + as-of merge).
-    Rows outside every interval are dropped (inner semantics).
-    """
-    edges_arr = np.asarray(edges, dtype=np.float64)
-    labels_arr = np.asarray(list(labels), dtype=object)
-    if len(edges_arr) != len(labels_arr) + 1:
-        raise ValueError("need len(edges) == len(labels) + 1")
-    ref = ray.put((edges_arr, labels_arr))
-
-    def _f(t: pa.Table) -> pa.Table:
-        e, lab = get_broadcast(ref)
-        x = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        idx = np.searchsorted(e, x, side="right") - 1
-        ok = (idx >= 0) & (idx < len(lab)) & (x >= e[0])
-        t = t.replace_schema_metadata(None).filter(pa.array(ok))
-        return t.append_column(out_col, pa.array(lab[idx[ok]], type=pa.string()))
-
-    return ds.map_batches(_f, batch_format="pyarrow")
-
-
 _BROADCAST_CACHE: dict = {}
 
 
@@ -687,24 +555,6 @@ def get_broadcast(ref):
             _BROADCAST_CACHE.pop(next(iter(_BROADCAST_CACHE)))
         _BROADCAST_CACHE[key] = ray.get(ref)
     return _BROADCAST_CACHE[key]
-
-
-def broadcast_lookup(
-    ds: rd.Dataset,
-    key: str,
-    mapping: dict,
-    out_col: str,
-    default=None,
-) -> rd.Dataset:
-    """Map-side join against a small dict shipped once via ``ray.put``."""
-    ref = ray.put(mapping)
-
-    def _lookup(df: pd.DataFrame) -> pd.DataFrame:
-        m = get_broadcast(ref)
-        df[out_col] = df[key].map(m).where(df[key].isin(m), default)
-        return df
-
-    return ds.map_batches(_lookup, batch_format="pandas")
 
 
 def broadcast_semi_join(ds: rd.Dataset, key: str, values, negate: bool = False) -> rd.Dataset:
@@ -730,61 +580,8 @@ def broadcast_semi_join(ds: rd.Dataset, key: str, values, negate: bool = False) 
     return ds.map_batches(_filter, batch_format="pyarrow")
 
 
-def set_membership_join(
-    ds: rd.Dataset, key: str, keys_ds: rd.Dataset, negate: bool = False
-) -> rd.Dataset:
-    """Semi/anti join against a LARGE key dataset (one column, unique
-    keys) — the scale path behind ``broadcast_semi_join`` when the key
-    side no longer fits a driver list. One co-grouping shuffle; the
-    payload crosses the wire once."""
-    ones = keys_ds.map_batches(
-        lambda t: t.select([key]).append_column(
-            "__in_set", pa.array(np.ones(len(t), dtype=np.int8))
-        ),
-        batch_format="pyarrow",
-    )
-    j = hash_join(ds, ones, on=key, how="left")
-
-    def _f(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["__in_set"].isna() if negate else df["__in_set"].notna()
-        return df[m].drop(columns="__in_set")
-
-    return j.map_batches(_f, batch_format="pandas")
-
-
 # ---------------------------------------------------------------------------
 # grouped operators
-
-
-def elect_top1(
-    ds: rd.Dataset,
-    group_key: str,
-    sort_cols: Iterable[str],
-    ascending: Iterable[bool],
-    rank_col: str = "__rank",
-) -> rd.Dataset:
-    """Top-1-per-group with a deterministic comparator — the keeper
-    election shape (A3, app/Commands.java:203-234). Emits every row with
-    ``rank_col`` (0 = elected) so callers can split KEEP/DELETE."""
-    sort_cols = list(sort_cols)
-    ascending = list(ascending)
-
-    def _elect(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(sort_cols, ascending=ascending, kind="mergesort").copy()
-        g[rank_col] = np.arange(len(g), dtype=np.int64)
-        return g
-
-    return bucketed_group_apply(ds, group_key, _elect)
-
-
-def filter_min_group_size(ds: rd.Dataset, group_key: str, min_size: int = 2) -> rd.Dataset:
-    """Keep only rows whose group has >= min_size members (A2 — the
-    singleton-cluster drop, app/Commands.java:147-155)."""
-
-    def _f(g: pd.DataFrame) -> pd.DataFrame:
-        return g if len(g) >= min_size else g.iloc[0:0]
-
-    return bucketed_group_apply(ds, group_key, _f)
 
 
 def exact_dedup(ds: rd.Dataset, key: str, order_col: str) -> rd.Dataset:
@@ -795,12 +592,6 @@ def exact_dedup(ds: rd.Dataset, key: str, order_col: str) -> rd.Dataset:
         return g.sort_values(order_col, kind="mergesort").head(1)
 
     return bucketed_group_apply(ds, key, _first)
-
-
-def count_by(ds: rd.Dataset, key: str | list[str], alias: str = "n") -> rd.Dataset:
-    """Row count per ``key`` value, as column ``alias``."""
-    keys = [key] if isinstance(key, str) else list(key)
-    return bucketed_aggregate(ds.select_columns(keys), keys, {alias: (keys[0], "size")})
 
 
 def bucketed_aggregate(

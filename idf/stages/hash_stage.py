@@ -29,6 +29,7 @@ from idf.codecs import ACCEPTED_FORMATS, DecodeError, decode_luma_scaled
 _FMT_SET = pa.array(sorted(ACCEPTED_FORMATS))
 from idf.config import DedupConfig
 from idf.kernels.hashes import DECODE_MIN_DIM, hash_gray_batch, preprocess, resize_dims
+from idf.kernels.minhash import mix64
 from idf.ops import PartWriter, available_cpus, open_parquet, wait_all
 
 HASH_SCHEMA = pa.schema(
@@ -157,9 +158,7 @@ def _verify_sample_mask(ids: np.ndarray, thresh, seed: int) -> np.ndarray:
     every row group, so it cannot be read-pruned (see that docstring)."""
     import pandas as pd
 
-    from idf.functions.ann import _mix64
-
-    return _mix64(pd.util.hash_array(ids.astype(object)), seed) <= thresh
+    return mix64(pd.util.hash_array(ids.astype(object)), seed) <= thresh
 
 
 class PrecomputedHasher:
@@ -872,16 +871,14 @@ def _sample_unit_mask(keys: np.ndarray, frac: float) -> np.ndarray:
     layouts always verify at least one unit."""
     import pandas as pd
 
-    from idf.functions.ann import _mix64
-
     if frac >= 1.0:
         return np.ones(len(keys), dtype=bool)
     # threshold only computed on this branch: at frac==1.0 the
     # int(1.0*(2^63-1)) rounds up to 2^63 and *2 wraps uint64 to 0
     thresh = np.uint64(int(frac * float(2**63 - 1))) * np.uint64(2)
-    mask = _mix64(pd.util.hash_array(keys), 42) <= thresh
+    mask = mix64(pd.util.hash_array(keys), 42) <= thresh
     if not mask.any():
-        mask[int(_mix64(np.array([len(keys)], np.uint64), 42)[0] % len(keys))] = True
+        mask[int(mix64(np.array([len(keys)], np.uint64), 42)[0] % len(keys))] = True
     return mask
 
 

@@ -17,9 +17,7 @@ import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings".split()
-)
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(res) -> pd.DataFrame:

@@ -7,15 +7,11 @@ import ray
 import ray.data as rd
 
 from idf.ops import (
-    broadcast_lookup,
     broadcast_semi_join,
     bucketed_aggregate,
     bucketed_apply,
     bucketed_group_apply,
-    count_by,
-    elect_top1,
     exact_dedup,
-    filter_min_group_size,
     hash_join,
 )
 
@@ -69,13 +65,9 @@ def test_hash_join_left(tables):
     assert got["name"].isna().sum() == want["name"].isna().sum()
 
 
-def test_broadcast_lookup_and_semi_join(tables, ray_session):
+def test_broadcast_semi_join(tables, ray_session):
     left, _ = tables
     ds = rd.from_pandas(left)
-    mapping = {i: f"m{i}" for i in range(0, 300, 2)}
-    out = broadcast_lookup(ds, "k", mapping, "mapped").to_pandas()
-    assert (out["mapped"].notna() == out["k"].isin(mapping)).all()
-
     keys = set(range(0, 300, 3))
     semi = broadcast_semi_join(ds, "k", keys).to_pandas()
     anti = broadcast_semi_join(ds, "k", keys, negate=True).to_pandas()
@@ -93,38 +85,12 @@ def test_broadcast_semi_join_empty_values(tables, ray_session):
     assert len(broadcast_semi_join(ds, "k", set(), negate=True).to_pandas()) == len(left)
 
 
-def test_elect_top1(tables):
-    left, _ = tables
-    ranked = elect_top1(rd.from_pandas(left), "k", ["v", "tag"], [False, True]).to_pandas()
-    top = ranked[ranked["__rank"] == 0]
-    want = left.sort_values(["v", "tag"], ascending=[False, True]).groupby("k").head(1)
-    got_map = dict(zip(top["k"], top["v"]))
-    want_map = dict(zip(want["k"], want["v"]))
-    assert got_map == want_map
-
-
-def test_filter_min_group_size(tables):
-    left, _ = tables
-    out = filter_min_group_size(rd.from_pandas(left), "k", 10).to_pandas()
-    sizes = left.groupby("k").size()
-    keep = set(sizes[sizes >= 10].index)
-    assert set(out["k"]) == keep
-    assert len(out) == int(sizes[sizes >= 10].sum())
-
-
 def test_exact_dedup(tables):
     left, _ = tables
     left = left.assign(rowid=np.arange(len(left)))
     out = exact_dedup(rd.from_pandas(left), key="k", order_col="rowid").to_pandas()
     want = left.sort_values("rowid").groupby("k").head(1)
     assert sorted(out["rowid"]) == sorted(want["rowid"])
-
-
-def test_count_by(tables):
-    left, _ = tables
-    out = count_by(rd.from_pandas(left), "tag").to_pandas().set_index("tag")["n"]
-    want = left.groupby("tag").size()
-    assert dict(out) == dict(want)
 
 
 def test_bucketed_aggregate_matches_pandas(tables):
