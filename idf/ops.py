@@ -580,6 +580,27 @@ def broadcast_semi_join(ds: rd.Dataset, key: str, values, negate: bool = False) 
     return ds.map_batches(_filter, batch_format="pyarrow")
 
 
+def set_membership_join(
+    ds: rd.Dataset, key: str, keys_ds: rd.Dataset, negate: bool = False
+) -> rd.Dataset:
+    """Semi/anti join against a LARGE key dataset (one column, unique
+    keys) — the scale path behind ``broadcast_semi_join``. One
+    co-grouping shuffle; the payload crosses the wire once."""
+    ones = keys_ds.map_batches(
+        lambda t: t.select([key]).append_column(
+            "__in_set", pa.array(np.ones(len(t), dtype=np.int8))
+        ),
+        batch_format="pyarrow",
+    )
+    j = hash_join(ds, ones, on=key, how="left")
+
+    def _f(df: pd.DataFrame) -> pd.DataFrame:
+        m = df["__in_set"].isna() if negate else df["__in_set"].notna()
+        return df[m].drop(columns="__in_set")
+
+    return j.map_batches(_f, batch_format="pandas")
+
+
 # ---------------------------------------------------------------------------
 # grouped operators
 

@@ -1,7 +1,152 @@
-"""Image thumbnail stage (idf/functions/media.py): decode -> resize ->
-PNG over the engine's own codecs."""
+"""Multimodal operators: all three modalities now decode for REAL
+in-repo (images: idf.codecs; audio: idf/codecs/wav.py RIFF/PCM; video:
+idf/codecs/y4m.py YUV4MPEG2). Compressed formats (mp3/mp4) remain the
+honest seam: strict mode raises, otherwise a clearly-marked stand-in."""
 
+import numpy as np
+import pyarrow as pa
+import pytest
 import ray.data as rd
+
+from idf.functions.media import (
+    AUDIO_SCHEMA,
+    VIDEO_SCHEMA,
+    AudioFeaturizer,
+    VideoFrameSampler,
+    audio_features,
+    synth_audio_table,
+    synth_video_table,
+    video_frames,
+)
+
+
+def _junk_audio_table(n=2, fmt="mp3"):
+    rng = np.random.default_rng(0)
+    return pa.table(
+        {
+            "media_id": [f"a{i}" for i in range(n)],
+            "bytes": pa.array(
+                [bytes(rng.integers(0, 256, 256, dtype=np.uint8)) for _ in range(n)], pa.binary()
+            ),
+            "sample_rate": pa.array([16000] * n, pa.int32()),
+            "n_channels": pa.array([1] * n, pa.int32()),
+            "fmt": [fmt] * n,
+        },
+        schema=AUDIO_SCHEMA,
+    )
+
+
+def _junk_video_table(n=1):
+    rng = np.random.default_rng(1)
+    return pa.table(
+        {
+            "media_id": [f"v{i}" for i in range(n)],
+            "bytes": pa.array(
+                [bytes(rng.integers(0, 256, 512, dtype=np.uint8)) for _ in range(n)], pa.binary()
+            ),
+            "fps": pa.array([30.0] * n, pa.float32()),
+            "n_frames": pa.array([90] * n, pa.int32()),
+            "w": pa.array([640] * n, pa.int32()),
+            "h": pa.array([360] * n, pa.int32()),
+            "fmt": ["mp4"] * n,
+        },
+        schema=VIDEO_SCHEMA,
+    )
+
+
+def test_audio_features_real_wav(ray_session):
+    """Features over REAL WAV/FLAC bytes: deterministic, and the scalar
+    features match the codec's own decode (pytest oracle)."""
+    from idf.codecs.flac import decode_flac
+    from idf.codecs.wav import decode_wav
+
+    t = synth_audio_table(12)
+    assert set(t["fmt"].to_pylist()) == {"wav", "flac"}  # both containers present
+    out = audio_features(rd.from_arrow(t)).to_pandas()
+    assert len(out) == 12
+    assert all(len(f) == AudioFeaturizer.N_MEL for f in out["features"])
+    blobs = dict(zip(t["media_id"].to_pylist(), t["bytes"].to_pylist()))
+    for _, r in out.head(5).iterrows():
+        blob = blobs[r["media_id"]]
+        dec = decode_flac if bytes(blob[:4]) == b"fLaC" else decode_wav
+        pcm, sr = dec(blob)
+        assert r["n_samples"] == len(pcm)
+        want_rms = float(np.sqrt(np.mean(pcm[:, 0].astype(np.float64) ** 2)))
+        assert abs(r["rms"] - want_rms) < 1e-5
+        assert abs(r["duration_s"] - len(pcm) / sr) < 1e-5
+    out2 = audio_features(rd.from_arrow(synth_audio_table(12))).to_pandas()
+    a = {r["media_id"]: list(r["features"]) for _, r in out.iterrows()}
+    b = {r["media_id"]: list(r["features"]) for _, r in out2.iterrows()}
+    assert a == b
+
+
+def test_audio_features_sine_oracle():
+    """Closed-form check: a pure sine's rms is amp/sqrt(2) and its
+    zero-crossing rate ~ 2f/sr — through the REAL WAV decode path."""
+    from idf.codecs.wav import encode_wav
+
+    sr, freq, amp = 16000, 440.0, 0.5
+    t = np.arange(sr) / sr
+    wav = encode_wav(amp * np.sin(2 * np.pi * freq * t), sr)
+    table = pa.table(
+        {
+            "media_id": ["sine"],
+            "bytes": pa.array([wav], pa.binary()),
+            "sample_rate": pa.array([sr], pa.int32()),
+            "n_channels": pa.array([1], pa.int32()),
+            "fmt": ["wav"],
+        },
+        schema=AUDIO_SCHEMA,
+    )
+    out = AudioFeaturizer(strict=True)(table).to_pandas()  # strict: WAV is real
+    assert abs(out["rms"][0] - amp / np.sqrt(2)) < 1e-3
+    assert abs(out["zcr"][0] - 2 * freq / sr) < 2e-3
+    assert out["n_samples"][0] == sr
+
+
+def test_video_frame_sampling_real_y4m(ray_session):
+    """One row per sampled frame over REAL y4m bytes; frame payloads
+    are the actual luma planes and match a full independent decode."""
+    from idf.codecs.y4m import decode_y4m
+
+    t = synth_video_table(6)
+    out = video_frames(rd.from_arrow(t), every_n=30).to_pandas()
+    counts = out.groupby("media_id").size()
+    assert counts["v00000"] == 1 and counts["v00005"] == 6  # nf=30, 180
+    blobs = dict(zip(t["media_id"].to_pylist(), t["bytes"].to_pylist()))
+    frames, info = decode_y4m(blobs["v00005"])
+    sampled = out[out["media_id"] == "v00005"].sort_values("frame_idx")
+    assert list(sampled["frame_idx"]) == [0, 30, 60, 90, 120, 150]
+    for _, r in sampled.iterrows():
+        want = frames[r["frame_idx"]]
+        got = np.frombuffer(r["frame_bytes"], dtype=np.uint8).reshape(r["h"], r["w"])
+        assert np.array_equal(got, want)
+        assert abs(r["mean_luma"] - want.mean()) < 1e-2
+    # drifting gradient: later frames are brighter (generator contract)
+    lumas = list(sampled["mean_luma"])
+    assert lumas == sorted(lumas)
+
+
+def test_strict_mode_semantics():
+    """strict=True: REAL formats (wav/y4m) work; compressed formats
+    without an in-sandbox codec raise NotImplementedError."""
+    out = AudioFeaturizer(strict=True)(synth_audio_table(2))
+    assert out.num_rows == 2
+    vout = VideoFrameSampler(every_n=30, strict=True)(synth_video_table(2))
+    assert vout.num_rows >= 2
+    with pytest.raises(NotImplementedError):
+        AudioFeaturizer(strict=True)(_junk_audio_table(2))
+    with pytest.raises(NotImplementedError):
+        VideoFrameSampler(strict=True)(_junk_video_table(1))
+
+
+def test_non_strict_standin_marked():
+    """Non-strict fallback rows are visibly marked (w=h=0, mean_luma<0,
+    16-byte digest payload) so they can never be mistaken for decodes."""
+    out = VideoFrameSampler(every_n=30)(_junk_video_table(1)).to_pandas()
+    assert len(out) == 3  # n_frames=90 -> idx {0,30,60}
+    assert (out["w"] == 0).all() and (out["mean_luma"] < 0).all()
+    assert out["frame_bytes"].map(len).eq(16).all()
 
 
 def test_image_thumbnails_real_roundtrip(ray_session, small_images_table):
@@ -26,3 +171,69 @@ def test_image_thumbnails_real_roundtrip(ray_session, small_images_table):
     m1 = dict(zip(out["image_id"], out["thumb"].map(lambda b: hash(bytes(b)))))
     m2 = dict(zip(out2["image_id"], out2["thumb"].map(lambda b: hash(bytes(b)))))
     assert m1 == m2
+
+
+def test_wav_codec_roundtrip():
+    from idf.codecs.wav import decode_wav, encode_wav, wav_info
+
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.8, 0.8, (1000, 2))
+    # 16-bit PCM: quantization error bounded by 1/32767
+    out, sr = decode_wav(encode_wav(x, 8000, bits=16))
+    assert sr == 8000 and out.shape == (1000, 2)
+    assert np.abs(out - x).max() < 1.5 / 32767
+    # float32: near-exact
+    out, _ = decode_wav(encode_wav(x, 44100, bits=32))
+    assert np.abs(out - x).max() < 1e-6
+    info = wav_info(encode_wav(x[:, 0], 22050))
+    assert (info["n_channels"], info["sample_rate"], info["n_samples"]) == (1, 22050, 1000)
+    # chunk walking: LIST chunk before fmt/data is skipped
+    wav = encode_wav(x[:, 0], 8000)
+    padded = wav[:12] + b"LIST\x04\x00\x00\x00INFO" + wav[12:]
+    riff = padded[:4] + (len(padded) - 8).to_bytes(4, "little") + padded[8:]
+    out2, _ = decode_wav(riff)
+    assert out2.shape == (1000, 1)
+
+
+def test_wav_codec_errors():
+    from idf.codecs.wav import WavError, decode_wav
+
+    with pytest.raises(WavError):
+        decode_wav(b"RIFFxxxxWAVE")  # no fmt/data
+    with pytest.raises(WavError):
+        decode_wav(b"not a wav at all....")
+
+
+def test_y4m_codec_roundtrip_and_seek():
+    from idf.codecs.y4m import (
+        decode_y4m,
+        decode_y4m_frame,
+        encode_y4m,
+        y4m_frame_count,
+        y4m_info,
+    )
+
+    rng = np.random.default_rng(4)
+    frames = rng.integers(0, 256, (7, 12, 10), dtype=np.uint8)
+    for cs in ("420", "422", "444", "mono"):
+        data = encode_y4m(frames, fps=(25, 1), colorspace=cs)
+        info = y4m_info(data)
+        assert (info["w"], info["h"], info["fps_num"]) == (10, 12, 25)
+        assert y4m_frame_count(data) == 7
+        dec, _ = decode_y4m(data)
+        assert np.array_equal(dec, frames)
+        # random access: frame 5 alone matches the full decode
+        assert np.array_equal(decode_y4m_frame(data, 5), frames[5])
+    # '420jpeg' siting tag parses as 420 geometry
+    tagged = data.replace(b"Cmono", b"C420jpeg", 1)
+    assert y4m_info(tagged)["colorspace"] == "420"
+
+
+def test_y4m_codec_errors():
+    from idf.codecs.y4m import Y4mError, decode_y4m_frame, encode_y4m, y4m_info
+
+    with pytest.raises(Y4mError):
+        y4m_info(b"MPEG4 nope")
+    data = encode_y4m(np.zeros((2, 8, 8), dtype=np.uint8))
+    with pytest.raises(Y4mError):
+        decode_y4m_frame(data, 9)  # out of range
