@@ -158,12 +158,6 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
     return version, quality, h, w
 
 
-def fjpg_dims(data: bytes) -> tuple[int, int]:
-    """(h, w) from the header alone — no decode."""
-    _, _, h, w = _parse_header(data)
-    return h, w
-
-
 def _streams(data: bytes, version: int) -> list[tuple[bytes, bytes | None]]:
     """Per channel: (dc_z, ac_z) for v3, (full_z, None) for v2."""
     out, pos = [], 10

@@ -1,243 +1,26 @@
-"""Multimodal media operators: opaque binary columns + typed metadata.
+"""Image thumbnail operator: an actor-pool ``map_batches`` stage over
+(image_id, bytes[, fmt, orientation]) rows.
 
-Image/audio/video travel as ``binary`` columns with typed metadata;
-decode / feature-extract / resize / frame-sample run as actor-pool
-``map_batches`` stages (state built once per actor in ``__init__``).
-All three modalities now have REAL in-repo decode paths:
+Each actor resolves its codec and kernel handles once in ``__init__``;
+``__call__`` decodes each row of an Arrow batch, normalizes EXIF
+orientation, downscales with the reference-exact bilinear kernel and
+re-encodes as PNG. Output schema:
 
-- images: idf.codecs (PNG/BMP/FJPG/real JFIF)
-- audio:  idf.codecs.wav — RIFF/WAVE PCM + float (public container,
-          pure struct+numpy)
-- video:  idf.codecs.y4m — YUV4MPEG2 (public uncompressed container);
-          fixed frame size means the sampler decodes ONLY sampled
-          frames via computed byte offsets, never the whole clip
-
-Compressed codecs (mp3/aac/h264/...) are not parseable in-sandbox:
-rows in those formats raise NotImplementedError in strict mode or take
-a clearly-marked deterministic stand-in otherwise — the seam a real
-deployment fills with ffmpeg/soundfile bindings.
-
-Schemas:
-  audio:  (media_id: string, bytes: binary, sample_rate: int32,
-           n_channels: int32, fmt: string)
-  video:  (media_id: string, bytes: binary, fps: float32,
-           n_frames: int32, w: int32, h: int32, fmt: string)
+  (image_id: string, thumb: binary, w: int32, h: int32, status: string)
 """
 
 from __future__ import annotations
 
-from hashlib import blake2b
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-
-AUDIO_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.string()),
-        ("bytes", pa.binary()),
-        ("sample_rate", pa.int32()),
-        ("n_channels", pa.int32()),
-        ("fmt", pa.string()),
-    ]
-)
-
-VIDEO_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.string()),
-        ("bytes", pa.binary()),
-        ("fps", pa.float32()),
-        ("n_frames", pa.int32()),
-        ("w", pa.int32()),
-        ("h", pa.int32()),
-        ("fmt", pa.string()),
-    ]
-)
-
-
-def _stub_pcm(data: bytes, n: int = 4096) -> np.ndarray:
-    """Deterministic stand-in used ONLY for formats with no in-sandbox
-    codec (mp3/aac/...): blake2b-seeded pseudo-PCM."""
-    seed = int.from_bytes(blake2b(bytes(data[:64]), digest_size=8).digest(), "little")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n).astype(np.float32)
-
-
-class AudioFeaturizer:
-    """Actor-pool UDF: per-clip feature extraction over the audio table.
-
-    ``__init__`` builds the filterbank ONCE per actor (model-load
-    analog); ``__call__`` handles a zero-copy Arrow batch. WAV rows
-    decode for REAL (idf/codecs/wav.py); other formats raise
-    NotImplementedError with ``strict=True`` or take the clearly-marked
-    pseudo-PCM stand-in otherwise — swap ``_decode``'s fallback for an
-    ffmpeg/soundfile binding to deploy on compressed audio."""
-
-    N_MEL = 16  # toy filterbank size
-
-    def __init__(self, strict: bool = False):
-        from idf.codecs.flac import MAGIC as FLAC_MAGIC
-        from idf.codecs.flac import decode_flac
-        from idf.codecs.wav import MAGIC, decode_wav
-
-        self.strict = strict
-        self._wav_magic = MAGIC
-        self._decode_wav = decode_wav
-        self._flac_magic = FLAC_MAGIC
-        self._decode_flac = decode_flac
-        # per-actor state: a deterministic "filterbank" (model-load analog)
-        rng = np.random.default_rng(1234)
-        self.filterbank = rng.standard_normal((self.N_MEL, 128)).astype(np.float32)
-
-    def _decode(self, data) -> tuple[np.ndarray, int]:
-        """-> (mono float32 PCM, sample_rate)."""
-        if bytes(data[:4]) == self._wav_magic:
-            x, sr = self._decode_wav(data)  # REAL decode
-            return x.mean(axis=1) if x.shape[1] > 1 else x[:, 0], sr
-        if bytes(data[:4]) == self._flac_magic:
-            x, sr = self._decode_flac(data)  # REAL compressed decode
-            return x.mean(axis=1) if x.shape[1] > 1 else x[:, 0], sr
-        if self.strict:
-            raise NotImplementedError(
-                "lossy audio decode (mp3/aac) requires a codec library not present in this container"
-            )
-        return _stub_pcm(bytes(data[:64])), 16000  # STAND-IN (non-WAV only)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        bcol = batch["bytes"].combine_chunks()
-        n = len(ids)
-        feats = np.empty((n, self.N_MEL), dtype=np.float32)
-        n_samples = np.empty(n, dtype=np.int64)
-        rms = np.empty(n, dtype=np.float32)
-        zcr = np.empty(n, dtype=np.float32)
-        dur = np.empty(n, dtype=np.float32)
-        for i in range(n):
-            pcm, sr = self._decode(memoryview(bcol[i].as_buffer()))
-            n_samples[i] = pcm.size
-            rms[i] = np.sqrt(np.mean(pcm.astype(np.float64) ** 2)) if pcm.size else 0.0
-            zcr[i] = (
-                np.count_nonzero(np.signbit(pcm[1:]) != np.signbit(pcm[:-1])) / max(1, pcm.size - 1)
-            )
-            dur[i] = pcm.size / max(1, sr)
-            # toy spectrogram: windowed energy -> filterbank projection
-            frames = pcm[: (len(pcm) // 128) * 128].reshape(-1, 128)
-            feats[i] = self.filterbank @ np.abs(frames).mean(axis=0) if frames.size else 0.0
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.string()),
-                "features": pa.array(list(feats), pa.list_(pa.float32())),
-                "n_samples": pa.array(n_samples),
-                "duration_s": pa.array(dur),
-                "rms": pa.array(rms),
-                "zcr": pa.array(zcr),
-            }
-        )
-
-
-class VideoFrameSampler:
-    """Actor-pool UDF: frame sampling over the video table — emits one
-    row per sampled frame (``flat_map``-style expansion inside
-    ``map_batches``). YUV4MPEG2 rows decode for REAL
-    (idf/codecs/y4m.py), and because y4m frames are fixed-size the
-    sampler random-accesses ONLY the sampled frames — the property that
-    keeps a 100-TB frame-sampling stage byte-bounded. Compressed
-    containers (mp4/...) raise in strict mode or take a deterministic
-    digest stand-in (w=h=0 marks those rows)."""
-
-    def __init__(self, every_n: int = 30, strict: bool = False):
-        from idf.codecs.y4m import MAGIC, decode_y4m_frame, y4m_frame_count, y4m_info
-
-        self.every_n = every_n
-        self.strict = strict
-        self._magic = MAGIC
-        self._info = y4m_info
-        self._count = y4m_frame_count
-        self._frame = decode_y4m_frame
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        nframes = batch["n_frames"].to_pylist()
-        bcol = batch["bytes"].combine_chunks()
-        out_id, out_idx, out_frame, out_w, out_h, out_luma = [], [], [], [], [], []
-        for i in range(len(ids)):
-            data = memoryview(bcol[i].as_buffer())
-            if bytes(data[: len(self._magic)]) == self._magic:
-                info = self._info(bytes(data[:256]))
-                n = self._count(data)
-                for f in range(0, n, self.every_n):
-                    y = self._frame(data, f)  # REAL decode, this frame only
-                    out_id.append(ids[i])
-                    out_idx.append(f)
-                    out_frame.append(y.tobytes())
-                    out_w.append(info["w"])
-                    out_h.append(info["h"])
-                    out_luma.append(float(y.mean()))
-                continue
-            if self.strict:
-                raise NotImplementedError(
-                    "non-y4m video decode requires a codec library not present in this container"
-                )
-            raw = bytes(data[:32])
-            for f in range(0, int(nframes[i] or 0), self.every_n):
-                # STAND-IN frame bytes (non-y4m only): content-keyed digest
-                h = blake2b(raw + f.to_bytes(4, "little"), digest_size=16).digest()
-                out_id.append(ids[i])
-                out_idx.append(f)
-                out_frame.append(h)
-                out_w.append(0)
-                out_h.append(0)
-                out_luma.append(-1.0)
-        return pa.table(
-            {
-                "media_id": pa.array(out_id, pa.string()),
-                "frame_idx": pa.array(out_idx, pa.int32()),
-                "frame_bytes": pa.array(out_frame, pa.binary()),
-                "w": pa.array(np.asarray(out_w, dtype=np.int32)),
-                "h": pa.array(np.asarray(out_h, dtype=np.int32)),
-                "mean_luma": pa.array(np.asarray(out_luma, dtype=np.float32)),
-            }
-        )
-
-
-def audio_features(
-    audio: rd.Dataset, concurrency: int | None = None, strict: bool = False
-) -> rd.Dataset:
-    """Actor-pool feature extraction (setup once per actor).
-
-    WAV and FLAC rows decode for real; ``strict=True`` raises on the
-    remaining lossy formats instead of taking the pseudo-PCM stand-in."""
-    kw = {"concurrency": (1, concurrency)} if concurrency else {"concurrency": (1, 4)}
-    return audio.map_batches(
-        AudioFeaturizer,
-        fn_constructor_kwargs={"strict": strict},
-        batch_format="pyarrow",
-        batch_size=64,  # media payloads are large: small batches
-        zero_copy_batch=True,
-        **kw,
-    )
-
-
-def video_frames(video: rd.Dataset, every_n: int = 30, concurrency: int | None = None) -> rd.Dataset:
-    """Actor-pool frame sampling; one output row per sampled frame."""
-    kw = {"concurrency": (1, concurrency)} if concurrency else {"concurrency": (1, 4)}
-    return video.map_batches(
-        VideoFrameSampler,
-        fn_constructor_kwargs={"every_n": every_n},
-        batch_format="pyarrow",
-        batch_size=16,
-        zero_copy_batch=True,
-        **kw,
-    )
 
 
 class ImageThumbnailer:
     """map_batches UDF: decode -> EXIF-orientation normalize -> bilinear
     downscale (longest side <= max_side, never upscaled) -> PNG encode.
 
-    Unlike the audio/video scaffolds above, this stage is FULLY REAL:
-    it runs on the engine's own pure-numpy codecs (idf.codecs) and the
+    It runs on the engine's own pure-numpy codecs (idf.codecs) and the
     reference-exact bilinear kernel (idf/kernels/preprocess.py,
     core/Format.java analog). Per-record error tolerance mirrors the
     hash stage (M9): undecodable rows emit status='skip' instead of
@@ -322,78 +105,4 @@ def image_thumbnails(
         batch_size=64,
         zero_copy_batch=True,
         **kw,
-    )
-
-
-def synth_audio_table(n: int = 64, seed: int = 0) -> pa.Table:
-    """Deterministic synthetic audio table (AUDIO_SCHEMA): REAL 16-bit
-    PCM — seeded sine + harmonic + noise mixes, so feature outputs
-    (rms, zcr, duration) have closed-form pytest oracles. Every 4th
-    clip ships as compressed FLAC (idf/codecs/flac.py), the rest as
-    RIFF/WAV; both carry the IDENTICAL int16 payload, so the feature
-    stage's output is container-invariant (pinned in tests)."""
-    from idf.codecs.flac import encode_flac
-    from idf.codecs.wav import encode_wav
-
-    rng = np.random.default_rng(seed)
-    sr = 16000
-    blobs = []
-    fmts = []
-    for i in range(n):
-        freq = float(rng.uniform(80, 2000))
-        amp = float(rng.uniform(0.2, 0.9))
-        dur = float(rng.uniform(0.15, 0.4))
-        t = np.arange(int(sr * dur)) / sr
-        x = amp * np.sin(2 * np.pi * freq * t)
-        x += 0.1 * amp * np.sin(2 * np.pi * 2 * freq * t)  # harmonic
-        x += rng.normal(0, 0.01, x.size)  # noise floor
-        x = np.clip(x, -1, 1)
-        if i % 4 == 3:
-            xi = np.clip(np.round(x * 32767.0), -32768, 32767).astype(np.int64)
-            blobs.append(encode_flac(xi, sr, bits=16, block_size=2048))
-            fmts.append("flac")
-        else:
-            blobs.append(encode_wav(x, sr, bits=16))
-            fmts.append("wav")
-    return pa.table(
-        {
-            "media_id": [f"a{i:05d}" for i in range(n)],
-            "bytes": pa.array(blobs, pa.binary()),
-            "sample_rate": pa.array([sr] * n, pa.int32()),
-            "n_channels": pa.array([1] * n, pa.int32()),
-            "fmt": fmts,
-        },
-        schema=AUDIO_SCHEMA,
-    )
-
-
-def synth_video_table(n: int = 32, seed: int = 1) -> pa.Table:
-    """Deterministic synthetic video table (VIDEO_SCHEMA): REAL
-    YUV4MPEG2 bytes — drifting gradient luma whose per-frame mean is
-    analytically known (frame f mean ≈ base + f, mod wrap avoided)."""
-    from idf.codecs.y4m import encode_y4m
-
-    rng = np.random.default_rng(seed)
-    w, h = 64, 48
-    yy, xx = np.mgrid[0:h, 0:w]
-    blobs, frame_counts = [], []
-    for i in range(n):
-        nf = 30 * (1 + i % 8)
-        base = int(rng.integers(10, 60))
-        drift = float(rng.uniform(0.2, 0.5))
-        f = np.arange(nf, dtype=np.float64)[:, None, None]
-        frames = np.clip(base + drift * f + (xx + yy)[None] * 0.5, 0, 255).astype(np.uint8)
-        blobs.append(encode_y4m(frames, fps=(30, 1), colorspace="420"))
-        frame_counts.append(nf)
-    return pa.table(
-        {
-            "media_id": [f"v{i:05d}" for i in range(n)],
-            "bytes": pa.array(blobs, pa.binary()),
-            "fps": pa.array([30.0] * n, pa.float32()),
-            "n_frames": pa.array(frame_counts, pa.int32()),
-            "w": pa.array([w] * n, pa.int32()),
-            "h": pa.array([h] * n, pa.int32()),
-            "fmt": ["y4m"] * n,
-        },
-        schema=VIDEO_SCHEMA,
     )

@@ -102,13 +102,42 @@ def test_perfbench_trace_finds_the_idf_names_it_reads():
     from idf.state.manifest import RunManifest
     from perfbench.trace import Tracer, instrumented, optional_counters
 
-    before = (RunManifest.run_stage, cc.components_phash_labelprop)
+    hooks = [
+        (RunManifest, "run_stage"),
+        (RunManifest, "run_stages_concurrent"),
+        (cc, "components_phash_driver"),
+        (cc, "components_phash_labelprop"),
+    ]
+    before = [getattr(owner, attr) for owner, attr in hooks]
     with instrumented(Tracer("t")):
-        assert RunManifest.run_stage is not before[0]
-    assert (RunManifest.run_stage, cc.components_phash_labelprop) == before
+        assert all(getattr(o, a) is not f for (o, a), f in zip(hooks, before))
+    assert all(getattr(o, a) is f for (o, a), f in zip(hooks, before))
     assert {"ops.exchange_calls", "ops.sort_calls", "stages.cc.labelprop_rounds"} <= set(
         optional_counters()
     )
+
+
+def test_perfbench_workloads_and_kernel_names_resolve():
+    """perfbench/pipeline.py builds a DedupConfig per workload, and
+    ``kernel_rates`` / ``layer_metrics`` in perfbench/trace.py import the
+    hash path's kernels and the band expander; a renamed or deleted
+    config field or name would break the benchmark, so it fails here."""
+    from idf.codecs import DecodeError, decode_luma_scaled, sniff  # noqa: F401
+    from idf.config import DedupConfig
+    from idf.kernels.hashes import (  # noqa: F401
+        DECODE_MIN_DIM,
+        hash_gray_batch,
+        preprocess,
+        resize_dims,
+    )
+    from idf.stages.candidates import BandExpander  # noqa: F401
+    from perfbench.pipeline import WORKLOADS, dedup_config
+
+    assert WORKLOADS
+    for w in WORKLOADS.values():
+        cfg = dedup_config(w)
+        assert isinstance(cfg, DedupConfig)
+        assert {k: getattr(cfg, k) for k in w.cfg} == w.cfg, w.name
 
 
 def test_perfbench_kernel_rates_are_strict_json(tmp_path):

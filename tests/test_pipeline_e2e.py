@@ -743,6 +743,38 @@ def _force_distributed_distinct(monkeypatch) -> None:
     monkeypatch.setattr(dedup_mod, "DISTINCT_DRIVER_MAX_ROWS", 0)
 
 
+@pytest.mark.parametrize("broadcast_max_rows", [None, 0], ids=["broadcast", "hash_join"])
+def test_distributed_plan_route_matches_oracle(
+    ray_session, small_images_table, tmp_path, monkeypatch, broadcast_max_rows
+):
+    """With the plan stage's driver fast path refused, ``run_dedup``
+    elects keepers through the distributed ``plan_stage``: on its
+    broadcast-dict branch at the default guard, and on its ``hash_join``
+    branch at ``broadcast_max_rows=0``. Both give the oracle's plan."""
+    import idf.pipelines.dedup as dedup_mod
+    import idf.stages.plan as plan_mod
+
+    hash_join, joins = plan_mod.hash_join, []
+
+    def counted_join(*a, **kw):
+        joins.append(kw.get("on"))
+        return hash_join(*a, **kw)
+
+    monkeypatch.setattr(plan_mod, "plan_stage_files", lambda *a, **kw: None)
+    monkeypatch.setattr(plan_mod, "hash_join", counted_join)
+    if broadcast_max_rows is not None:
+        plan_stage = plan_mod.plan_stage
+        monkeypatch.setattr(
+            dedup_mod,
+            "plan_stage",
+            lambda c, m: plan_stage(c, m, broadcast_max_rows=broadcast_max_rows),
+        )
+    run_dir = str(tmp_path / "run")
+    run_dedup(small_images_table, run_dir, DedupConfig(), resume=False, do_apply=False)
+    assert joins == ([] if broadcast_max_rows is None else ["image_id"])
+    assert _plan_rows(run_dir) == _oracle_plan(small_images_table)
+
+
 EDGE_CORPUS_CASES = [
     pytest.param(kind, cfg, id=kind if not cfg else f"scale_out-{kind}")
     for cfg in ({}, SCALE_OUT)

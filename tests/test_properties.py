@@ -72,50 +72,6 @@ def test_bilinear_resize_exact_on_constant(in_h, in_w, out_h, out_w, value):
     assert np.allclose(out, float(value))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=1, max_value=3),
-    st.sampled_from([8000, 16000, 44100]),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_wav_roundtrip_property(n, ch, sr, seed):
-    """WAV codec: float32 is lossless to ~1e-7, PCM16 within one LSB,
-    at any length/channel/rate combination."""
-    from idf.codecs.wav import decode_wav, encode_wav
-
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, (n, ch))
-    f32, got_sr = decode_wav(encode_wav(x, sr, bits=32))
-    assert got_sr == sr and f32.shape == (n, ch)
-    assert np.abs(f32 - x).max() < 1e-6
-    p16, _ = decode_wav(encode_wav(x, sr, bits=16))
-    assert np.abs(p16 - x).max() <= 1.5 / 32767
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=1, max_value=33),
-    st.integers(min_value=1, max_value=33),
-    st.sampled_from(["420", "422", "444", "mono"]),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_y4m_random_access_property(n, h, w, cs, seed):
-    """Y4M codec: any frame decoded alone at its computed offset equals
-    the full decode at that index, for every colorspace geometry."""
-    from idf.codecs.y4m import decode_y4m, decode_y4m_frame, encode_y4m, y4m_frame_count
-
-    rng = np.random.default_rng(seed)
-    frames = rng.integers(0, 256, (n, h, w), dtype=np.uint8)
-    data = encode_y4m(frames, colorspace=cs)
-    assert y4m_frame_count(data) == n
-    full, info = decode_y4m(data)
-    assert np.array_equal(full, frames)
-    k = int(rng.integers(0, n))
-    assert np.array_equal(decode_y4m_frame(data, k), frames[k])
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40),
