@@ -140,13 +140,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         fingerprint_md5,
         hash_split,
         contamination as _contamination,
-        curation_funnel as _curation_funnel,
-        packing_stats as _packing_stats,
-        langid_confusion as _langid_confusion,
-        lang_id,
         quality_components,
         repetition_stats,
-        tfidf_topk,
         token_count,
         token_count_bpe,
         top_bigrams,
@@ -367,11 +362,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_hash_split": lambda sf: hash_split(_docs(sf)),
         "doc_leakfree_split": lambda sf: leakfree_split(_docs(sf)),
         "doc_top_bigrams": lambda sf: top_bigrams(_docs(sf), k=20),
-        "doc_tfidf_topk": lambda sf: tfidf_topk(_docs(sf), k=5),
         "doc_contamination": lambda sf: _contamination(_docs(sf)),
-        "doc_curation_funnel": lambda sf: _curation_funnel(_docs(sf)),
-        "doc_packing_stats": lambda sf: _packing_stats(_docs(sf)),
-        "doc_langid_confusion": lambda sf: _langid_confusion(_docs(sf)),
         "doc_token_count": lambda sf: token_count(_docs(sf)),
         "doc_token_count_bpe": lambda sf: token_count_bpe(_docs(sf)),
         "doc_quality": lambda sf: quality_components(_docs(sf)),
@@ -393,7 +384,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_simhash_pairs": lambda sf: simhash_pairs(
             _docs(sf), radius=8, hash_mode="md5"
         ).select_columns(["doc_id_a", "doc_id_b"]),
-        "doc_lang_id": lambda sf: lang_id(_docs(sf)),
         "doc_winnow_fp": lambda sf: winnow_fingerprints(_docs(sf)),
         "doc_substring_dups": lambda sf: substring_dup_positions(_docs(sf), min_len=30),
         "doc_substring_spans": lambda sf: substring_dup_spans(_docs(sf), min_len=30),
@@ -615,54 +605,6 @@ def img_oracle_sql(sf: str) -> dict[str, str]:
             FROM page
         """,
     }
-
-
-def _lang_id_sql() -> str:
-    """Integer-ratio replica of ``idf.functions.text.lang_id``: shared
-    denominator across profiles -> best language maximizes the raw hit
-    count (ties alphabetical); zh branch is the exact integer compare
-    ``5*cjk > n_chars``."""
-    from idf.functions.text import _LANG_PROFILES
-
-    profiles = {k: v for k, v in sorted(_LANG_PROFILES.items()) if v}
-    hits = ",\n                   ".join(
-        "length(list_filter(toks, x -> x IN ({}))) AS h_{}".format(
-            ", ".join(f"'{w}'" for w in sorted(v)), l
-        )
-        for l, v in profiles.items()
-    )
-    gmax = "greatest(" + ", ".join(f"h_{l}" for l in profiles) + ")"
-    pick = " ".join(
-        f"WHEN h_{l} = {gmax} THEN '{l}'" for l in profiles
-    )
-    return f"""
-        WITH t AS (
-          SELECT doc_id, text,
-                 length(regexp_replace(text, '[^\\x{{4e00}}-\\x{{9fff}}]', '', 'g')) AS cjk,
-                 length(text) AS n_chars,
-                 regexp_split_to_array(lower(trim(text)), '\\s+') AS toks
-          FROM documents
-        ),
-        h AS (SELECT doc_id, cjk, n_chars, greatest(length(toks), 1) AS n_toks,
-                   {hits}
-              FROM t),
-        best AS (
-          SELECT doc_id, cjk, n_chars, n_toks, {gmax} AS bh,
-                 CASE WHEN {gmax} = 0 THEN 'und' {pick} END AS bl
-          FROM h
-        )
-        SELECT best.doc_id,
-               CASE WHEN t.text = '' THEN 'und'
-                    WHEN 5 * best.cjk > best.n_chars THEN 'zh'
-                    ELSE bl END AS lang_pred,
-               CASE WHEN t.text = '' THEN 0
-                    WHEN 5 * best.cjk > best.n_chars THEN best.cjk
-                    ELSE bh END AS score_num,
-               CASE WHEN t.text = '' THEN 1
-                    WHEN 5 * best.cjk > best.n_chars THEN best.n_chars
-                    ELSE n_toks END AS score_den
-        FROM best JOIN t ON t.doc_id = best.doc_id
-    """
 
 
 def _winnow_sql(k: int = 5, window: int = 4) -> str:
@@ -927,50 +869,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT gram, count(*) AS n FROM bi GROUP BY gram
             ORDER BY n DESC, gram LIMIT 20
         """,
-        # ceil-div via integer arithmetic; token rule = doc_token_count
-        "doc_packing_stats": """
-            WITH t AS (
-              SELECT CASE WHEN trim(text) = '' THEN 0
-                          ELSE length(regexp_split_to_array(trim(text), '\\s+')) END
-                       AS n_tokens
-              FROM documents
-            )
-            SELECT count(*) AS n_docs,
-                   sum(n_tokens)::BIGINT AS n_tokens_total,
-                   sum((n_tokens + 1023) // 1024)::BIGINT AS n_slots
-            FROM t
-        """,
-        # stage rules composed from the already-green per-op oracles:
-        # token_count's n_tokens, lang_id's integer prediction rule
-        # (the same _lang_id_sql text, CTE-wrapped), fingerprint_md5's
-        # md5(lower(trim(text)))
-        "doc_curation_funnel": f"""
-            WITH lang AS ({_lang_id_sql()}),
-            tok AS (
-              SELECT doc_id,
-                     CASE WHEN trim(text) = '' THEN 0
-                          ELSE length(regexp_split_to_array(trim(text), '\\s+')) END
-                       AS n_tokens
-              FROM documents
-            ),
-            j AS (
-              SELECT d.doc_id, d.text FROM documents d
-              JOIN tok t USING (doc_id) JOIN lang l USING (doc_id)
-              WHERE t.n_tokens >= 10 AND l.lang_pred = 'en'
-            ),
-            j2 AS (
-              SELECT d.doc_id FROM documents d JOIN tok t USING (doc_id)
-              WHERE t.n_tokens >= 10
-            )
-            SELECT * FROM (
-              SELECT 1 AS stage, 'total' AS stage_name,
-                     (SELECT count(*) FROM documents) AS n_docs
-              UNION ALL SELECT 2, 'min_tokens', (SELECT count(*) FROM j2)
-              UNION ALL SELECT 3, 'lang_en', (SELECT count(*) FROM j)
-              UNION ALL SELECT 4, 'exact_distinct',
-                (SELECT count(DISTINCT md5(lower(trim(text)))) FROM j)
-            ) ORDER BY stage
-        """,
         # the benchmark split is doc_id % 50 = 0; a doc's n_hits counts
         # its 5-token window POSITIONS whose gram also appears anywhere
         # in the benchmark (lead(w,4) IS NULL marks short windows)
@@ -999,26 +897,6 @@ def oracle_sql() -> dict[str, str]:
             FROM documents d LEFT JOIN hits h USING (doc_id)
             WHERE d.doc_id % 50 <> 0
         """,
-        "doc_tfidf_topk": """
-            WITH t2 AS (
-              SELECT doc_id, term FROM (
-                SELECT doc_id,
-                       unnest(regexp_split_to_array(lower(text), '[^a-z]+')) AS term
-                FROM documents)
-              WHERE length(term) >= 2
-            ),
-            tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM t2 GROUP BY doc_id, term),
-            df AS (SELECT term, COUNT(DISTINCT doc_id) AS df FROM t2 GROUP BY term),
-            scored AS (
-              SELECT tf.doc_id, tf.term, tf.tf, df.df,
-                     ROW_NUMBER() OVER (
-                       PARTITION BY tf.doc_id
-                       ORDER BY CAST(tf.tf AS DOUBLE) / df.df DESC, tf.term ASC
-                     ) AS rank
-              FROM tf JOIN df USING (term)
-            )
-            SELECT doc_id, term, tf, df, rank FROM scored WHERE rank <= 5
-        """,
         "doc_token_count": """
             SELECT doc_id,
                    CASE WHEN trim(text) = '' THEN 0
@@ -1039,14 +917,6 @@ def oracle_sql() -> dict[str, str]:
         """,
         "doc_exact_dedup": "SELECT min(doc_id) AS doc_id, text FROM documents GROUP BY text",
         "doc_fingerprint": "SELECT doc_id, md5(lower(trim(text))) AS fp FROM documents",
-        "doc_lang_id": _lang_id_sql(),
-        # joins the SAME prediction CTE against the table's labeled lang
-        "doc_langid_confusion": f"""
-            WITH pred AS ({_lang_id_sql()})
-            SELECT d.lang, p.lang_pred, count(*) AS n
-            FROM documents d JOIN pred p USING (doc_id)
-            GROUP BY d.lang, p.lang_pred
-        """,
         "doc_winnow_fp": _winnow_sql(),
         "doc_token_count_bpe": r"""
             SELECT doc_id,

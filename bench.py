@@ -120,7 +120,7 @@ def run_bench() -> dict:
             ).sum("n")
 
     from idf.functions.ann import dedup_embeddings_map, lsh_pairs
-    from idf.functions.text import contamination, tfidf_topk
+    from idf.functions.text import contamination
     from idf.functions.text_dedup import dedup_docs_map, substring_dup_spans
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
@@ -136,7 +136,6 @@ def run_bench() -> dict:
             "emb_dedup_map",
             lambda: dedup_embeddings_map(emb, tau=0.4, n_bits=8, n_tables=4).count(),
         ),
-        ("doc_tfidf_topk", lambda: tfidf_topk(docs, k=5).count()),
         ("doc_contamination", lambda: contamination(docs).count()),
     ]
     # best-of-N per query, same protocol as the headline

@@ -58,7 +58,7 @@ class DedupConfig:
     # ``phash`` column (input_hint schema) instead of decoding every
     # image, and decode only a deterministic content-keyed sample to
     # verify the column (stages/hash_stage.py:
-    # precomputed_hash_stage / verify_precomputed_sample). A 100-TB
+    # PrecomputedHasher / verify_precomputed_sample). A 100-TB
     # deployment never re-decodes a trusted corpus; the sampled decode
     # is the fidelity gate. Default "auto" (r4 verdict #9): ON when the
     # source table ships the (w, h, phash) metadata columns AND algo is

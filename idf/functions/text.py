@@ -1,5 +1,7 @@
-"""Text-analysis operators for a training-data pipeline (task brief:
-language-ID, quality scoring, token counting, document fingerprinting).
+"""Text-analysis operators for a training-data pipeline: token counts,
+quality components, document fingerprints (md5, winnowing), Gopher-style
+repetition signals, benchmark contamination, train/test splits and
+corpus bigram statistics.
 
 All are single-pass vectorized ``map_batches`` stages over the
 ``documents`` table; the SQL-expressible ones have DuckDB oracles in
@@ -22,16 +24,13 @@ import ray.data as rd
 # (ADVICE r1 — .strip() would diverge on edge non-space whitespace).
 _WS = re.compile(r"\s+")
 
-# tiny per-language stopword profiles for the heuristic language-ID
-_LANG_PROFILES = {
-    "en": {"the", "a", "of", "and", "to", "in", "is", "that", "it", "for"},
-    "de": {"der", "die", "das", "und", "ist", "ein", "zu", "den", "mit", "von"},
-    "fr": {"le", "la", "les", "et", "est", "un", "une", "de", "des", "que"},
-    "es": {"el", "la", "los", "las", "y", "es", "un", "una", "de", "que"},
-    "zh": set(),  # no-latin-stopword fallback handled by the CJK ratio
-}
-
-_STOPWORDS = sorted(set().union(*_LANG_PROFILES.values()))
+# English, German, French and Spanish function words counted by
+# ``quality_components`` (and its DuckDB oracle), sorted
+_STOPWORDS = [
+    "a", "and", "das", "de", "den", "der", "des", "die", "ein", "el", "es", "est",
+    "et", "for", "in", "is", "ist", "it", "la", "las", "le", "les", "los", "mit",
+    "of", "que", "that", "the", "to", "un", "una", "und", "une", "von", "y", "zu",
+]
 
 
 def token_count(ds: rd.Dataset) -> rd.Dataset:
@@ -69,43 +68,10 @@ def token_count_bpe(ds: rd.Dataset) -> rd.Dataset:
     return ds.map_batches(f, batch_format="pandas")
 
 
-def quality_score(ds: rd.Dataset) -> rd.Dataset:
-    """(doc_id, n_tokens, avg_token_len, stop_ratio, quality) — simple
-    length/stopword quality heuristics, all SQL-expressible (rounded to
-    6 dp so the DuckDB value-hash matches)."""
-    stop = frozenset(_STOPWORDS)
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        texts = df["text"].fillna("").str.strip(" ")
-        tok_lists = texts.map(lambda s: _WS.split(s) if s else [])
-        n_tok = tok_lists.map(len).astype(np.int64)
-        tot_len = tok_lists.map(lambda ts: sum(len(t) for t in ts)).astype(np.int64)
-        n_stop = tok_lists.map(lambda ts: sum(1 for t in ts if t.lower() in stop)).astype(np.int64)
-        denom = n_tok.replace(0, 1)
-        avg_len = (tot_len / denom).round(6)
-        stop_ratio = (n_stop / denom).round(6)
-        quality = (
-            np.minimum(n_tok / 100.0, 1.0) * 0.5
-            + np.minimum(avg_len / 8.0, 1.0) * 0.3
-            + stop_ratio * 0.2
-        ).round(6)
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "n_tokens": n_tok,
-                "avg_token_len": avg_len,
-                "stop_ratio": stop_ratio,
-                "quality": quality,
-            }
-        )
-
-    return ds.map_batches(f, batch_format="pandas")
-
-
 def quality_components(ds: rd.Dataset) -> rd.Dataset:
-    """(doc_id, n_chars_trim, n_tokens, tot_token_len, n_stop) — the
-    integer building blocks of the quality score, emitted exactly so the
-    DuckDB oracle hash-matches (no float rounding in play)."""
+    """(doc_id, n_chars_trim, n_tokens, tot_token_len, n_stop) — integer
+    length and stopword quality signals, emitted exactly so the DuckDB
+    oracle hash-matches (no float rounding in play)."""
     stop = frozenset(_STOPWORDS)
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -126,63 +92,6 @@ def quality_components(ds: rd.Dataset) -> rd.Dataset:
         )
 
     return ds.map_batches(f, batch_format="pandas")
-
-
-def lang_id(ds: rd.Dataset) -> rd.Dataset:
-    """(doc_id, lang_pred, score_num, score_den) — stopword-profile +
-    CJK-ratio heuristic language ID.
-
-    The score is emitted as an exact integer ratio (matched-token count
-    over token count; CJK-char count over char count for the zh branch)
-    rather than a rounded float, so the DuckDB oracle hash-matches
-    bit-for-bit (the r1 ``quality_components`` lesson). All branch
-    comparisons are integer (``5*cjk > n_chars`` instead of
-    ``cjk/n > 0.2``); across language profiles the denominator is
-    shared, so the best language maximizes the raw hit count, ties
-    broken alphabetically (the iteration order of ``sorted``)."""
-    return ds.map_batches(lang_id_batch, batch_format="pandas")
-
-
-def lang_id_batch(df: pd.DataFrame) -> pd.DataFrame:
-    """``lang_id``'s per-batch kernel at module scope so composed
-    operators (``curation_funnel``) apply the IDENTICAL prediction rule.
-
-    Fully vectorized (the r1 version looped Python chars per doc for
-    the CJK count): regex counts + one explode/isin pass per profile,
-    all in pandas' C string kernels. Ties -> first alphabetical
-    language (argmax over sorted columns), all-zero hits -> 'und',
-    zh branch = exact 5*cjk > n_chars."""
-    profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items() if v}
-    texts = df["text"].fillna("").reset_index(drop=True)
-    n = len(texts)
-    n_chars = texts.str.len().to_numpy(np.int64)
-    cjk = texts.str.count("[一-鿿]").to_numpy(np.int64)
-    toks = texts.str.strip(" ").str.lower().str.split(r"\s+")
-    den = np.maximum(toks.map(len).to_numpy(np.int64), 1)
-    langs = sorted(profiles)
-    mat = np.zeros((n, len(langs)), dtype=np.int64)
-    ex = toks.explode()
-    for j, lang in enumerate(langs):
-        h = ex.isin(profiles[lang]).groupby(level=0).sum()
-        mat[h.index.to_numpy(), j] = h.to_numpy(np.int64)
-    best_j = mat.argmax(axis=1)
-    best_hits = mat[np.arange(n), best_j] if n else np.zeros(0, np.int64)
-    pred = np.where(
-        best_hits > 0, np.asarray(langs, dtype=object)[best_j], "und"
-    ).astype(object)
-    num = best_hits.copy()
-    zh = 5 * cjk > n_chars
-    pred[zh] = "zh"
-    num[zh] = cjk[zh]
-    den[zh] = n_chars[zh]
-    return pd.DataFrame(
-        {
-            "doc_id": df["doc_id"].to_numpy(),
-            "lang_pred": pred,
-            "score_num": num,
-            "score_den": den,
-        }
-    )
 
 
 def fingerprint_md5(ds: rd.Dataset) -> rd.Dataset:
@@ -300,99 +209,6 @@ def top_bigrams(ds: rd.Dataset, k: int = 20) -> rd.Dataset:
     return out.reset_index(drop=True)
 
 
-_ALPHA = re.compile(r"[^a-z]+")
-
-
-def tfidf_topk(ds: rd.Dataset, k: int = 5, min_len: int = 2) -> rd.Dataset:
-    """(doc_id, term, tf, df, rank): each document's k most distinctive
-    terms by TF-IDF, rank 1..k by ``tf/df`` descending with term-ascending
-    tiebreak — the standard vocabulary-weighting signal for boilerplate
-    filtering and corpus diagnostics. Tokenization is ``lower()`` +
-    split on ``[^a-z]+`` with terms shorter than ``min_len`` dropped,
-    chosen to be replicable verbatim in the DuckDB oracle
-    (``regexp_split_to_array``). Output columns are all integers/strings
-    so the driver's value hash is float-free; the ordering key
-    ``tf/df`` is the same float64 division of the same ints on both
-    sides, so ranks agree exactly.
-
-    100-TB shape: document rows NEVER shuffle. Pass 1 ships per-batch
-    Counter partials of document frequency (only distinct terms leave a
-    batch) into a bucketed exact sum — the only all-to-all, sized by
-    vocabulary, not corpus. The DF table is then broadcast once
-    (``ray.put`` of sorted term/df arrays; natural-language vocabulary
-    is sublinear in corpus size — if it outgrew worker heaps the
-    fallback is a term-keyed shuffle join, same as minhash's key
-    exchange) and pass 2 recomputes per-doc term counts in-batch,
-    resolves df by binary search, and emits each doc's local top-k."""
-    from collections import Counter
-
-    from idf.ops import bucketed_apply, get_broadcast
-
-    def tokens(text: str) -> list[str]:
-        return [t for t in _ALPHA.split(text.lower()) if len(t) >= min_len]
-
-    def df_partial(df: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for s in df["text"].fillna(""):
-            c.update(set(tokens(s)))
-        return pd.DataFrame(
-            {
-                "term": pd.Series(list(c.keys()), dtype=object),
-                "df": np.fromiter(c.values(), dtype=np.int64, count=len(c)),
-            }
-        )
-
-    def df_sum(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("term", sort=False)["df"].sum().reset_index()
-
-    dftab = bucketed_apply(
-        ds.map_batches(df_partial, batch_format="pandas"), "term", df_sum
-    ).to_pandas()  # vocabulary-sized by construction
-    if len(dftab) == 0:
-        # every token was dropped: downstream Counters are empty too, so
-        # empty lookup arrays are never indexed
-        terms_sorted = np.empty(0, dtype=object)
-        df_sorted = np.empty(0, dtype=np.int64)
-    else:
-        terms_sorted = np.sort(dftab["term"].to_numpy(dtype=object))
-        order = np.argsort(dftab["term"].to_numpy(dtype=object), kind="mergesort")
-        df_sorted = dftab["df"].to_numpy(dtype=np.int64)[order]
-    ref = ray.put((terms_sorted, df_sorted))
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        ts, dfs = get_broadcast(ref)
-        ids, term_o, tf_o, df_o, rk_o = [], [], [], [], []
-        for doc_id, s in zip(df["doc_id"], df["text"].fillna("")):
-            c = Counter(tokens(s))
-            if not c:
-                continue
-            t_arr = np.array(list(c.keys()), dtype=object)
-            tf_arr = np.fromiter(c.values(), dtype=np.int64, count=len(c))
-            pos = np.searchsorted(ts, t_arr)
-            d_arr = dfs[pos]  # every term is in the DF table by construction
-            sc = tf_arr.astype(np.float64) / d_arr
-            # top-k by (score desc, term asc): term-ascending pre-sort +
-            # stable argsort on -score gives the tiebreak for free
-            o = np.argsort(t_arr, kind="mergesort")
-            o = o[np.argsort(-sc[o], kind="mergesort")][:k]
-            ids.extend([doc_id] * len(o))
-            term_o.extend(t_arr[o])
-            tf_o.extend(tf_arr[o])
-            df_o.extend(d_arr[o])
-            rk_o.extend(range(1, len(o) + 1))
-        return pd.DataFrame(
-            {
-                "doc_id": np.asarray(ids, dtype=np.int64),
-                "term": pd.Series(term_o, dtype=object),
-                "tf": np.asarray(tf_o, dtype=np.int64),
-                "df": np.asarray(df_o, dtype=np.int64),
-                "rank": np.asarray(rk_o, dtype=np.int64),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pandas")
-
-
 def repetition_stats(ds: rd.Dataset) -> rd.Dataset:
     """(doc_id, n_chars, dup2_chars, dup3_chars, n_distinct_tokens) —
     Gopher-style repetition quality signals (Rae et al. 2021, public):
@@ -491,139 +307,3 @@ def contamination(
         return pd.DataFrame({"doc_id": ids.astype(np.int64), "n_hits": hits})
 
     return ds.map_batches(score, batch_format="pandas")
-
-
-def curation_funnel(
-    ds: rd.Dataset, min_tokens: int = 10, lang: str = "en"
-) -> pd.DataFrame:
-    """Corpus curation funnel: (stage, stage_name, n_docs) — how many
-    documents survive each filter of a standard pre-training cleanup:
-    1 total -> 2 ``n_tokens >= min_tokens`` -> 3 ``lang_pred == lang``
-    (the EXACT ``lang_id_batch`` rule) -> 4 distinct after exact dedup
-    (``md5(lower(trim(text)))`` fingerprints, the ``fingerprint_md5``
-    rule). The one-look diagnostic a curation run is summarized by.
-
-    100-TB shape: two streaming passes, neither shuffling document
-    rows. Pass 1 emits one (n_docs, n_ok2, n_ok3) partial row per batch
-    (driver sums blocks-many triples). Pass 2 re-derives stage-3
-    survivors and ships only their DISTINCT-within-batch fingerprints
-    into a fp-bucketed distinct count — fingerprint-sized, the same
-    exchange discipline as exact dedup. (Deliberately two passes: a
-    single pass would have to materialize a corpus-row-sized derived
-    table to serve both the counts and the distinct; re-scanning the
-    pruned text column streams instead.)
-    """
-
-    def _survivors(df: pd.DataFrame):
-        lp = lang_id_batch(df)
-        texts = df["text"].fillna("").str.strip(" ")
-        ntok = texts.map(lambda s: len(_WS.split(s)) if s else 0).to_numpy(np.int64)
-        ok2 = ntok >= min_tokens
-        ok3 = ok2 & (lp["lang_pred"].to_numpy(dtype=object) == lang)
-        return texts, ok2, ok3
-
-    def counts(df: pd.DataFrame) -> pd.DataFrame:
-        _, ok2, ok3 = _survivors(df)
-        return pd.DataFrame(
-            {
-                "n_docs": np.asarray([len(df)], dtype=np.int64),
-                "n_ok2": np.asarray([int(ok2.sum())], dtype=np.int64),
-                "n_ok3": np.asarray([int(ok3.sum())], dtype=np.int64),
-            }
-        )
-
-    c = ds.map_batches(counts, batch_format="pandas").to_pandas()  # one row/batch
-    n_total, n2, n3 = (int(c[k].sum()) for k in ("n_docs", "n_ok2", "n_ok3"))
-
-    def fps(df: pd.DataFrame) -> pd.DataFrame:
-        texts, _, ok3 = _survivors(df)
-        u = (
-            texts[ok3]
-            .str.lower()
-            .map(lambda s: hashlib.md5(s.encode()).hexdigest())
-            .drop_duplicates()
-        )
-        return pd.DataFrame({"fp": u.to_numpy(dtype=object)})
-
-    from idf.ops import bucketed_apply
-
-    def bucket_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n": np.asarray([g["fp"].nunique()], dtype=np.int64)}
-        )
-
-    d = bucketed_apply(
-        ds.map_batches(fps, batch_format="pandas"), "fp", bucket_distinct
-    ).to_pandas()  # one row per bucket
-    n4 = int(d["n"].sum())
-
-    return pd.DataFrame(
-        {
-            "stage": np.arange(1, 5, dtype=np.int64),
-            "stage_name": ["total", "min_tokens", f"lang_{lang}", "exact_distinct"],
-            "n_docs": np.asarray([n_total, n2, n3, n4], dtype=np.int64),
-        }
-    )
-
-
-def packing_stats(ds: rd.Dataset, seq_len: int = 1024) -> pd.DataFrame:
-    """One-row training-budget estimate: (n_docs, n_tokens_total,
-    n_slots) where ``n_slots = sum(ceil(n_tokens / seq_len))`` — the
-    number of fixed-length sequence slots the corpus fills if every
-    document is padded into its own slots (the pre-packing upper bound
-    planners size training runs with). Token rule = ``token_count``.
-
-    100-TB shape: a pure combiner — each batch emits one 3-int partial
-    row; the driver sums blocks-many rows. Nothing shuffles.
-    """
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        texts = df["text"].fillna("").str.strip(" ")
-        ntok = texts.map(lambda s: len(_WS.split(s)) if s else 0).to_numpy(np.int64)
-        slots = -(-ntok // seq_len)  # ceil-div; 0-token docs take 0 slots
-        return pd.DataFrame(
-            {
-                "n_docs": np.asarray([len(df)], dtype=np.int64),
-                "n_tokens_total": np.asarray([int(ntok.sum())], dtype=np.int64),
-                "n_slots": np.asarray([int(slots.sum())], dtype=np.int64),
-            }
-        )
-
-    c = ds.map_batches(part, batch_format="pandas").to_pandas()  # one row/batch
-    return pd.DataFrame(
-        {
-            "n_docs": [int(c["n_docs"].sum())],
-            "n_tokens_total": [int(c["n_tokens_total"].sum())],
-            "n_slots": [int(c["n_slots"].sum())],
-        }
-    ).astype(np.int64)
-
-
-def langid_confusion(ds: rd.Dataset) -> pd.DataFrame:
-    """(lang, lang_pred, n): confusion matrix of the heuristic language
-    ID against the table's labeled ``lang`` column — the evaluation
-    every classifier-shaped curation filter needs before it gates data.
-    Uses the EXACT ``lang_id_batch`` kernel, so the matrix measures the
-    deployed rule, not a reimplementation.
-
-    100-TB shape: a pure combiner — each batch emits its local
-    (lang, pred) count cells (bounded by #languages², a few dozen), one
-    tiny bucketed sum, driver merges cells.
-    """
-    from idf.ops import bucketed_aggregate
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        lp = lang_id_batch(df)
-        g = pd.DataFrame(
-            {"lang": df["lang"].to_numpy(dtype=object), "lang_pred": lp["lang_pred"]}
-        )
-        out = g.groupby(["lang", "lang_pred"], sort=False).size().rename("n")
-        return out.reset_index()
-
-    agg = bucketed_aggregate(
-        ds.map_batches(part, batch_format="pandas"),
-        ["lang", "lang_pred"],
-        {"n": ("n", "sum")},
-    ).to_pandas()  # bounded by #languages^2 cells
-    agg["n"] = agg["n"].astype(np.int64)
-    return agg.sort_values(["lang", "lang_pred"]).reset_index(drop=True)

@@ -21,6 +21,15 @@ def test_every_oracle_key_has_a_query(ray_session):
         assert isinstance(sql, str) and sql.strip(), name
 
 
+def test_every_query_but_img_hashes_has_an_oracle(ray_session):
+    """Every registered query is compared to a DuckDB oracle except
+    ``img_hashes``, whose DCT pHash is not SQL-expressible (the pytest
+    kernel oracle checks it instead)."""
+    import __ray_entry__ as e
+
+    assert set(e.queries()) - set(e.oracle_sql()) == {"img_hashes"}
+
+
 def test_registry_fits_the_checked_window(ray_session):
     """The correctness gate checks the first 50 registered queries; a
     query past that window would never be compared to its oracle."""

@@ -9,22 +9,6 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from idf.ops import set_membership_join
-
-
-def test_set_membership_join(ray_session, rng):
-    left = pd.DataFrame({"k": rng.integers(0, 500, 3000), "v": rng.normal(size=3000)})
-    keys = pd.DataFrame({"k": np.arange(0, 500, 3)})
-    semi = set_membership_join(rd.from_pandas(left), "k", rd.from_pandas(keys)).to_pandas()
-    anti = set_membership_join(
-        rd.from_pandas(left), "k", rd.from_pandas(keys), negate=True
-    ).to_pandas()
-    kset = set(keys["k"])
-    assert set(semi["k"]) <= kset
-    assert not (set(anti["k"]) & kset)
-    assert len(semi) + len(anti) == len(left)
-    assert sorted(semi.columns) == ["k", "v"]
-
 
 def test_apply_stage_distributed_path(ray_session, tmp_path):
     import pyarrow.parquet as pq

@@ -7,8 +7,7 @@ import ray.data as rd
 from idf.functions.ann import cosine_pairs, cosine_topk, ivf_topk
 from idf.functions.text import (
     fingerprint_md5,
-    lang_id,
-    quality_score,
+    quality_components,
     token_count,
     winnow_fingerprints,
 )
@@ -58,17 +57,33 @@ def test_token_count(docs):
         assert got[r["doc_id"]] == len(r["text"].split())
 
 
-def test_quality_score_deterministic(docs):
-    a = quality_score(docs).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = quality_score(docs).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert ((a["quality"] >= 0) & (a["quality"] <= 1)).all()
-
-
-def test_lang_id_runs(docs):
-    out = lang_id(docs).to_pandas()
-    assert len(out) == docs.count()
-    assert set(out["lang_pred"]) <= {"en", "de", "fr", "es", "zh", "und"}
+def test_quality_components_known_stop_counts(ray_session):
+    """``n_stop`` counts whole whitespace tokens, lower-cased, that are in
+    the English/German/French/Spanish stopword list; punctuation, longer
+    words and hyphenated forms do not match."""
+    every_stopword = (
+        "a and das de den der des die ein el es est et for in is ist it la las "
+        "le les los mit of que that the to un una und une von y zu"
+    )
+    rows = pd.DataFrame(
+        {
+            "doc_id": [1, 2, 3, 4, 5, 6, 7, 8],
+            "text": [
+                "zu y und les the",
+                "lesson The. ZU",
+                "  The cat and THE dog  ",
+                "der Hund ist ein Tier, el perro es una mascota",
+                "",
+                "yes zum los-angeles d'un an à",
+                "Les enfants et la mer, que de monde",
+                every_stopword,
+            ],
+        }
+    )
+    got = quality_components(rd.from_pandas(rows)).to_pandas()
+    assert dict(zip(got["doc_id"], got["n_stop"])) == {
+        1: 5, 2: 1, 3: 3, 4: 6, 5: 0, 6: 0, 7: 5, 8: 36
+    }
 
 
 def test_fingerprints(docs):
@@ -506,50 +521,6 @@ def test_emb_dedup_map_routes_and_closure(ray_session):
     assert list(scale["canon_id"]) == want
 
 
-def test_tfidf_topk_known_values(ray_session):
-    """Hand-checkable corpus: 'zebra' appears only in doc 0 (df=1, high
-    tf/df); 'common' appears in every doc (df=4, low score). Ranks are
-    (tf/df desc, term asc); ties broken alphabetically."""
-    from idf.functions.text import tfidf_topk
-
-    rows = pd.DataFrame(
-        {
-            "doc_id": [0, 1, 2, 3],
-            "text": [
-                "zebra zebra zebra common apple",
-                "common apple apple banana",
-                "common banana banana cherry",
-                "common cherry cherry apple",
-            ],
-        }
-    )
-    got = tfidf_topk(rd.from_pandas(rows), k=2).to_pandas()
-    got = got.sort_values(["doc_id", "rank"]).reset_index(drop=True)
-    # doc 0: zebra tf=3 df=1 -> 3.0 ; apple tf=1 df=3 -> 0.33 ; common 1/4
-    d0 = got[got["doc_id"] == 0]
-    assert list(d0["term"]) == ["zebra", "apple"]
-    assert list(d0["tf"]) == [3, 1] and list(d0["df"]) == [1, 3]
-    # doc 1: apple tf=2 df=3 (0.667) > banana tf=1 df=2 (0.5) > common 0.25
-    d1 = got[got["doc_id"] == 1]
-    assert list(d1["term"]) == ["apple", "banana"]
-    # every doc emits exactly k=2 rows, ranks 1..2
-    assert got.groupby("doc_id")["rank"].apply(list).map(lambda v: v == [1, 2]).all()
-
-
-def test_tfidf_topk_tiebreak_and_minlen(ray_session):
-    """Equal scores break term-ascending; 1-char tokens are dropped."""
-    from idf.functions.text import tfidf_topk
-
-    rows = pd.DataFrame({"doc_id": [7], "text": ["b a x y z c"]})
-    got = tfidf_topk(rd.from_pandas(rows), k=3).to_pandas()
-    assert len(got) == 0  # all tokens length 1 -> dropped
-
-    rows = pd.DataFrame({"doc_id": [7, 8], "text": ["bb aa", "aa bb"]})
-    got = tfidf_topk(rd.from_pandas(rows), k=2).to_pandas()
-    d7 = got[got["doc_id"] == 7].sort_values("rank")
-    assert list(d7["term"]) == ["aa", "bb"]  # same tf/df: alphabetical
-
-
 def test_contamination_known_values(ray_session):
     """doc 0 and 50 are benchmark (id % 50 == 0). doc 1 embeds one
     benchmark 5-gram at two positions (n_hits counts POSITIONS, not
@@ -577,28 +548,6 @@ def test_contamination_known_values(ray_session):
     )
     assert set(got.index) == {1, 2, 3}  # benchmark docs excluded from output
     assert got[1] == 2 and got[2] == 0 and got[3] == 0
-
-
-def test_curation_funnel_known_values(ray_session):
-    """Hand-built corpus where every stage drops exactly one doc: short
-    (stage 2), German (stage 3), exact dup of an English doc (stage 4)."""
-    from idf.functions.text import curation_funnel
-
-    en = "the quick fox is running to the barn and it is raining for hours"
-    rows = pd.DataFrame(
-        {
-            "doc_id": [1, 2, 3, 4],
-            "text": [
-                en,                                     # survives everything
-                en,                                     # exact dup -> merged in stage 4
-                "short text",                           # < 10 tokens
-                "der hund und die katze ist ein tier zu den haus mit von",  # de
-            ],
-        }
-    )
-    got = curation_funnel(rd.from_pandas(rows), min_tokens=10, lang="en")
-    assert list(got["n_docs"]) == [4, 3, 2, 1]
-    assert list(got["stage_name"]) == ["total", "min_tokens", "lang_en", "exact_distinct"]
 
 
 def test_contamination_matches_bruteforce_random(ray_session):
@@ -630,21 +579,6 @@ def test_contamination_matches_bruteforce_random(ray_session):
         ds = rd.from_pandas(pdf).repartition(blocks)
         got = contamination(ds, bench_mod=10, n=3).to_pandas()
         assert dict(zip(got["doc_id"], got["n_hits"])) == want
-
-
-def test_packing_stats_known_values(ray_session):
-    """ceil-div slots: 0-token doc -> 0 slots; 1 token -> 1; 1024 -> 1;
-    1025 -> 2."""
-    from idf.functions.text import packing_stats
-
-    rows = pd.DataFrame(
-        {
-            "doc_id": [1, 2, 3, 4],
-            "text": ["", "one", " ".join(["t"] * 1024), " ".join(["t"] * 1025)],
-        }
-    )
-    got = packing_stats(rd.from_pandas(rows), seq_len=1024)
-    assert got.iloc[0].tolist() == [4, 1 + 1024 + 1025, 0 + 1 + 1 + 2]
 
 
 def test_hamming_topk_vs_numpy(ray_session):
